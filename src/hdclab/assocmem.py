@@ -109,11 +109,6 @@ class AssociativeMemory:
         i = int(np.argmin(d))
         return self._labels[i], int(d[i])
 
-    def classify_normalized(self, query: Hypervector):
-        """Like classify but the distance is divided by the dimension."""
-        label, d = self.classify(query)
-        return label, d / self.dim
-
     def classify_full(self, query: Hypervector) -> ClassificationResult:
         """Classification plus every per-label distance."""
         d = self.distances(query)

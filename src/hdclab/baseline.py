@@ -12,6 +12,7 @@ import numpy as np
 
 from .encoder import DEFAULT_ALPHABET, normalize_text
 from .errors import ConfigurationError, TextTooShortError
+from .pipeline import encode_test_sentences, score_report
 
 
 class BaselineProfile:
@@ -89,13 +90,17 @@ class BaselineClassifier:
             self._unit_rows = rows / norms[:, None]
         return self._unit_rows
 
-    def classify(self, text: str):
-        """(label, cosine similarity) of the best profile; ties -> lowest index."""
+    def similarities(self, text: str) -> np.ndarray:
+        """Cosine similarity of the text to every profile, in label order."""
         vec = self.count_vector(text).astype(np.float64)
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
-        sims = self._units() @ vec
+        return self._units() @ vec
+
+    def classify(self, text: str):
+        """(label, cosine similarity) of the best profile; ties -> lowest index."""
+        sims = self.similarities(text)
         i = int(np.argmax(sims))  # argmax takes the first maximum, our tie rule
         return self.labels[i], float(sims[i])
 
@@ -108,35 +113,14 @@ def baseline_train(corpus, n: int = 3, alphabet: str = DEFAULT_ALPHABET) -> Base
 
 
 def baseline_evaluate(clf: BaselineClassifier, corpus) -> dict:
-    """Per-sentence accuracy report, same shape as the hypervector report."""
-    total = correct = skipped = 0
-    per_language: dict = {}
-    confusion: dict = {}
-    for true_label, sentence in corpus.test_items():
-        if true_label not in clf._profiles:
-            raise ConfigurationError(f"test label {true_label!r} not trained")
-        try:
-            predicted, _ = clf.classify(sentence)
-        except TextTooShortError:
-            skipped += 1
-            continue
-        total += 1
-        stats = per_language.setdefault(true_label, {"total": 0, "correct": 0})
-        stats["total"] += 1
-        if predicted == true_label:
-            correct += 1
-            stats["correct"] += 1
-        row = confusion.setdefault(true_label, {})
-        row[predicted] = row.get(predicted, 0) + 1
-    for stats in per_language.values():
-        stats["accuracy"] = stats["correct"] / stats["total"]
+    """Per-sentence accuracy report, same shape as the hypervector report.
+
+    Negated cosine similarity serves as the distance: negation is exact and
+    argmin takes the first minimum, so ties still go to the first label.
+    """
+    sims, true_idx, skipped = encode_test_sentences(clf.labels, corpus, clf.similarities)
     return {
         "classifier": "baseline",
         "n": clf.n,
-        "total": total,
-        "correct": correct,
-        "skipped_short": skipped,
-        "accuracy": correct / total if total else 0.0,
-        "per_language": per_language,
-        "confusion": confusion,
+        **score_report(-np.vstack(sims), true_idx, clf.labels, skipped),
     }

@@ -22,7 +22,7 @@ from .encoder import EncoderConfig
 from .errors import ConfigurationError, DataError, TextTooShortError
 from .itemmem import ItemMemory
 from .model_io import load_model, save_model
-from .pipeline import evaluate, train_pipeline
+from .pipeline import encode_test_set, evaluate, train_pipeline
 from .synth import synth_corpus
 
 
@@ -117,18 +117,9 @@ def cmd_fault_sweep(args) -> int:
     fractions = _parse_floats(args.fractions, "fractions")
     if any(not 0 <= f <= 1 for f in fractions):
         raise ConfigurationError("fractions must lie in [0, 1]")
-    label_index = {lb: i for i, lb in enumerate(model.labels)}
-    queries, true_idx = [], []
-    for label, sentence in corpus.test_items():
-        if label not in label_index:
-            raise ConfigurationError(f"test label {label!r} not in the model")
-        try:
-            queries.append(model.encoder.encode(sentence))
-        except TextTooShortError:
-            continue
-        true_idx.append(label_index[label])
-    if not queries:
-        raise DataError("no usable test sentences")
+    queries, true_idx, skipped = encode_test_set(model, corpus)
+    if skipped:
+        print(f"skipped {skipped} short sentence(s)")
     result = faultlab.fault_sweep(
         model.memory.rows(), queries, true_idx, fractions, args.trials,
         mode=args.mode, shared=not args.independent_masks, seed=args.seed,

@@ -180,19 +180,17 @@ def wear_write(model: EnduranceModel, position: int, value: int) -> int:
     return model.wear_write(position, value)
 
 
-def _distance_matrix(rows: np.ndarray, query_words: np.ndarray) -> np.ndarray:
-    return kernels.hamming_many(rows, query_words)
+def distance_matrix(rows: np.ndarray, query_words: np.ndarray) -> np.ndarray:
+    """(Q, C) int64 Hamming distances from each packed query to each prototype row."""
+    if len(query_words) == 0:
+        raise ValueError("no queries to score")
+    return np.column_stack([kernels.hamming_many(query_words, row) for row in rows])
 
 
 def multiclass_accuracy(rows: np.ndarray, queries: np.ndarray,
                         true_idx: np.ndarray) -> float:
     """Fraction of queries whose nearest row (lowest index on ties) is the true one."""
-    hits = 0
-    for q, t in zip(queries, true_idx):
-        d = _distance_matrix(rows, q)
-        if int(np.argmin(d)) == t:
-            hits += 1
-    return hits / len(true_idx)
+    return float(np.mean(np.argmin(distance_matrix(rows, queries), axis=1) == true_idx))
 
 
 def pairwise_from_dmat(dmat: np.ndarray, true_idx: np.ndarray) -> float:
@@ -219,10 +217,7 @@ def pairwise_from_dmat(dmat: np.ndarray, true_idx: np.ndarray) -> float:
 
 def pairwise_accuracy(rows: np.ndarray, queries: np.ndarray,
                       true_idx: np.ndarray) -> float:
-    dmat = np.empty((len(queries), rows.shape[0]), dtype=np.int64)
-    for qi, q in enumerate(queries):
-        dmat[qi] = _distance_matrix(rows, q)
-    return pairwise_from_dmat(dmat, true_idx)
+    return pairwise_from_dmat(distance_matrix(rows, queries), true_idx)
 
 
 @dataclass
@@ -288,10 +283,15 @@ def fault_sweep(rows: np.ndarray, queries, true_idx, fractions, trials: int,
         raise ValueError(f"unknown sweep mode {mode!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if len(queries) == 0:
+        raise ValueError("fault_sweep needs at least one query")
+    true_idx = np.asarray(true_idx)
+    if true_idx.shape != (len(queries),):
+        raise ValueError("true_idx needs exactly one label index per query")
     dim = queries[0].dim
+    query_words = np.vstack([q.words for q in queries])
     root = RandomSource(seed)
     score = multiclass_accuracy if mode == "multiclass" else pairwise_accuracy
-    true_idx = np.asarray(true_idx)
     result = SweepResult(mode=mode)
     for fi, fraction in enumerate(fractions):
         for trial in range(trials):
@@ -299,11 +299,11 @@ def fault_sweep(rows: np.ndarray, queries, true_idx, fractions, trials: int,
             mask = FaultMask.make(dim, fraction, rng)
             masked_rows = mask.apply_words(rows)
             if shared:
-                masked_queries = np.vstack([mask.apply(q).words for q in queries])
+                masked_queries = mask.apply_words(query_words)
             else:
                 masked_queries = np.vstack([
-                    FaultMask.make(dim, fraction, rng.child(qi)).apply(q).words
-                    for qi, q in enumerate(queries)
+                    FaultMask.make(dim, fraction, rng.child(qi)).apply_words(words)
+                    for qi, words in enumerate(query_words)
                 ])
             result.add(fraction, trial, score(masked_rows, masked_queries, true_idx))
     return result

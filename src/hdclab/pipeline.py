@@ -1,9 +1,9 @@
 """End-to-end language identification: train on a corpus, evaluate a model.
 
 A trained model is the encoder configuration, the item memory behind it,
-and one prototype hypervector per language. Evaluation is per sentence;
-sentences shorter than one n-gram are counted as skipped rather than
-failing the run.
+and one prototype hypervector per language. Evaluation scores the encoded
+test set as one distance matrix; sentences shorter than one n-gram are
+counted as skipped rather than failing the run.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import numpy as np
 
 from .assocmem import AssociativeMemory, ClassificationResult
 from .encoder import EncoderConfig, TextEncoder
-from .errors import ConfigurationError, TextTooShortError
-from .faultlab import pairwise_from_dmat
+from .errors import ConfigurationError, DataError, TextTooShortError
+from .faultlab import distance_matrix, pairwise_from_dmat
 
 
 @dataclass
@@ -53,6 +53,65 @@ def train_pipeline(corpus, config: EncoderConfig | None = None) -> TrainedModel:
                         labels=memory.labels)
 
 
+def encode_test_sentences(labels, corpus, encode):
+    """Apply encode to every test sentence, in corpus order.
+
+    Returns (vectors, true_idx, skipped): what encode returned per usable
+    sentence, the int64 index into labels of each one's true label, and the
+    count of sentences too short to encode. A test label missing from labels
+    raises ConfigurationError; a test set with no usable sentence, DataError.
+    """
+    label_index = {label: i for i, label in enumerate(labels)}
+    for label in corpus.test:
+        if label not in label_index:
+            raise ConfigurationError(f"test label {label!r} not in the model")
+    vectors, true_idx, skipped = [], [], 0
+    for label, sentence in corpus.test_items():
+        try:
+            vectors.append(encode(sentence))
+        except TextTooShortError:
+            skipped += 1
+            continue
+        true_idx.append(label_index[label])
+    if not vectors:
+        raise DataError("no usable test sentences")
+    return vectors, np.array(true_idx, dtype=np.int64), skipped
+
+
+def encode_test_set(model: TrainedModel, corpus):
+    """(queries, true_idx, skipped): each test sentence encoded once as a Hypervector."""
+    return encode_test_sentences(model.labels, corpus, model.encoder.encode)
+
+
+def score_report(dmat: np.ndarray, true_idx: np.ndarray, labels, skipped: int) -> dict:
+    """Multiclass report over a (Q, C) distance matrix; ties go to the lower index.
+
+    Row q of dmat holds query q's distance to each of labels and true_idx[q]
+    the index of its true label. Every number is a plain Python int or float.
+    """
+    pred_idx = np.argmin(dmat, axis=1)
+    per_language: dict = {}
+    confusion: dict = {}
+    for t, p in zip(true_idx.tolist(), pred_idx.tolist()):
+        stats = per_language.setdefault(labels[t], {"total": 0, "correct": 0})
+        stats["total"] += 1
+        stats["correct"] += int(t == p)
+        row = confusion.setdefault(labels[t], {})
+        row[labels[p]] = row.get(labels[p], 0) + 1
+    for stats in per_language.values():
+        stats["accuracy"] = stats["correct"] / stats["total"]
+    total = len(pred_idx)
+    correct = sum(stats["correct"] for stats in per_language.values())
+    return {
+        "total": total,
+        "correct": correct,
+        "skipped_short": skipped,
+        "accuracy": correct / total,
+        "per_language": per_language,
+        "confusion": confusion,
+    }
+
+
 def evaluate(model: TrainedModel, corpus, mode: str = "multiclass") -> dict:
     """Per-sentence accuracy report.
 
@@ -62,53 +121,14 @@ def evaluate(model: TrainedModel, corpus, mode: str = "multiclass") -> dict:
     """
     if mode not in ("multiclass", "pairwise"):
         raise ConfigurationError(f"unknown evaluation mode {mode!r}")
-    label_index = {label: i for i, label in enumerate(model.labels)}
-    for label in corpus.test:
-        if label not in label_index:
-            raise ConfigurationError(f"test label {label!r} not in the model")
-
-    dmat_rows, true_idx = [], []
-    skipped = 0
-    for true_label, sentence in corpus.test_items():
-        try:
-            hv = model.encoder.encode(sentence)
-        except TextTooShortError:
-            skipped += 1
-            continue
-        dmat_rows.append(model.memory.distances(hv))
-        true_idx.append(label_index[true_label])
-    if not dmat_rows:
-        raise ConfigurationError("no usable test sentences")
-    dmat = np.vstack(dmat_rows)
-    true_idx = np.array(true_idx)
-
-    pred_idx = np.argmin(dmat, axis=1)
-    total = int(true_idx.shape[0])
-    correct = int(np.sum(pred_idx == true_idx))
-    per_language: dict = {}
-    confusion: dict = {}
-    for t, p in zip(true_idx, pred_idx):
-        t_label, p_label = model.labels[t], model.labels[p]
-        stats = per_language.setdefault(t_label, {"total": 0, "correct": 0})
-        stats["total"] += 1
-        if t == p:
-            stats["correct"] += 1
-        row = confusion.setdefault(t_label, {})
-        row[p_label] = row.get(p_label, 0) + 1
-    for stats in per_language.values():
-        stats["accuracy"] = stats["correct"] / stats["total"]
-
+    queries, true_idx, skipped = encode_test_set(model, corpus)
+    dmat = distance_matrix(model.memory.rows(), np.vstack([q.words for q in queries]))
     report = {
         "classifier": "hd",
         "mode": mode,
         "dim": model.config.dim,
         "n": model.config.n,
-        "total": total,
-        "correct": correct,
-        "skipped_short": skipped,
-        "accuracy": correct / total,
-        "per_language": per_language,
-        "confusion": confusion,
+        **score_report(dmat, true_idx, model.labels, skipped),
     }
     if mode == "pairwise":
         report["pairwise_accuracy"] = pairwise_from_dmat(dmat, true_idx)

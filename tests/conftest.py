@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hdclab import EncoderConfig, pack_bits, synth_corpus, train_pipeline
+from hdclab.pipeline import encode_test_set
 
 SYNTH_SEED = 0
 SYNTH_LANGS = 21
@@ -35,9 +36,5 @@ def trained(synth):
 @pytest.fixture(scope="session")
 def queries(trained, synth):
     """Encoded test sentences: (list of Hypervector, int64 true label indices)."""
-    label_index = {lb: i for i, lb in enumerate(trained.labels)}
-    hvs, idx = [], []
-    for label, sentence in synth.test_items():
-        hvs.append(trained.encoder.encode(sentence))
-        idx.append(label_index[label])
-    return hvs, np.array(idx)
+    hvs, idx, _ = encode_test_set(trained, synth)
+    return hvs, idx

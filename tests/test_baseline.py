@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdclab import Corpus, TextTooShortError
+from hdclab import Corpus, DataError, TextTooShortError
 from hdclab.baseline import BaselineClassifier, baseline_evaluate, baseline_train
 
 
@@ -90,3 +90,20 @@ def test_evaluate_report(synth):
     assert set(report["per_language"]) == set(synth.labels)
     row_sum = sum(sum(r.values()) for r in report["confusion"].values())
     assert row_sum == report["total"]
+
+
+def test_evaluate_no_usable_sentences_is_data_error():
+    corpus = Corpus()
+    corpus.add_train("aa", "abc abc abcabc")
+    corpus.add_test("aa", "ab")
+    with pytest.raises(DataError, match="no usable test sentences"):
+        baseline_evaluate(baseline_train(corpus), corpus)
+
+
+def test_evaluate_tie_goes_to_first_label():
+    corpus = Corpus()
+    corpus.add_train("first", "aaaa")
+    corpus.add_train("second", "aaaa")
+    corpus.add_test("second", "aaa")
+    report = baseline_evaluate(baseline_train(corpus), corpus)
+    assert report["confusion"] == {"second": {"first": 1}}

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -80,6 +81,42 @@ def test_fault_sweep_csv(workspace):
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["fraction", "trial", "mode", "accuracy"]
     assert len(rows) == 5
+
+
+def _corpus_copy(corpus, dest, short_only):
+    """Copy of the workspace corpus with a 2-character test sentence added,
+    or, with short_only, with every test sentence replaced by one."""
+    shutil.copytree(corpus, dest)
+    for sentences in sorted((dest / "test").glob("*/sentences.txt")):
+        if short_only:
+            sentences.write_text("ab\n", encoding="utf-8")
+        else:
+            with sentences.open("a", encoding="utf-8") as fh:
+                fh.write("ab\n")
+            break
+    return dest
+
+
+def test_fault_sweep_reports_skipped_sentences(workspace, tmp_path, capsys):
+    root, corpus, model = workspace
+    copy = _corpus_copy(corpus, tmp_path / "corpus", short_only=False)
+    assert main(["fault-sweep", "--model", str(model), "--corpus", str(copy),
+                 "--fractions", "0", "--trials", "1",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert "skipped 1 short sentence(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["eval", "baseline", "fault-sweep"])
+def test_no_usable_test_sentence_is_data_error(workspace, tmp_path, capsys, command):
+    root, corpus, model = workspace
+    copy = _corpus_copy(corpus, tmp_path / "corpus", short_only=True)
+    args = [command, "--corpus", str(copy)]
+    if command != "baseline":
+        args += ["--model", str(model)]
+    if command == "fault-sweep":
+        args += ["--trials", "1", "--out", str(tmp_path / "sweep.csv")]
+    assert main(args) == 3
+    assert "no usable test sentences" in capsys.readouterr().err
 
 
 def test_noise_curve_csv(workspace):

@@ -16,7 +16,15 @@ from hdclab import (
     random_hv,
     wear_write,
 )
-from hdclab.faultlab import PASS, STUCK0, STUCK1, multiclass_accuracy, pairwise_accuracy
+from hdclab import kernels
+from hdclab.faultlab import (
+    PASS,
+    STUCK0,
+    STUCK1,
+    distance_matrix,
+    multiclass_accuracy,
+    pairwise_accuracy,
+)
 from conftest import hv_from_string, hv_to_string
 
 
@@ -196,6 +204,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             fault_sweep(rows, queries, true_idx, [0.1], trials=1, mode="nope")
 
+    def test_no_queries_rejected(self):
+        rows, _, _ = _random_setup(128, 3, 5, 60)
+        with pytest.raises(ValueError, match="at least one query"):
+            fault_sweep(rows, [], [], [0.1], trials=1)
+
+    def test_true_idx_length_must_match_queries(self):
+        rows, queries, true_idx = _random_setup(128, 3, 5, 60)
+        with pytest.raises(ValueError, match="one label index per query"):
+            fault_sweep(rows, queries, true_idx[:1], [0.0], trials=1)
+
     def test_csv_schema(self, tmp_path):
         rows, queries, true_idx = _random_setup(256, 3, 10, 61)
         res = fault_sweep(rows, queries, true_idx, [0.0, 0.2], trials=2, seed=62)
@@ -243,3 +261,21 @@ def test_pairwise_accuracy_perfect_when_separable():
     rows, queries, true_idx = _random_setup(8192, 5, 40, 73, flip=0.05)
     qwords = np.vstack([q.words for q in queries])
     assert pairwise_accuracy(rows, qwords, true_idx) == 1.0
+
+
+def test_distance_matrix_matches_per_query_distances():
+    rows, queries, _ = _random_setup(1000, 7, 12, 74)
+    qwords = np.vstack([q.words for q in queries])
+    dmat = distance_matrix(rows, qwords)
+    assert dmat.shape == (12, 7)
+    assert dmat.dtype == np.int64
+    for qi, q in enumerate(qwords):
+        assert np.array_equal(dmat[qi], kernels.hamming_many(rows, q))
+
+
+@pytest.mark.parametrize("score", [multiclass_accuracy, pairwise_accuracy])
+def test_scoring_zero_queries_rejected(score):
+    rows, _, _ = _random_setup(128, 3, 5, 75)
+    empty = np.empty((0, rows.shape[1]), dtype=np.uint64)
+    with pytest.raises(ValueError, match="no queries"):
+        score(rows, empty, np.array([], dtype=np.int64))

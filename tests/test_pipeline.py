@@ -4,11 +4,13 @@ import pytest
 from hdclab import (
     ConfigurationError,
     Corpus,
+    DataError,
     EncoderConfig,
     TextTooShortError,
     evaluate,
     train_pipeline,
 )
+from hdclab.pipeline import encode_test_set, score_report
 
 
 def tiny_corpus():
@@ -86,6 +88,41 @@ def test_short_sentences_counted_as_skipped():
     report = evaluate(model, corpus)
     assert report["skipped_short"] == 1
     assert report["total"] == 2
+
+
+def test_encode_test_set_counts_skipped():
+    corpus = tiny_corpus()
+    corpus.test["aa"].append("ab")
+    model = train_pipeline(corpus, EncoderConfig(dim=2000))
+    queries, true_idx, skipped = encode_test_set(model, corpus)
+    assert [q.dim for q in queries] == [2000, 2000]
+    assert true_idx.tolist() == [0, 1]
+    assert true_idx.dtype == np.int64
+    assert skipped == 1
+
+
+def test_no_usable_test_sentences_is_data_error():
+    corpus = tiny_corpus()
+    corpus.test = {"aa": ["ab"], "bb": ["x"]}
+    model = train_pipeline(corpus, EncoderConfig(dim=1000))
+    with pytest.raises(DataError, match="no usable test sentences"):
+        encode_test_set(model, corpus)
+    with pytest.raises(DataError, match="no usable test sentences"):
+        evaluate(model, corpus)
+
+
+def test_score_report_tie_rule_and_plain_types():
+    dmat = np.array([[3, 3], [5, 2], [1, 4]], dtype=np.int64)
+    report = score_report(dmat, np.array([0, 0, 1]), ["a", "b"], skipped=2)
+    assert report == {
+        "total": 3, "correct": 1, "skipped_short": 2, "accuracy": 1 / 3,
+        "per_language": {"a": {"total": 2, "correct": 1, "accuracy": 0.5},
+                         "b": {"total": 1, "correct": 0, "accuracy": 0.0}},
+        "confusion": {"a": {"a": 1, "b": 1}, "b": {"a": 1}},
+    }
+    assert type(report["total"]) is int and type(report["correct"]) is int
+    assert type(report["confusion"]["a"]["a"]) is int
+    assert type(report["per_language"]["a"]["correct"]) is int
 
 
 def test_bad_mode():
