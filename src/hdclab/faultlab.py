@@ -180,17 +180,27 @@ def wear_write(model: EnduranceModel, position: int, value: int) -> int:
     return model.wear_write(position, value)
 
 
-def distance_matrix(rows: np.ndarray, query_words: np.ndarray) -> np.ndarray:
+def distance_matrix(rows: np.ndarray, query_words) -> np.ndarray:
     """(Q, C) int64 Hamming distances from each packed query to each prototype row."""
+    query_words = np.asarray(query_words)  # the compiled kernel needs one 2-d array
     if len(query_words) == 0:
         raise ValueError("no queries to score")
+    if query_words.ndim != 2 or query_words.shape[1:] != np.shape(rows)[1:]:
+        raise ValueError("query words must form a (queries, words per row) matrix")
     return np.column_stack([kernels.hamming_many(query_words, row) for row in rows])
 
 
-def multiclass_accuracy(rows: np.ndarray, queries: np.ndarray,
-                        true_idx: np.ndarray) -> float:
+def _label_index(true_idx, n_queries: int) -> np.ndarray:
+    true_idx = np.asarray(true_idx)
+    if true_idx.shape != (n_queries,):
+        raise ValueError("true_idx needs exactly one label index per query")
+    return true_idx
+
+
+def multiclass_accuracy(rows: np.ndarray, queries, true_idx) -> float:
     """Fraction of queries whose nearest row (lowest index on ties) is the true one."""
-    return float(np.mean(np.argmin(distance_matrix(rows, queries), axis=1) == true_idx))
+    dmat = distance_matrix(rows, queries)
+    return float(np.mean(np.argmin(dmat, axis=1) == _label_index(true_idx, len(dmat))))
 
 
 def pairwise_from_dmat(dmat: np.ndarray, true_idx: np.ndarray) -> float:
@@ -199,7 +209,7 @@ def pairwise_from_dmat(dmat: np.ndarray, true_idx: np.ndarray) -> float:
     For pair (i, j) only queries whose true label is i or j count, and the
     decision is the restricted argmin (tie goes to the lower index).
     """
-    true_idx = np.asarray(true_idx)
+    true_idx = _label_index(true_idx, dmat.shape[0])
     n_labels = dmat.shape[1]
     pair_accs = []
     for i in range(n_labels):
@@ -215,8 +225,7 @@ def pairwise_from_dmat(dmat: np.ndarray, true_idx: np.ndarray) -> float:
     return float(np.mean(pair_accs))
 
 
-def pairwise_accuracy(rows: np.ndarray, queries: np.ndarray,
-                      true_idx: np.ndarray) -> float:
+def pairwise_accuracy(rows: np.ndarray, queries, true_idx) -> float:
     return pairwise_from_dmat(distance_matrix(rows, queries), true_idx)
 
 
@@ -283,11 +292,8 @@ def fault_sweep(rows: np.ndarray, queries, true_idx, fractions, trials: int,
         raise ValueError(f"unknown sweep mode {mode!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if len(queries) == 0:
-        raise ValueError("fault_sweep needs at least one query")
-    true_idx = np.asarray(true_idx)
-    if true_idx.shape != (len(queries),):
-        raise ValueError("true_idx needs exactly one label index per query")
+    if len({q.dim for q in queries}) != 1:
+        raise ValueError("fault_sweep needs at least one query, all of one dimension")
     dim = queries[0].dim
     query_words = np.vstack([q.words for q in queries])
     root = RandomSource(seed)

@@ -209,10 +209,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="at least one query"):
             fault_sweep(rows, [], [], [0.1], trials=1)
 
-    def test_true_idx_length_must_match_queries(self):
-        rows, queries, true_idx = _random_setup(128, 3, 5, 60)
-        with pytest.raises(ValueError, match="one label index per query"):
-            fault_sweep(rows, queries, true_idx[:1], [0.0], trials=1)
+    def test_mixed_query_dims_rejected(self):
+        # 1000 and 1010 bits both pack into 16 words, so only the dim check
+        # tells them apart.
+        rows, queries, true_idx = _random_setup(1000, 3, 4, 60)
+        queries[-1] = random_hv(1010, RandomSource(65))
+        with pytest.raises(ValueError, match="one dimension"):
+            fault_sweep(rows, queries, true_idx, [0.1], trials=1)
 
     def test_csv_schema(self, tmp_path):
         rows, queries, true_idx = _random_setup(256, 3, 10, 61)
@@ -279,3 +282,25 @@ def test_scoring_zero_queries_rejected(score):
     empty = np.empty((0, rows.shape[1]), dtype=np.uint64)
     with pytest.raises(ValueError, match="no queries"):
         score(rows, empty, np.array([], dtype=np.int64))
+
+
+@pytest.mark.parametrize("score", [multiclass_accuracy, pairwise_accuracy])
+def test_true_idx_length_must_match_queries(score):
+    rows, queries, true_idx = _random_setup(128, 3, 5, 76)
+    qwords = np.vstack([q.words for q in queries])
+    with pytest.raises(ValueError, match="one label index per query"):
+        score(rows, qwords, true_idx[:1])
+
+
+@pytest.mark.parametrize("score", [multiclass_accuracy, pairwise_accuracy])
+def test_scorers_take_a_list_of_word_arrays(score, monkeypatch):
+    # The compiled kernel indexes rows[r, w] and reads rows.shape, so it must
+    # receive one 2-d array, never the caller's list.
+    def strict_hamming_many(rows, q):
+        assert isinstance(rows, np.ndarray) and rows.ndim == 2
+        return kernels.hamming_many_numpy(rows, q)
+
+    rows, queries, true_idx = _random_setup(1000, 4, 12, 77)
+    expected = score(rows, np.vstack([q.words for q in queries]), true_idx)
+    monkeypatch.setattr(kernels, "hamming_many", strict_hamming_many)
+    assert score(rows, [q.words for q in queries], list(true_idx)) == expected
