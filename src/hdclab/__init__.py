@@ -3,7 +3,7 @@
 Bit-packed 10,000-dimensional binary vectors, the multiply-add-permute
 algebra over them, an n-gram text encoder, Hamming-distance associative
 memory, a 21-language identification pipeline with a classical histogram
-baseline, and behavioral models of stuck-at and wear-out memory faults.
+baseline, and behavioral models of stuck-at memory faults and bit flips.
 """
 
 from .algebra import (
@@ -36,14 +36,12 @@ from .encoder import (
 )
 from .errors import ConfigurationError, DataError, TextTooShortError
 from .faultlab import (
-    EnduranceModel,
     FaultMask,
     SweepResult,
     apply_mask,
     fault_sweep,
     flip_noise,
     make_mask,
-    wear_write,
 )
 from .itemmem import ItemMemory, build_item_memory
 from .model_io import load_model, save_model
@@ -63,7 +61,6 @@ __all__ = [
     "DEFAULT_ALPHABET",
     "DataError",
     "EncoderConfig",
-    "EnduranceModel",
     "FaultMask",
     "Hypervector",
     "ItemMemory",
@@ -102,6 +99,5 @@ __all__ = [
     "synth_corpus",
     "train_pipeline",
     "unpack_bits",
-    "wear_write",
     "write_corpus",
 ]

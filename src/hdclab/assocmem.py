@@ -103,12 +103,6 @@ class AssociativeMemory:
             raise ValueError(f"dimension mismatch: memory {self.dim}, query {query.dim}")
         return kernels.hamming_many(self.rows(), query.words)
 
-    def classify(self, query: Hypervector):
-        """Nearest prototype: returns (label, distance); ties go to the label stored first."""
-        d = self.distances(query)
-        i = int(np.argmin(d))
-        return self._labels[i], int(d[i])
-
     def classify_full(self, query: Hypervector) -> ClassificationResult:
         """Classification plus every per-label distance."""
         d = self.distances(query)

@@ -1,5 +1,5 @@
-"""Microbenchmarks: word-wise kernels against the per-bit reference loop,
-and the numba kernels against the pure-numpy fallbacks.
+"""Microbenchmark: the word-wise Hamming kernel against the per-bit
+reference loop.
 
 Run with:  python3 -m hdclab.bench
 """
@@ -8,16 +8,14 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from . import kernels
-from .algebra import RandomSource, random_hv, unpack_bits
+from .algebra import RandomSource, random_hv
 
 
 def per_call_ns(fn, min_time_s: float = 0.05, samples: int = 3) -> float:
     """Best-of-samples mean nanoseconds per call, growing the inner loop
     until one sample runs long enough to trust the clock."""
-    fn()  # warmup; also triggers any JIT compilation
+    fn()  # warmup
     best = float("inf")
     for _ in range(samples):
         iters = 1
@@ -35,7 +33,7 @@ def per_call_ns(fn, min_time_s: float = 0.05, samples: int = 3) -> float:
 
 
 def bench_hamming(dim: int = 10000, seed: int = 42) -> dict:
-    """Hamming distance: per-bit loop vs word-wise popcount on both backends."""
+    """Hamming distance: per-bit loop vs word-wise popcount."""
     rng = RandomSource(seed)
     a = random_hv(dim, rng)
     b = random_hv(dim, rng)
@@ -44,33 +42,8 @@ def bench_hamming(dim: int = 10000, seed: int = 42) -> dict:
 
     out = {"dim": dim, "backend": kernels.backend()}
     out["bitloop_ns"] = per_call_ns(lambda: kernels.hamming_bitloop(bits_a, bits_b))
-    out["numpy_ns"] = per_call_ns(lambda: kernels.hamming_words_numpy(wa, wb))
-    if kernels.HAVE_NUMBA:
-        out["numba_ns"] = per_call_ns(lambda: kernels.hamming_words_numba(wa, wb))
     out["wordwise_ns"] = per_call_ns(lambda: kernels.hamming_words(wa, wb))
     out["speedup_vs_bitloop"] = out["bitloop_ns"] / out["wordwise_ns"]
-    return out
-
-
-def bench_accumulate(dim: int = 10000, n: int = 3, num_symbols: int = 27,
-                     text_len: int = 10000, seed: int = 43) -> dict:
-    """n-gram accumulation over a synthetic symbol stream, numpy vs numba."""
-    rng = RandomSource(seed)
-    table = np.empty((n, num_symbols, dim), dtype=np.uint8)
-    for j in range(n):
-        for s in range(num_symbols):
-            table[j, s] = unpack_bits(random_hv(dim, rng).words, dim)
-    syms = rng.generator.integers(0, num_symbols, size=text_len).astype(np.int64)
-
-    def run(fn):
-        counts = np.zeros(dim, dtype=np.int64)
-        fn(table, syms, counts)
-
-    out = {"dim": dim, "n": n, "text_len": text_len, "backend": kernels.backend()}
-    out["numpy_ns"] = per_call_ns(lambda: run(kernels.accumulate_ngrams_numpy))
-    if kernels.HAVE_NUMBA:
-        out["numba_ns"] = per_call_ns(lambda: run(kernels.accumulate_ngrams_numba))
-        out["numba_speedup"] = out["numpy_ns"] / out["numba_ns"]
     return out
 
 
@@ -84,19 +57,10 @@ def _fmt_ns(ns: float) -> str:
 
 def main():
     h = bench_hamming()
-    print(f"hamming distance, D={h['dim']} (active backend: {h['backend']})")
+    print(f"hamming distance, D={h['dim']}")
     print(f"  per-bit loop   {_fmt_ns(h['bitloop_ns'])}")
-    print(f"  numpy words    {_fmt_ns(h['numpy_ns'])}")
-    if "numba_ns" in h:
-        print(f"  numba words    {_fmt_ns(h['numba_ns'])}")
+    print(f"  word-wise      {_fmt_ns(h['wordwise_ns'])}")
     print(f"  word-wise speedup over per-bit loop: {h['speedup_vs_bitloop']:.0f}x")
-    print()
-    a = bench_accumulate()
-    print(f"trigram accumulation, D={a['dim']}, {a['text_len']} symbols")
-    print(f"  numpy          {_fmt_ns(a['numpy_ns'])}")
-    if "numba_ns" in a:
-        print(f"  numba          {_fmt_ns(a['numba_ns'])}")
-        print(f"  numba speedup over numpy: {a['numba_speedup']:.1f}x")
 
 
 if __name__ == "__main__":

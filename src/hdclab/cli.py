@@ -32,6 +32,23 @@ def _write_json(path, doc):
     )
 
 
+def _int_arg(low: int, high: int | None = None):
+    """argparse type: a whole number >= ``low`` and, if given, < ``high``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value >= high):
+            bound = f"at least {low}" if high is None else f"in [{low}, {high})"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
+# RandomSource takes a 64-bit unsigned seed.
+_seed = _int_arg(0, 2**64)
+
+
 def _parse_floats(text: str, name: str) -> list:
     try:
         values = [float(x) for x in text.split(",") if x.strip() != ""]
@@ -137,8 +154,6 @@ def cmd_noise_curve(args) -> int:
     flips = _parse_floats(args.flips, "flips")
     if any(not 0 <= f <= 1 for f in flips):
         raise ConfigurationError("flips must lie in [0, 1]")
-    if args.symbols < 2:
-        raise ConfigurationError("--symbols must be at least 2")
     symbols = [f"s{i:02d}" for i in range(args.symbols)]
     mem = ItemMemory.build(symbols, args.dim, args.seed)
     root = RandomSource(args.seed)
@@ -188,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--corpus", required=True)
     t.add_argument("--dim", type=int, default=10000)
     t.add_argument("--n", type=int, default=3)
-    t.add_argument("--seed", type=int, default=1)
+    t.add_argument("--seed", type=_seed, default=1)
     t.add_argument("--deterministic-ties", action="store_true")
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train)
@@ -209,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("baseline", help="n-gram histogram baseline accuracy")
     b.add_argument("--corpus", required=True)
-    b.add_argument("--n", type=int, default=3)
+    b.add_argument("--n", type=_int_arg(1), default=3)
     b.add_argument("--report")
     b.set_defaults(func=cmd_baseline)
 
@@ -217,30 +232,31 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--model", required=True)
     f.add_argument("--corpus", required=True)
     f.add_argument("--fractions", default="0,0.2,0.4,0.6,0.78,0.9")
-    f.add_argument("--trials", type=int, default=10)
+    f.add_argument("--trials", type=_int_arg(1), default=10)
     f.add_argument("--mode", choices=("multiclass", "pairwise"), default="multiclass")
     f.add_argument("--independent-masks", action="store_true")
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--seed", type=_seed, default=0)
     f.add_argument("--out", required=True)
     f.add_argument("--json")
     f.set_defaults(func=cmd_fault_sweep)
 
     nc = sub.add_parser("noise-curve", help="item-memory recovery vs bit flips")
-    nc.add_argument("--dim", type=int, default=10000)
-    nc.add_argument("--symbols", type=int, default=27)
+    nc.add_argument("--dim", type=_int_arg(1), default=10000)
+    nc.add_argument("--symbols", type=_int_arg(2), default=27)
     nc.add_argument("--flips", default="0.1,0.2,0.3,0.4")
-    nc.add_argument("--trials", type=int, default=100)
-    nc.add_argument("--seed", type=int, default=0)
+    nc.add_argument("--trials", type=_int_arg(1), default=100)
+    nc.add_argument("--seed", type=_seed, default=0)
     nc.add_argument("--out", required=True)
     nc.set_defaults(func=cmd_noise_curve)
 
     sc = sub.add_parser("synth-corpus", help="write a synthetic Markov corpus")
     sc.add_argument("--out", required=True)
-    sc.add_argument("--languages", type=int, default=21)
-    sc.add_argument("--train-chars", type=int, default=20000)
-    sc.add_argument("--test-sentences", type=int, default=30)
-    sc.add_argument("--sentence-chars", type=int, default=100)
-    sc.add_argument("--seed", type=int, default=0)
+    # synth_corpus needs two languages to classify and texts of at least one trigram.
+    sc.add_argument("--languages", type=_int_arg(2), default=21)
+    sc.add_argument("--train-chars", type=_int_arg(3), default=20000)
+    sc.add_argument("--test-sentences", type=_int_arg(0), default=30)
+    sc.add_argument("--sentence-chars", type=_int_arg(3), default=100)
+    sc.add_argument("--seed", type=_seed, default=0)
     sc.set_defaults(func=cmd_synth_corpus)
 
     return p

@@ -52,6 +52,10 @@ class EncoderConfig:
             raise ValueError("dim must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.n > self.dim:
+            # Rotations repeat every dim positions, so a longer window would reuse
+            # one; this also bounds TextEncoder's (n, symbols, dim) table.
+            raise ValueError("n must not exceed dim")
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise ValueError("alphabet must be non-empty and free of duplicates")
         for name in ("item_seed", "tie_seed"):

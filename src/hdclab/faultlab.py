@@ -1,10 +1,9 @@
-"""Behavioral fault models: stuck-at components, random bit flips, wear-out.
+"""Behavioral fault models: stuck-at components and random bit flips.
 
 Nothing here models electrical causes. A FaultMask pins a chosen set of
-components to 0 or 1, flip_noise inverts an exact count of positions, and
-EnduranceModel makes a cell go permanently stuck once its write budget is
-spent. fault_sweep runs a trained classifier through a grid of fault
-fractions and reports accuracy per trial.
+components to 0 or 1, and flip_noise inverts an exact count of positions.
+fault_sweep runs a trained classifier through a grid of fault fractions and
+reports accuracy per trial.
 """
 
 from __future__ import annotations
@@ -120,69 +119,10 @@ def flip_noise(hv: Hypervector, fraction: float, rng: RandomSource) -> Hypervect
     return Hypervector(hv.dim, hv.words ^ pack_bits(bits))
 
 
-class EnduranceModel:
-    """Write-budgeted cells: within budget a write sticks, beyond it the cell
-    reads a fixed stuck value drawn once from the seed.
-
-    Budgets are a shared constant by default; distribution="lognormal" draws
-    per-cell budgets around that constant with the given sigma.
-    """
-
-    def __init__(self, dim: int, budget: int, seed: int,
-                 distribution: str = "constant", sigma: float = 0.5):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
-        self.dim = dim
-        self.seed = seed
-        rng = RandomSource(seed)
-        if distribution == "constant":
-            self.budgets = np.full(dim, budget, dtype=np.int64)
-        elif distribution == "lognormal":
-            draws = rng.child(0).generator.lognormal(np.log(budget), sigma, size=dim)
-            self.budgets = np.maximum(draws.astype(np.int64), 1)
-        else:
-            raise ValueError(f"unknown budget distribution {distribution!r}")
-        self.stuck_values = rng.child(1).generator.integers(
-            0, 2, size=dim, dtype=np.uint8
-        )
-        self.writes = np.zeros(dim, dtype=np.int64)
-
-    def wear_write(self, position: int, value: int) -> int:
-        """One write to one cell; returns what the cell actually stores."""
-        if not 0 <= position < self.dim:
-            raise ValueError(f"position {position} outside dimension {self.dim}")
-        self.writes[position] += 1
-        if self.writes[position] > self.budgets[position]:
-            return int(self.stuck_values[position])
-        return int(value)
-
-    def store(self, hv: Hypervector) -> Hypervector:
-        """Write a full vector (one write per cell) and return what was stored."""
-        if hv.dim != self.dim:
-            raise ValueError(f"dimension mismatch: model {self.dim}, vector {hv.dim}")
-        self.writes += 1
-        bits = unpack_bits(hv.words, self.dim)
-        stuck = self.writes > self.budgets
-        bits[stuck] = self.stuck_values[stuck]
-        return Hypervector(self.dim, pack_bits(bits))
-
-    def stuck_mask(self) -> FaultMask:
-        """Current failure pattern as a FaultMask."""
-        stuck = self.writes > self.budgets
-        b0 = (stuck & (self.stuck_values == 0)).astype(np.uint8)
-        b1 = (stuck & (self.stuck_values == 1)).astype(np.uint8)
-        return FaultMask(self.dim, pack_bits(b0), pack_bits(b1))
-
-
-def wear_write(model: EnduranceModel, position: int, value: int) -> int:
-    return model.wear_write(position, value)
-
-
 def distance_matrix(rows: np.ndarray, query_words) -> np.ndarray:
     """(Q, C) int64 Hamming distances from each packed query to each prototype row."""
-    query_words = np.asarray(query_words)  # the compiled kernel needs one 2-d array
+    # Caller input: a list of word arrays is accepted, any other shape rejected.
+    query_words = np.asarray(query_words)
     if len(query_words) == 0:
         raise ValueError("no queries to score")
     if query_words.ndim != 2 or query_words.shape[1:] != np.shape(rows)[1:]:

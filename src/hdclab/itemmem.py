@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .algebra import Hypervector, RandomSource, random_hv, unpack_bits
+from .algebra import Hypervector, RandomSource, random_hv
 
 
 class ItemMemory:
@@ -36,7 +36,6 @@ class ItemMemory:
         self._vectors = vectors
         self._matrix = np.vstack([v.words for v in vectors])
         self._matrix.setflags(write=False)
-        self._unpacked = None
 
     @classmethod
     def build(cls, symbols, dim: int, seed: int) -> "ItemMemory":
@@ -71,16 +70,6 @@ class ItemMemory:
     def words_matrix(self) -> np.ndarray:
         """All stored vectors as one packed (n_symbols, n_words) uint64 matrix."""
         return self._matrix
-
-    def unpacked_matrix(self) -> np.ndarray:
-        """All stored vectors as a (n_symbols, dim) uint8 bit matrix (cached)."""
-        if self._unpacked is None:
-            m = np.vstack(
-                [unpack_bits(self._matrix[i], self.dim) for i in range(len(self))]
-            )
-            m.setflags(write=False)
-            self._unpacked = m
-        return self._unpacked
 
     def cleanup(self, query: Hypervector):
         """Most similar stored entry: returns (symbol, hamming distance)."""

@@ -1,62 +1,43 @@
-"""Hot numeric kernels with two interchangeable backends.
-
-Every kernel exists twice: a numba ``@njit`` version and a pure-numpy
-version with identical semantics. The module-level names (``hamming_words``,
-``hamming_many``, ``accumulate_ngrams``, ``markov_sample``) point at the
-numba build when it is importable, and at the numpy build otherwise.
-
-Set ``HDCLAB_NO_NUMBA=1`` in the environment (before import) to force the
-numpy path; ``python -m hdclab.bench`` compares the two.
+"""Hot numeric kernels, written in numpy.
 
 Word layout: hypervectors are packed into uint64 words, bit ``i`` living in
 word ``i // 64`` at bit ``i % 64``. All kernels operate on that layout or on
-unpacked uint8 bit arrays, as noted per function.
+unpacked uint8 bit arrays, as noted per function. ``hamming_bitloop`` is the
+per-bit reference the word-wise kernels are tested and benchmarked against
+(``python -m hdclab.bench``).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_NO_NUMBA = os.environ.get("HDCLAB_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-try:
-    if _NO_NUMBA:
-        raise ImportError("numba disabled via HDCLAB_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+# Windows gathered per step of accumulate_ngrams; bounds each (chunk, dim)
+# uint8 temporary to about 41 MB at D = 10000.
+NGRAM_CHUNK = 4096
 
 
 def backend() -> str:
-    """Name of the active kernel backend: "numba" or "numpy"."""
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Name of the kernel backend, recorded in benchmark environments."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def popcount_words_numpy(words) -> int:
+def popcount_words(words) -> int:
     return int(np.bitwise_count(words).sum())
 
 
-def hamming_words_numpy(a, b) -> int:
+def hamming_words(a, b) -> int:
     """Hamming distance between two packed uint64 word arrays."""
     return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
 
 
-def hamming_many_numpy(rows, q):
+def hamming_many(rows, q):
     """Distances from packed query ``q`` to every row of packed matrix ``rows``."""
     return np.bitwise_count(np.bitwise_xor(rows, q[np.newaxis, :])).sum(
         axis=1, dtype=np.int64
     )
 
 
-def accumulate_ngrams_numpy(table, syms, counts, chunk=4096):
+def accumulate_ngrams(table, syms, counts):
     """Accumulate all sliding n-gram hypervectors of a symbol stream.
 
     ``table`` is the pre-rotated alphabet, shape (n, n_symbols, dim) uint8
@@ -66,8 +47,8 @@ def accumulate_ngrams_numpy(table, syms, counts, chunk=4096):
     """
     n = table.shape[0]
     k = syms.shape[0] - n + 1
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
+    for lo in range(0, k, NGRAM_CHUNK):
+        hi = min(lo + NGRAM_CHUNK, k)
         block = table[0][syms[lo:hi]]
         for j in range(1, n):
             block = np.bitwise_xor(block, table[j][syms[lo + j : hi + j]])
@@ -75,7 +56,7 @@ def accumulate_ngrams_numpy(table, syms, counts, chunk=4096):
     return k
 
 
-def markov_sample_numpy(cum_rows, start, uniforms):
+def markov_sample(cum_rows, start, uniforms):
     """Walk a first-order Markov chain given pre-drawn uniforms.
 
     ``cum_rows[s]`` is the cumulative transition distribution out of state s.
@@ -105,103 +86,3 @@ def hamming_bitloop(bits_a, bits_b) -> int:
         if bits_a[i] != bits_b[i]:
             d += 1
     return d
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    _M1 = np.uint64(0x5555555555555555)
-    _M2 = np.uint64(0x3333333333333333)
-    _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    _H01 = np.uint64(0x0101010101010101)
-    _S1 = np.uint64(1)
-    _S2 = np.uint64(2)
-    _S4 = np.uint64(4)
-    _S56 = np.uint64(56)
-
-    @njit(cache=True, nogil=True)
-    def _popcount64(x):
-        x = x - ((x >> _S1) & _M1)
-        x = (x & _M2) + ((x >> _S2) & _M2)
-        x = (x + (x >> _S4)) & _M4
-        return (x * _H01) >> _S56
-
-    @njit(cache=True, nogil=True)
-    def popcount_words_numba(words):
-        total = np.uint64(0)
-        for w in range(words.shape[0]):
-            total += _popcount64(words[w])
-        return np.int64(total)
-
-    @njit(cache=True, nogil=True)
-    def hamming_words_numba(a, b):
-        total = np.uint64(0)
-        for w in range(a.shape[0]):
-            total += _popcount64(a[w] ^ b[w])
-        return np.int64(total)
-
-    @njit(cache=True, nogil=True)
-    def hamming_many_numba(rows, q):
-        m = rows.shape[0]
-        nw = rows.shape[1]
-        out = np.empty(m, dtype=np.int64)
-        for r in range(m):
-            total = np.uint64(0)
-            for w in range(nw):
-                total += _popcount64(rows[r, w] ^ q[w])
-            out[r] = np.int64(total)
-        return out
-
-    @njit(cache=True, nogil=True)
-    def accumulate_ngrams_numba(table, syms, counts):
-        n = table.shape[0]
-        dim = table.shape[2]
-        k = syms.shape[0] - n + 1
-        tmp = np.empty(dim, dtype=np.uint8)
-        for t in range(k):
-            r0 = table[0, syms[t]]
-            for i in range(dim):
-                tmp[i] = r0[i]
-            for j in range(1, n):
-                rj = table[j, syms[t + j]]
-                for i in range(dim):
-                    tmp[i] ^= rj[i]
-            for i in range(dim):
-                counts[i] += tmp[i]
-        return k
-
-    @njit(cache=True, nogil=True)
-    def markov_sample_numba(cum_rows, start, uniforms):
-        length = uniforms.shape[0]
-        out = np.empty(length, dtype=np.int64)
-        last = cum_rows.shape[1] - 1
-        s = start
-        for t in range(length):
-            u = uniforms[t]
-            row = cum_rows[s]
-            j = 0
-            while j < last and u >= row[j]:
-                j += 1
-            out[t] = j
-            s = j
-        return out
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    popcount_words = popcount_words_numba
-    hamming_words = hamming_words_numba
-    hamming_many = hamming_many_numba
-    accumulate_ngrams = accumulate_ngrams_numba
-    markov_sample = markov_sample_numba
-else:
-    popcount_words = popcount_words_numpy
-    hamming_words = hamming_words_numpy
-    hamming_many = hamming_many_numpy
-    accumulate_ngrams = accumulate_ngrams_numpy
-    markov_sample = markov_sample_numpy

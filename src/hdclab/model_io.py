@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import Hypervector, n_words
-from .assocmem import AssociativeMemory
+from .assocmem import AssociativeMemory, NotTrainedError
 from .encoder import EncoderConfig, TextEncoder
 from .errors import DataError
 from .itemmem import ItemMemory
@@ -88,6 +88,16 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def text(self) -> str:
+        """A u32 byte length followed by that many bytes of UTF-8."""
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(
+                f"{self.path}: text field ending at byte {self.off} is not valid UTF-8"
+            ) from None
+
     def words(self, rows: int, cols: int) -> np.ndarray:
         raw = self.take(rows * cols * 8)
         return np.frombuffer(raw, dtype="<u8").reshape(rows, cols).astype(np.uint64)
@@ -101,7 +111,7 @@ def load_model(path) -> TrainedModel:
     version, dim, n = struct.unpack("<III", r.take(12))
     if version != VERSION:
         raise DataError(f"{path}: unsupported model version {version}")
-    alphabet = r.take(r.u32()).decode("utf-8")
+    alphabet = r.text()
     item_seed, tie_seed, det = struct.unpack("<QQB", r.take(17))
     num_symbols = r.u32()
     if num_symbols != len(alphabet):
@@ -109,15 +119,20 @@ def load_model(path) -> TrainedModel:
     nw = n_words(dim)
     sym_rows = r.words(num_symbols, nw)
     num_classes = r.u32()
-    labels = [r.take(r.u32()).decode("utf-8") for _ in range(num_classes)]
+    labels = [r.text() for _ in range(num_classes)]
     class_rows = r.words(num_classes, nw)
     if r.off != len(r.buf):
         raise DataError(f"{path}: trailing bytes after model payload")
 
-    config = EncoderConfig(dim=dim, n=n, alphabet=alphabet, item_seed=item_seed,
-                           tie_seed=tie_seed, deterministic_ties=bool(det))
-    vectors = [Hypervector(dim, row.copy()) for row in sym_rows]
-    mem = ItemMemory(list(alphabet), vectors, dim, seed=item_seed)
-    encoder = TextEncoder(config, item_memory=mem)
-    assoc = AssociativeMemory.from_rows(labels, class_rows, dim)
+    # The layout is intact, but the values may still be ones the model
+    # classes reject: dim or n of 0, a duplicate symbol or label, no classes.
+    try:
+        config = EncoderConfig(dim=dim, n=n, alphabet=alphabet, item_seed=item_seed,
+                               tie_seed=tie_seed, deterministic_ties=bool(det))
+        vectors = [Hypervector(dim, row.copy()) for row in sym_rows]
+        mem = ItemMemory(list(alphabet), vectors, dim, seed=item_seed)
+        encoder = TextEncoder(config, item_memory=mem)
+        assoc = AssociativeMemory.from_rows(labels, class_rows, dim)
+    except (ValueError, NotTrainedError) as exc:
+        raise DataError(f"{path}: invalid model: {exc}") from None
     return TrainedModel(config=config, encoder=encoder, memory=assoc, labels=labels)

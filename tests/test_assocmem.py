@@ -24,7 +24,8 @@ def make_memory(dim, labels, seed):
 
 def test_train_once_classify_exact():
     mem, vecs = make_memory(1000, ["en", "fr"], 1)
-    assert mem.classify(vecs["en"]) == ("en", 0)
+    res = mem.classify_full(vecs["en"])
+    assert (res.label, res.distance) == ("en", 0)
 
 
 def test_holds_21_rows():
@@ -59,13 +60,13 @@ def test_multi_example_training_majorizes():
 
 def test_empty_memory_raises():
     with pytest.raises(NotTrainedError):
-        AssociativeMemory(64).classify(random_hv(64, RandomSource(5)))
+        AssociativeMemory(64).classify_full(random_hv(64, RandomSource(5)))
 
 
 def test_dimension_mismatch():
     mem, _ = make_memory(128, ["a"], 6)
     with pytest.raises(ValueError):
-        mem.classify(random_hv(64, RandomSource(7)))
+        mem.classify_full(random_hv(64, RandomSource(7)))
     with pytest.raises(ValueError):
         mem.add("b", random_hv(129, RandomSource(7)))
 
@@ -78,7 +79,7 @@ def test_noisy_query_recovers_class():
         rng = root.child(t)
         lb = labels[int(rng.generator.integers(0, 21))]
         noisy = flip_noise(vecs[lb], 0.1, rng)
-        assert mem.classify(noisy)[0] == lb
+        assert mem.classify_full(noisy).label == lb
 
 
 def test_tie_goes_to_first_stored_label():
@@ -86,7 +87,7 @@ def test_tie_goes_to_first_stored_label():
     v = random_hv(64, RandomSource(10))
     mem.add("b", v)
     mem.add("a", v)
-    assert mem.classify(v)[0] == "b"  # stored first, wins the tie
+    assert mem.classify_full(v).label == "b"  # stored first, wins the tie
 
 
 def test_classify_full_distances_check_out():
@@ -105,7 +106,7 @@ def test_storage_order_invariance_without_ties():
     for lb in reversed(labels):
         mem2.add(lb, vecs[lb])
     q = flip_noise(vecs["c"], 0.2, RandomSource(14))
-    assert mem1.classify(q)[0] == mem2.classify(q)[0]
+    assert mem1.classify_full(q).label == mem2.classify_full(q).label
 
 
 def test_binding_invariance():
@@ -115,7 +116,7 @@ def test_binding_invariance():
     shifted = AssociativeMemory(1024)
     for lb in mem.labels:
         shifted.add(lb, bind(mem.prototype(lb), c))
-    assert shifted.classify(bind(q, c))[0] == mem.classify(q)[0]
+    assert shifted.classify_full(bind(q, c)).label == mem.classify_full(q).label
 
 
 def test_pairwise_classify():
@@ -123,7 +124,7 @@ def test_pairwise_classify():
     q = flip_noise(vecs["c"], 0.1, RandomSource(19))
     assert mem.pairwise_classify(q, "a", "c") == "c"
     assert mem.pairwise_classify(q, "c", "b") == "c"
-    full = mem.classify(q)[0]
+    full = mem.classify_full(q).label
     assert mem.pairwise_classify(q, "b", "c") == full  # restriction agrees
     with pytest.raises(KeyError):
         mem.pairwise_classify(q, "a", "zz")

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hdclab
 from hdclab.cli import main
 
 
@@ -145,6 +150,16 @@ def test_unreadable_model_is_data_error(workspace, tmp_path, capsys):
     assert main(["classify", "--model", str(bad), "--text", "whatever here"]) == 3
 
 
+def test_model_with_bad_utf8_is_data_error(workspace, tmp_path, capsys):
+    root, corpus, model = workspace
+    raw = bytearray(model.read_bytes())
+    raw[20] = 0xFF  # first byte of the alphabet
+    bad = tmp_path / "bad.hdc"
+    bad.write_bytes(bytes(raw))
+    assert main(["classify", "--model", str(bad), "--text", "whatever here"]) == 3
+    assert "not valid UTF-8" in capsys.readouterr().err
+
+
 def test_missing_model_file_is_data_error(workspace, tmp_path):
     root, corpus, model = workspace
     assert main(["classify", "--model", str(tmp_path / "none.hdc"),
@@ -160,6 +175,32 @@ def test_bad_fractions_is_config_error(workspace, capsys):
                  "--fractions", "0,1.5", "--trials", "1",
                  "--out", "/tmp/x.csv"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", [
+    ["noise-curve", "--trials", "0", "--out", "out"],
+    ["noise-curve", "--dim", "0", "--out", "out"],
+    ["noise-curve", "--seed", "-1", "--out", "out"],
+    ["synth-corpus", "--languages", "1", "--out", "out"],
+    ["synth-corpus", "--train-chars", "2", "--out", "out"],
+    ["fault-sweep", "--trials", "0", "--model", "MODEL", "--corpus", "CORPUS", "--out", "out"],
+    ["fault-sweep", "--seed", "-1", "--model", "MODEL", "--corpus", "CORPUS", "--out", "out"],
+    ["baseline", "--n", "0", "--corpus", "CORPUS"],
+], ids=lambda args: " ".join(args[:3]))
+def test_bad_number_exits_2_without_traceback(workspace, tmp_path, args):
+    root, corpus, model = workspace
+    args = [{"MODEL": str(model), "CORPUS": str(corpus)}.get(a, a) for a in args]
+    # A real process, so an escaping exception shows as exit 1 plus a traceback.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(hdclab.__file__).parent.parent), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-m", "hdclab.cli", *args],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_determinism_across_runs(workspace, tmp_path):

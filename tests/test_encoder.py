@@ -47,6 +47,8 @@ class TestConfig:
             EncoderConfig(dim=0)
         with pytest.raises(ValueError):
             EncoderConfig(n=0)
+        with pytest.raises(ValueError, match="n must not exceed dim"):
+            EncoderConfig(dim=2, n=3)
         with pytest.raises(ValueError):
             EncoderConfig(alphabet="abca")
         with pytest.raises(ValueError):

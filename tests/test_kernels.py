@@ -1,16 +1,6 @@
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
-import pytest
 
-import hdclab
 from hdclab import RandomSource, kernels, random_hv, unpack_bits
-
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not importable")
 
 
 def _pair(dim, seed):
@@ -19,46 +9,29 @@ def _pair(dim, seed):
 
 
 def test_backend_reports_a_known_name():
-    assert kernels.backend() in ("numba", "numpy")
+    assert kernels.backend() == "numpy"
 
 
-def test_popcount_words_numpy():
+def test_popcount_words():
     a, _ = _pair(1000, 1)
-    assert kernels.popcount_words_numpy(a.words) == int(a.to_bits().sum())
+    assert kernels.popcount_words(a.words) == int(a.to_bits().sum())
 
 
 def test_hamming_matches_bitloop():
     for dim in (64, 100, 10000):
         a, b = _pair(dim, dim)
         want = kernels.hamming_bitloop(a.to_bits(), b.to_bits())
-        assert kernels.hamming_words_numpy(a.words, b.words) == want
         assert kernels.hamming_words(a.words, b.words) == want
 
 
-def test_hamming_many_numpy():
+def test_hamming_many():
     rng = RandomSource(3)
     vecs = [random_hv(500, rng) for _ in range(8)]
     q = random_hv(500, rng)
     rows = np.vstack([v.words for v in vecs])
-    got = kernels.hamming_many_numpy(rows, q.words)
+    got = kernels.hamming_many(rows, q.words)
     want = [kernels.hamming_bitloop(v.to_bits(), q.to_bits()) for v in vecs]
     assert list(got) == want
-
-
-@needs_numba
-def test_numba_kernels_agree_with_numpy():
-    rng = RandomSource(4)
-    a, b = random_hv(10000, rng), random_hv(10000, rng)
-    assert kernels.popcount_words_numba(a.words) == kernels.popcount_words_numpy(a.words)
-    assert kernels.hamming_words_numba(a.words, b.words) == kernels.hamming_words_numpy(
-        a.words, b.words
-    )
-    rows = np.vstack([random_hv(777, rng.child(i)).words for i in range(5)])
-    q = random_hv(777, rng.child(99))
-    assert np.array_equal(
-        kernels.hamming_many_numba(rows, q.words),
-        kernels.hamming_many_numpy(rows, q.words),
-    )
 
 
 def _accumulate_inputs(dim, n, num_symbols, length, seed):
@@ -71,21 +44,10 @@ def _accumulate_inputs(dim, n, num_symbols, length, seed):
     return table, syms
 
 
-@needs_numba
-def test_accumulate_ngrams_backends_identical():
-    table, syms = _accumulate_inputs(dim=512, n=3, num_symbols=9, length=400, seed=5)
-    c1 = np.zeros(512, dtype=np.int64)
-    c2 = np.zeros(512, dtype=np.int64)
-    k1 = kernels.accumulate_ngrams_numpy(table, syms, c1)
-    k2 = kernels.accumulate_ngrams_numba(table, syms, c2)
-    assert k1 == k2 == 400 - 3 + 1
-    assert np.array_equal(c1, c2)
-
-
 def test_accumulate_ngrams_window_count():
     table, syms = _accumulate_inputs(dim=64, n=4, num_symbols=5, length=10, seed=6)
     counts = np.zeros(64, dtype=np.int64)
-    assert kernels.accumulate_ngrams_numpy(table, syms, counts) == 7
+    assert kernels.accumulate_ngrams(table, syms, counts) == 7
 
 
 def test_accumulate_matches_explicit_sum():
@@ -99,73 +61,7 @@ def test_accumulate_matches_explicit_sum():
     assert np.array_equal(counts, want)
 
 
-@needs_numba
-def test_markov_sample_backends_identical():
-    rng = RandomSource(8)
-    probs = rng.generator.dirichlet(np.ones(6), size=6)
-    cum = np.cumsum(probs, axis=1)
-    cum[:, -1] = 1.0
-    u = rng.generator.random(300)
-    a = kernels.markov_sample_numpy(cum, 2, u)
-    b = kernels.markov_sample_numba(cum, 2, u)
-    assert np.array_equal(a, b)
-
-
 def test_markov_sample_handles_uniform_one_edge():
     cum = np.array([[0.5, 1.0], [0.5, 1.0]])
-    out = kernels.markov_sample_numpy(cum, 0, np.array([0.9999999, 1.0 - 1e-16]))
+    out = kernels.markov_sample(cum, 0, np.array([0.9999999, 1.0 - 1e-16]))
     assert set(out) <= {0, 1}
-
-
-# Run in a fresh interpreter: a finder placed first on sys.meta_path records
-# every attempt to import numba and returns None, so the normal finders go on
-# and numba stays as present or absent as it is on this machine.
-_BACKEND_PROBE = """
-import json, sys
-
-class NumbaWatch:
-    def __init__(self):
-        self.attempts = []
-
-    def find_spec(self, name, path=None, target=None):
-        if name == "numba" or name.startswith("numba."):
-            self.attempts.append(name)
-        return None
-
-watch = NumbaWatch()
-sys.meta_path.insert(0, watch)
-import hdclab.kernels as k
-print(json.dumps({"backend": k.backend(), "file": k.__file__,
-                  "numba_imports": watch.attempts}))
-"""
-
-
-def _probe_backend(no_numba):
-    """Import the hdclab under test in a child, with or without HDCLAB_NO_NUMBA."""
-    pkg_dir = Path(hdclab.__file__).resolve().parent
-    env = dict(os.environ)
-    env.pop("HDCLAB_NO_NUMBA", None)
-    if no_numba:
-        env["HDCLAB_NO_NUMBA"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(pkg_dir.parent), env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", _BACKEND_PROBE],
-        env=env, capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    report = json.loads(out.stdout)
-    child_file = Path(report["file"]).resolve()
-    assert child_file.parent == pkg_dir, f"child imported {child_file}, not from {pkg_dir}"
-    return report
-
-
-def test_env_flag_forces_numpy_backend():
-    flagged = _probe_backend(no_numba=True)
-    assert flagged["backend"] == "numpy"
-    assert flagged["numba_imports"] == [], "numba import attempted despite HDCLAB_NO_NUMBA=1"
-    # Control: without the flag the probe must see the attempt, so the empty
-    # list above means something whether or not numba is installed.
-    control = _probe_backend(no_numba=False)
-    assert "numba" in control["numba_imports"], control

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -105,3 +106,53 @@ def test_unsupported_version(model, tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_model(tmp_path / "absent.hdc")
+
+
+@pytest.fixture()
+def small_model_bytes(tmp_path):
+    """A saved 2-label model at D = 256 (4 words a vector), about 1 kB."""
+    corpus = Corpus()
+    corpus.add_train("de", "der die das und der die das immer wieder")
+    corpus.add_train("en", "the and the of the to the in a for the")
+    p = tmp_path / "small.hdc"
+    save_model(train_pipeline(corpus, EncoderConfig(dim=256, item_seed=7, tie_seed=8)), p)
+    return p.read_bytes()
+
+
+def _edit(raw, offset, new):
+    offset %= len(raw)
+    return raw[:offset] + new + raw[offset + len(new):]
+
+
+# HDCM byte offsets: n at 12, the alphabet at 20. The labels "de" and "en",
+# each after a u32 length, end just before the two 32-byte class rows.
+@pytest.mark.parametrize("offset, new", [
+    (12, struct.pack("<I", 0)),
+    (12, struct.pack("<I", 257)),
+    (21, b"a"),
+    (20, b"\xff"),
+    (-66, b"de"),
+    (-72, b"\xc3("),
+], ids=["n-0", "n-over-dim", "duplicate-symbol", "alphabet-utf8", "duplicate-label",
+        "label-utf8"])
+def test_invalid_header_values_are_data_errors(small_model_bytes, tmp_path, offset, new):
+    assert small_model_bytes[-72:-70] == b"de" and small_model_bytes[-66:-64] == b"en"
+    p = tmp_path / "bad.hdc"
+    p.write_bytes(_edit(small_model_bytes, offset, new))
+    with pytest.raises(DataError, match="bad.hdc"):
+        load_model(p)
+
+
+def test_corrupt_files_load_or_raise_data_error(small_model_bytes, tmp_path):
+    raw = small_model_bytes
+    cases = [raw[:cut] for cut in range(len(raw))]
+    gen = np.random.default_rng(2018)
+    for pos, delta in zip(gen.integers(0, len(raw), 400), gen.integers(1, 256, 400)):
+        cases.append(_edit(raw, pos, bytes([(raw[pos] + delta) % 256])))
+    p = tmp_path / "fuzz.hdc"
+    for case in cases:
+        p.write_bytes(case)
+        try:
+            load_model(p)
+        except DataError as exc:
+            assert str(p) in str(exc)
