@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .algebra import Accumulator, Hypervector, RandomSource, n_words
+from .algebra import Accumulator, Hypervector, RandomSource, _tail_mask, n_words
 from .errors import ConfigurationError
 
 
@@ -39,7 +39,7 @@ class AssociativeMemory:
         self.deterministic_ties = deterministic_ties
         self._tie_root = RandomSource(tie_seed)
         self._labels: list = []
-        self._accs: dict = {}
+        self._accs: dict | None = {}  # None once built from rows
         self._rows = None  # packed prototype matrix cache, rebuilt lazily
 
     @property
@@ -50,18 +50,19 @@ class AssociativeMemory:
         return len(self._labels)
 
     def __contains__(self, label):
-        return label in self._accs
+        return label in self._labels
 
     def add(self, label, hv: Hypervector, weight: int = 1):
         """Fold one training vector into the label's accumulator."""
+        if self._accs is None:
+            raise ValueError("memory built from rows cannot resume training")
         if hv.dim != self.dim:
             raise ValueError(f"dimension mismatch: memory {self.dim}, vector {hv.dim}")
-        acc = self._accs.get(label)
-        if acc is None:
-            acc = Accumulator(self.dim)
+        acc = self._accs[label] if label in self._accs else Accumulator(self.dim)
+        acc.add(hv, weight)  # raises on a bad weight before a new label is registered
+        if label not in self._accs:
             self._accs[label] = acc
             self._labels.append(label)
-        acc.add(hv, weight)
         self._rows = None
 
     def train(self, pairs):
@@ -77,23 +78,16 @@ class AssociativeMemory:
         return self._tie_root.child(index)
 
     def prototype(self, label) -> Hypervector:
-        """Thresholded majority vector for one label."""
-        acc = self._accs.get(label)
-        if acc is None:
-            raise KeyError(f"unknown label {label!r}")
-        return acc.threshold(self._tie_rng(self._labels.index(label)))
-
-    def prototypes(self) -> dict:
-        return {label: self.prototype(label) for label in self._labels}
+        """Thresholded majority vector for one label (a view of its row)."""
+        return Hypervector(self.dim, self.rows()[self._require(label)])
 
     def rows(self) -> np.ndarray:
         """Packed (num_labels, n_words) prototype matrix, cached until training resumes."""
         if self._rows is None:
             if not self._labels:
                 raise NotTrainedError("associative memory holds no prototypes")
-            self._rows = np.vstack(
-                [self.prototype(label).words for label in self._labels]
-            )
+            self._rows = np.vstack([acc.threshold(self._tie_rng(i)).words
+                                    for i, acc in enumerate(self._accs.values())])
             self._rows.setflags(write=False)
         return self._rows
 
@@ -131,20 +125,21 @@ class AssociativeMemory:
     def from_rows(cls, labels, rows: np.ndarray, dim: int) -> "AssociativeMemory":
         """Rebuild a memory from stored prototype rows (loading, fault copies).
 
-        The result classifies but cannot resume training: accumulator counts
-        are reconstructed as the bits themselves with a single item each.
+        Stores a read-only copy of the rows, bits past ``dim`` cleared, and no
+        accumulators: the result classifies, but ``add`` raises ValueError.
         """
         labels = list(labels)
-        rows = np.ascontiguousarray(rows, dtype=np.uint64)
+        rows = np.array(rows, dtype=np.uint64)
         if rows.ndim != 2 or rows.shape[0] != len(labels):
             raise ValueError("rows must be a (num_labels, n_words) matrix")
         if rows.shape[1] != n_words(dim):
             raise ValueError("row width does not match the dimension")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate label")
-        mem = cls(dim, deterministic_ties=True)
-        for label, row in zip(labels, rows):
-            hv = Hypervector(dim, row.copy())
-            mem.add(label, hv)
-        mem.rows()  # materialize eagerly; also validates the reconstruction
+        if not labels:
+            raise NotTrainedError("associative memory holds no prototypes")
+        mem = cls(dim)
+        rows[:, -1] &= _tail_mask(dim)
+        rows.setflags(write=False)
+        mem._labels, mem._accs, mem._rows = labels, None, rows
         return mem

@@ -35,9 +35,11 @@ class BaselineClassifier:
     def __init__(self, n: int = 3, alphabet: str = DEFAULT_ALPHABET):
         if n < 1:
             raise ValueError("n must be >= 1")
+        self.num_buckets = len(alphabet) ** n
+        if self.num_buckets > 2**24:  # keeps one int64 profile within 128 MiB
+            raise ValueError(f"n={n} needs {self.num_buckets} buckets, over 2**24")
         self.n = n
         self.alphabet = alphabet
-        self.num_buckets = len(alphabet) ** n
         self._sym_index = {ch: i for i, ch in enumerate(alphabet)}
         self._powers = np.array(
             [len(alphabet) ** (n - 1 - j) for j in range(n)], dtype=np.int64

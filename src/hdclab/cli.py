@@ -118,7 +118,10 @@ def cmd_eval(args) -> int:
 
 def cmd_baseline(args) -> int:
     corpus = ingest(args.corpus)
-    clf = baseline_train(corpus, n=args.n)
+    try:
+        clf = baseline_train(corpus, n=args.n)
+    except ValueError as exc:  # n too large for the dense histogram
+        raise ConfigurationError(str(exc)) from None
     report = baseline_evaluate(clf, corpus)
     if args.report:
         _write_json(args.report, report)

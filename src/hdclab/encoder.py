@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .algebra import Accumulator, Hypervector, RandomSource, bind, permute
+from .algebra import Accumulator, Hypervector, RandomSource, bind, bundle, n_words, permute
 from .errors import TextTooShortError
 from .itemmem import ItemMemory
 
@@ -54,7 +54,7 @@ class EncoderConfig:
             raise ValueError("n must be >= 1")
         if self.n > self.dim:
             # Rotations repeat every dim positions, so a longer window would reuse
-            # one; this also bounds TextEncoder's (n, symbols, dim) table.
+            # one; this also bounds TextEncoder's (n, symbols, words) table.
             raise ValueError("n must not exceed dim")
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise ValueError("alphabet must be non-empty and free of duplicates")
@@ -117,11 +117,11 @@ class TextEncoder:
     def _build_rotated_table(self) -> np.ndarray:
         n, dim = self.config.n, self.config.dim
         nsym = len(self.config.alphabet)
-        table = np.empty((n, nsym, dim), dtype=np.uint8)
+        table = np.empty((n, nsym, n_words(dim)), dtype=np.uint64)
         for s, ch in enumerate(self.config.alphabet):
             base = self.item_memory.lookup(ch)
             for j in range(n):
-                table[j, s] = permute(base, n - 1 - j).to_bits()
+                table[j, s] = permute(base, n - 1 - j).words
         table.setflags(write=False)
         return table
 
@@ -177,10 +177,7 @@ def encode_record(fields, mem: ItemMemory, rng: RandomSource | None = None) -> H
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate key in record")
     bound = [bind(mem.lookup(f.key), mem.lookup(f.value)) for f in fields]
-    acc = Accumulator(bound[0].dim)
-    for v in bound:
-        acc.add(v)
-    return acc.threshold(rng)
+    return bundle(bound, rng)
 
 
 def decode_field(record_hv: Hypervector, key, mem: ItemMemory):

@@ -130,17 +130,19 @@ def distance_matrix(rows: np.ndarray, query_words) -> np.ndarray:
     return np.column_stack([kernels.hamming_many(query_words, row) for row in rows])
 
 
-def _label_index(true_idx, n_queries: int) -> np.ndarray:
+def _label_index(true_idx, n_queries: int, n_labels: int) -> np.ndarray:
     true_idx = np.asarray(true_idx)
     if true_idx.shape != (n_queries,):
         raise ValueError("true_idx needs exactly one label index per query")
-    return true_idx
+    if not np.isin(true_idx, np.arange(n_labels)).all():
+        raise ValueError(f"true_idx holds a value outside label indices 0..{n_labels - 1}")
+    return true_idx.astype(np.int64)
 
 
 def multiclass_accuracy(rows: np.ndarray, queries, true_idx) -> float:
     """Fraction of queries whose nearest row (lowest index on ties) is the true one."""
     dmat = distance_matrix(rows, queries)
-    return float(np.mean(np.argmin(dmat, axis=1) == _label_index(true_idx, len(dmat))))
+    return float(np.mean(np.argmin(dmat, axis=1) == _label_index(true_idx, *dmat.shape)))
 
 
 def pairwise_from_dmat(dmat: np.ndarray, true_idx: np.ndarray) -> float:
@@ -149,20 +151,21 @@ def pairwise_from_dmat(dmat: np.ndarray, true_idx: np.ndarray) -> float:
     For pair (i, j) only queries whose true label is i or j count, and the
     decision is the restricted argmin (tie goes to the lower index).
     """
-    true_idx = _label_index(true_idx, dmat.shape[0])
-    n_labels = dmat.shape[1]
-    pair_accs = []
-    for i in range(n_labels):
-        for j in range(i + 1, n_labels):
-            sel = (true_idx == i) | (true_idx == j)
-            if not sel.any():
-                continue
-            di, dj = dmat[sel, i], dmat[sel, j]
-            pred = np.where(di <= dj, i, j)  # tie -> lower index
-            pair_accs.append(float(np.mean(pred == true_idx[sel])))
-    if not pair_accs:
+    n_queries, n_labels = dmat.shape
+    true_idx = _label_index(true_idx, n_queries, n_labels)
+    d_true = dmat[np.arange(n_queries), true_idx][:, np.newaxis]
+    lower = true_idx[:, np.newaxis] < np.arange(n_labels)
+    # beats[q, j]: query q's true label wins the two-class decision against j.
+    beats = (d_true < dmat) | ((d_true == dmat) & lower)
+    wins = np.zeros((n_labels, n_labels), dtype=np.int64)
+    np.add.at(wins, true_idx, beats)
+    members = np.bincount(true_idx, minlength=n_labels)
+    i, j = np.triu_indices(n_labels, k=1)
+    totals = members[i] + members[j]
+    used = totals > 0
+    if not used.any():
         raise ValueError("no query belongs to any label pair")
-    return float(np.mean(pair_accs))
+    return float(np.mean((wins[i, j] + wins[j, i])[used] / totals[used]))
 
 
 def pairwise_accuracy(rows: np.ndarray, queries, true_idx) -> float:

@@ -33,7 +33,6 @@ class ItemMemory:
         self.seed = seed
         self._symbols = symbols
         self._index = {s: i for i, s in enumerate(symbols)}
-        self._vectors = vectors
         self._matrix = np.vstack([v.words for v in vectors])
         self._matrix.setflags(write=False)
 
@@ -41,8 +40,6 @@ class ItemMemory:
     def build(cls, symbols, dim: int, seed: int) -> "ItemMemory":
         """Draw one random vector per symbol, sequentially from one seeded stream."""
         symbols = list(symbols)
-        if len(set(symbols)) != len(symbols):
-            raise ValueError("duplicate symbol in item memory")
         rng = RandomSource(seed)
         vectors = [random_hv(dim, rng) for _ in symbols]
         return cls(symbols, vectors, dim, seed=seed)
@@ -64,8 +61,8 @@ class ItemMemory:
             raise KeyError(f"unknown symbol: {symbol!r}") from None
 
     def lookup(self, symbol) -> Hypervector:
-        """The stored seed vector for ``symbol``; KeyError if absent."""
-        return self._vectors[self.index_of(symbol)]
+        """The stored seed vector for ``symbol`` (a view of its row); KeyError if absent."""
+        return Hypervector(self.dim, self._matrix[self.index_of(symbol)])
 
     def words_matrix(self) -> np.ndarray:
         """All stored vectors as one packed (n_symbols, n_words) uint64 matrix."""

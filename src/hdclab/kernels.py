@@ -1,10 +1,10 @@
 """Hot numeric kernels, written in numpy.
 
 Word layout: hypervectors are packed into uint64 words, bit ``i`` living in
-word ``i // 64`` at bit ``i % 64``. All kernels operate on that layout or on
-unpacked uint8 bit arrays, as noted per function. ``hamming_bitloop`` is the
-per-bit reference the word-wise kernels are tested and benchmarked against
-(``python -m hdclab.bench``).
+word ``i // 64`` at bit ``i % 64``. The kernels take that layout;
+``accumulate_ngrams`` unpacks bits only to count them. ``hamming_bitloop``
+is the per-bit reference over unpacked uint8 bit arrays that the word-wise
+kernels are tested and benchmarked against (``python -m hdclab.bench``).
 """
 
 from __future__ import annotations
@@ -40,19 +40,21 @@ def hamming_many(rows, q):
 def accumulate_ngrams(table, syms, counts):
     """Accumulate all sliding n-gram hypervectors of a symbol stream.
 
-    ``table`` is the pre-rotated alphabet, shape (n, n_symbols, dim) uint8
-    with one bit per byte; ``table[j][s]`` is the vector used when symbol
-    ``s`` sits at window position ``j``. ``counts`` (int64, dim) receives the
-    per-component sums; the window count k is returned.
+    ``table`` is the pre-rotated alphabet as packed words, shape (n, n_symbols,
+    n_words) uint64; ``table[j][s]`` is the vector used when symbol ``s`` sits
+    at window position ``j``. Each block of windows is XOR-folded as words and
+    unpacked once to add its bits into ``counts`` (int64, dim); returns k.
     """
     n = table.shape[0]
+    dim = counts.shape[0]
     k = syms.shape[0] - n + 1
     for lo in range(0, k, NGRAM_CHUNK):
         hi = min(lo + NGRAM_CHUNK, k)
         block = table[0][syms[lo:hi]]
         for j in range(1, n):
-            block = np.bitwise_xor(block, table[j][syms[lo + j : hi + j]])
-        counts += block.sum(axis=0, dtype=np.int64)
+            block ^= table[j][syms[lo + j : hi + j]]
+        bits = np.unpackbits(block.view(np.uint8), axis=1, count=dim, bitorder="little")
+        counts += bits.sum(axis=0, dtype=np.int64)
     return k
 
 

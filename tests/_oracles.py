@@ -1,6 +1,6 @@
 """Independent reference implementations used as oracles.
 
-Everything here works on plain Python lists of 0/1 ints, shares no code
+Everything here works on plain Python lists of ints, shares no code
 with the package kernels, and is written for obviousness over speed.
 """
 
@@ -73,3 +73,26 @@ def ref_encode_text(text, n, seed_bits, tie_value=1):
         else:
             out.append(tie_value)
     return out
+
+
+def ref_pairwise(dmat, true_idx):
+    """Per-pair two-class accuracies, pairs (i, j) with i < j in row-major order.
+
+    dmat is a list of per-query distance lists and true_idx a list of label
+    indices. A pair counts only the queries whose true label is i or j, each
+    decided by the closer of the two (ties to i); pairs with no such query are
+    left out.
+    """
+    n_labels = len(dmat[0])
+    accs = []
+    for i in range(n_labels):
+        for j in range(i + 1, n_labels):
+            total = correct = 0
+            for row, t in zip(dmat, true_idx):
+                if t not in (i, j):
+                    continue
+                total += 1
+                correct += (i if row[i] <= row[j] else j) == t
+            if total:
+                accs.append(correct / total)
+    return accs

@@ -152,3 +152,36 @@ def test_weight_training():
     mem.add("x", a, weight=3)
     mem.add("x", b)
     assert mem.prototype("x") == a  # 3-of-4 majority everywhere a is decisive
+
+
+@pytest.mark.parametrize("weight", [0, 1.5])
+def test_rejected_add_leaves_memory_unchanged(weight):
+    mem = AssociativeMemory(128)
+    v = random_hv(128, RandomSource(24))
+    with pytest.raises((ValueError, TypeError)):
+        mem.add("x", v, weight=weight)
+    assert len(mem) == 0
+    assert "x" not in mem
+    mem.add("y", v)
+    assert mem.classify_full(v).label == "y"
+
+
+def test_from_rows_memory_reads_prototypes_and_refuses_training():
+    mem, vecs = make_memory(300, ["x", "y"], 25)
+    clone = AssociativeMemory.from_rows(mem.labels, mem.rows(), 300)
+    assert "y" in clone and "z" not in clone
+    assert clone.prototype("y") == mem.prototype("y") == vecs["y"]
+    with pytest.raises(KeyError):
+        clone.prototype("z")
+    with pytest.raises(ValueError, match="cannot resume training"):
+        clone.add("x", vecs["x"])
+    assert np.array_equal(clone.rows(), mem.rows())
+
+
+def test_from_rows_copies_rows_and_clears_tail_bits():
+    rows = np.full((2, 2), 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    clone = AssociativeMemory.from_rows(["a", "b"], rows, 100)
+    assert clone.rows()[0, 1] == (1 << 36) - 1
+    assert clone.prototype("b").popcount() == 100
+    assert rows[0, 1] == 0xFFFFFFFFFFFFFFFF  # the caller's array is untouched
+    assert not clone.rows().flags.writeable

@@ -81,6 +81,12 @@ def test_memory_footprint_grows_with_n():
     assert hv_bytes[3] == hv_bytes[4] == hv_bytes[5]
 
 
+def test_dense_histogram_size_is_bounded():
+    assert BaselineClassifier(n=5).num_buckets == 27**5
+    with pytest.raises(ValueError, match="387420489 buckets"):
+        BaselineClassifier(n=6)
+
+
 def test_evaluate_report(synth):
     clf = baseline_train(synth)
     report = baseline_evaluate(clf, synth)

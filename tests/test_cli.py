@@ -186,6 +186,7 @@ def test_bad_fractions_is_config_error(workspace, capsys):
     ["fault-sweep", "--trials", "0", "--model", "MODEL", "--corpus", "CORPUS", "--out", "out"],
     ["fault-sweep", "--seed", "-1", "--model", "MODEL", "--corpus", "CORPUS", "--out", "out"],
     ["baseline", "--n", "0", "--corpus", "CORPUS"],
+    ["baseline", "--n", "14", "--corpus", "CORPUS"],
 ], ids=lambda args: " ".join(args[:3]))
 def test_bad_number_exits_2_without_traceback(workspace, tmp_path, args):
     root, corpus, model = workspace

@@ -90,6 +90,14 @@ class TestNgram:
 
 
 class TestEncodeText:
+    def test_rotated_table_is_packed(self, enc):
+        table = enc._table
+        assert table.dtype == np.uint64 and table.shape == (3, 27, 157)
+        assert table.nbytes == 101736 and not table.flags.writeable
+        for j in range(3):
+            want = permute(enc.item_memory.lookup("q"), 2 - j).words
+            assert np.array_equal(table[j, enc.symbol_indices("q")[0]], want)
+
     def test_exact_window_equals_ngram(self, enc):
         assert enc.encode("the") == enc.encode_ngram("the")
 

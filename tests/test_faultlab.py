@@ -22,7 +22,9 @@ from hdclab.faultlab import (
     distance_matrix,
     multiclass_accuracy,
     pairwise_accuracy,
+    pairwise_from_dmat,
 )
+from _oracles import ref_pairwise
 from conftest import hv_from_string, hv_to_string
 
 
@@ -245,6 +247,23 @@ def test_true_idx_length_must_match_queries(score):
     qwords = np.vstack([q.words for q in queries])
     with pytest.raises(ValueError, match="one label index per query"):
         score(rows, qwords, true_idx[:1])
+    for bad in (-1, rows.shape[0], 0.5):
+        with pytest.raises(ValueError, match="outside"):
+            score(rows, qwords, np.where(np.arange(len(true_idx)) == 0, bad, true_idx))
+
+
+def test_pairwise_from_dmat_matches_reference_loop():
+    gen = np.random.default_rng(78)
+    for _ in range(200):
+        n_queries, n_labels = int(gen.integers(1, 40)), int(gen.integers(1, 8))
+        dmat = gen.integers(0, 3, size=(n_queries, n_labels))  # small range: many ties
+        true_idx = gen.integers(0, n_labels, size=n_queries)
+        want = ref_pairwise(dmat.tolist(), true_idx.tolist())
+        if not want:
+            with pytest.raises(ValueError, match="no query belongs"):
+                pairwise_from_dmat(dmat, true_idx)
+        else:
+            assert pairwise_from_dmat(dmat, true_idx) == float(np.mean(want))
 
 
 @pytest.mark.parametrize("score", [multiclass_accuracy, pairwise_accuracy])

@@ -50,6 +50,13 @@ def test_lookup_stable(latin):
     assert latin.lookup("a") == latin.lookup("a")
 
 
+def test_lookup_is_a_read_only_view_of_the_packed_matrix(latin):
+    v = latin.lookup("c")
+    assert np.shares_memory(v.words, latin.words_matrix())
+    assert np.array_equal(v.words, latin.words_matrix()[latin.index_of("c")])
+    assert not v.words.flags.writeable
+
+
 def test_pairwise_distances_near_half(latin):
     rows = [latin.lookup(ch) for ch in DEFAULT_ALPHABET]
     for i in range(len(rows)):

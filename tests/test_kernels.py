@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from hdclab import RandomSource, kernels, random_hv, unpack_bits
+from hdclab.algebra import n_words
 
 
 def _pair(dim, seed):
@@ -36,10 +38,10 @@ def test_hamming_many():
 
 def _accumulate_inputs(dim, n, num_symbols, length, seed):
     rng = RandomSource(seed)
-    table = np.empty((n, num_symbols, dim), dtype=np.uint8)
+    table = np.empty((n, num_symbols, n_words(dim)), dtype=np.uint64)
     for j in range(n):
         for s in range(num_symbols):
-            table[j, s] = unpack_bits(random_hv(dim, rng).words, dim)
+            table[j, s] = random_hv(dim, rng).words
     syms = rng.generator.integers(0, num_symbols, size=length).astype(np.int64)
     return table, syms
 
@@ -50,14 +52,20 @@ def test_accumulate_ngrams_window_count():
     assert kernels.accumulate_ngrams(table, syms, counts) == 7
 
 
-def test_accumulate_matches_explicit_sum():
-    table, syms = _accumulate_inputs(dim=128, n=3, num_symbols=4, length=50, seed=7)
-    counts = np.zeros(128, dtype=np.int64)
-    kernels.accumulate_ngrams(table, syms, counts)
-    want = np.zeros(128, dtype=np.int64)
-    for i in range(50 - 2):
-        v = table[0][syms[i]] ^ table[1][syms[i + 1]] ^ table[2][syms[i + 2]]
-        want += v
+@pytest.mark.parametrize("dim,n,length", [
+    (128, 3, 50), (100, 1, 50), (100, 2, 50), (100, 4, 50), (10000, 3, 50),
+    (100, 3, kernels.NGRAM_CHUNK + 100),  # two blocks of windows
+])
+def test_accumulate_matches_explicit_sum(dim, n, length):
+    table, syms = _accumulate_inputs(dim=dim, n=n, num_symbols=4, length=length, seed=7)
+    counts = np.zeros(dim, dtype=np.int64)
+    assert kernels.accumulate_ngrams(table, syms, counts) == length - n + 1
+    want = np.zeros(dim, dtype=np.int64)
+    for i in range(length - n + 1):
+        v = table[0][syms[i]]
+        for j in range(1, n):
+            v = v ^ table[j][syms[i + j]]
+        want += unpack_bits(v, dim)
     assert np.array_equal(counts, want)
 
 
