@@ -239,8 +239,9 @@ class Accumulator:
         """Add ``hv`` (optionally ``weight`` times at once) into the counters."""
         if hv.dim != self.dim:
             raise ValueError(f"dimension mismatch: {hv.dim} != {self.dim}")
-        if weight < 1:
+        if not isinstance(weight, (int, np.integer)) or weight < 1:
             raise ValueError("weight must be a positive integer")
+        weight = int(weight)
         if self._items + weight >= self._MAX_ITEMS:
             raise ValueError("accumulator supports fewer than 2**31 additions")
         if weight == 1:

@@ -92,9 +92,13 @@ def encode_ngram(letters, mem: ItemMemory) -> Hypervector:
 class TextEncoder:
     """Streams normalized text into a single text hypervector.
 
-    Pre-rotates the whole alphabet once so the per-window work is a packed
-    XOR fold plus counter accumulation (see ``kernels.accumulate_ngrams``);
-    one pass over the text, working memory independent of its length.
+    Pre-rotates the whole alphabet once, as packed words only, so counting
+    is a packed XOR fold per window for short texts and one n-gram
+    histogram contraction for long ones (see ``kernels.accumulate_ngrams``).
+    Beyond the text's symbol indices, working memory is bounded independently
+    of its length: both methods work in blocks of ``kernels.NGRAM_CHUNK``
+    windows, and the contraction's histogram and intermediate depend only on
+    the alphabet size and n.
     """
 
     def __init__(self, config: EncoderConfig, item_memory: ItemMemory | None = None):

@@ -48,7 +48,9 @@ def train_pipeline(corpus, config: EncoderConfig | None = None) -> TrainedModel:
             memory.add(label, encoder.encode(text))
         except TextTooShortError as exc:
             raise TextTooShortError(f"training sample for {label!r}: {exc}") from None
-    memory.rows()  # materialize prototypes now; training is over
+    # Training is over: keep only the prototype rows, as a loaded model does,
+    # not the per-label int64 counters (64x the rows' size).
+    memory = AssociativeMemory.from_rows(memory.labels, memory.rows(), config.dim)
     return TrainedModel(config=config, encoder=encoder, memory=memory,
                         labels=memory.labels)
 

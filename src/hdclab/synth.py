@@ -37,16 +37,29 @@ class MarkovLanguage:
 
     def sample(self, length: int, rng: RandomSource) -> np.ndarray:
         """Symbol indices of one independent chain run."""
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        u = rng.generator.random(length)
-        last = self.cum_start.shape[0] - 1
-        first = min(int(np.searchsorted(self.cum_start, u[0], side="right")), last)
-        out = np.empty(length, dtype=np.int64)
-        out[0] = first
-        if length > 1:
-            out[1:] = kernels.markov_sample(self.cum_trans, first, u[1:])
-        return out
+        return _sample_chains([self], [rng], length)[0]
+
+
+def _sample_chains(langs, rngs, length: int) -> np.ndarray:
+    """Independent chain runs stepped in lockstep, one row per chain.
+
+    Chain c walks ``langs[c]`` on ``length`` uniforms drawn from ``rngs[c]``
+    (the first picks the start symbol), so each row equals that language's
+    own one-chain ``sample``.
+    """
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    if not langs:
+        return np.empty((0, length), dtype=np.int64)
+    u = np.stack([rng.generator.random(length) for rng in rngs])
+    cum_start = np.stack([lang.cum_start for lang in langs])
+    first = np.minimum((cum_start <= u[:, :1]).sum(axis=1), cum_start.shape[1] - 1)
+    out = np.empty(u.shape, dtype=np.int64)
+    out[:, 0] = first
+    if length > 1:
+        cum_trans = np.stack([lang.cum_trans for lang in langs])
+        out[:, 1:] = kernels.markov_sample(cum_trans, first, u[:, 1:])
+    return out
 
 
 def synth_corpus(num_languages: int = 21, alphabet: str = DEFAULT_ALPHABET,
@@ -65,13 +78,17 @@ def synth_corpus(num_languages: int = 21, alphabet: str = DEFAULT_ALPHABET,
         raise ValueError("texts must be at least one trigram long")
     symbols = np.array(list(alphabet))
     root = RandomSource(seed)
+    labels = [f"lang{li:02d}" for li in range(num_languages)]
+    langs = [MarkovLanguage(len(alphabet), root.child(li, 0), temperature)
+             for li in range(num_languages)]
+    train = _sample_chains(langs, [root.child(li, 1) for li in range(num_languages)],
+                          train_chars)
+    pairs = [(li, si) for li in range(num_languages) for si in range(test_sentences)]
+    test = _sample_chains([langs[li] for li, _ in pairs],
+                         [root.child(li, 2, si) for li, si in pairs], sentence_chars)
     corpus = Corpus()
-    for li in range(num_languages):
-        label = f"lang{li:02d}"
-        lang = MarkovLanguage(len(alphabet), root.child(li, 0), temperature)
-        train_idx = lang.sample(train_chars, root.child(li, 1))
-        corpus.add_train(label, "".join(symbols[train_idx]))
-        for si in range(test_sentences):
-            sent_idx = lang.sample(sentence_chars, root.child(li, 2, si))
-            corpus.add_test(label, "".join(symbols[sent_idx]))
+    for li, label in enumerate(labels):
+        corpus.add_train(label, "".join(symbols[train[li]]))
+    for (li, _), row in zip(pairs, test):
+        corpus.add_test(labels[li], "".join(symbols[row]))
     return corpus

@@ -4,6 +4,8 @@ Everything here works on plain Python lists of ints, shares no code
 with the package kernels, and is written for obviousness over speed.
 """
 
+from bisect import bisect_right
+
 
 def ref_xor(a, b):
     return [x ^ y for x, y in zip(a, b)]
@@ -52,7 +54,7 @@ def ref_ngram(window, seed_bits, n):
 def ref_encode_text(text, n, seed_bits, tie_value=1):
     """Histogram-style text encoding: count every distinct n-gram, then take
     the weighted componentwise majority. Deliberately a different strategy
-    from the package's streaming accumulation."""
+    from the package's stream and contraction kernels."""
     counts = {}
     for i in range(len(text) - n + 1):
         window = text[i : i + n]
@@ -96,3 +98,18 @@ def ref_pairwise(dmat, true_idx):
             if total:
                 accs.append(correct / total)
     return accs
+
+
+def ref_markov_walk(cum_start, cum_trans, uniforms):
+    """One Markov chain run by inverse-transform sampling: the first uniform
+    picks the start symbol, each later one a transition; a uniform at or past
+    the last cumulative entry takes the last symbol."""
+    cum_start = [float(x) for x in cum_start]
+    cum_trans = [[float(x) for x in row] for row in cum_trans]
+    last = len(cum_start) - 1
+    s = min(bisect_right(cum_start, float(uniforms[0])), last)
+    out = [s]
+    for u in uniforms[1:]:
+        s = min(bisect_right(cum_trans[s], float(u)), last)
+        out.append(s)
+    return out

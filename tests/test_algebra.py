@@ -214,6 +214,15 @@ class TestAccumulator:
         assert list(acc.counts) == [3, 3, 0, 0]
         assert acc.items_added == 3
 
+    def test_weight_must_be_a_positive_integer(self):
+        acc = Accumulator(4)
+        acc.add(hv_from_string("1100"), weight=np.uint64(2))  # numpy integers count
+        assert list(acc.counts) == [2, 2, 0, 0] and acc.items_added == 2
+        for bad in (0, -1, 1.5, 2.0, np.float64(2.0), "2"):
+            with pytest.raises(ValueError, match="weight must be a positive integer"):
+                acc.add(hv_from_string("1100"), weight=bad)
+        assert list(acc.counts) == [2, 2, 0, 0] and acc.items_added == 2
+
     def test_majority_of_one(self):
         a = rand(D_BIG, 52)
         acc = Accumulator(D_BIG)

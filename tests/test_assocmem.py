@@ -154,11 +154,11 @@ def test_weight_training():
     assert mem.prototype("x") == a  # 3-of-4 majority everywhere a is decisive
 
 
-@pytest.mark.parametrize("weight", [0, 1.5])
+@pytest.mark.parametrize("weight", [0, 1.5, 2.0])
 def test_rejected_add_leaves_memory_unchanged(weight):
     mem = AssociativeMemory(128)
     v = random_hv(128, RandomSource(24))
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises(ValueError, match="weight must be a positive integer"):
         mem.add("x", v, weight=weight)
     assert len(mem) == 0
     assert "x" not in mem

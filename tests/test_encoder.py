@@ -13,6 +13,7 @@ from hdclab import (
     encode_record,
     normalized_hamming,
     normalize_text,
+    kernels,
     permute,
 )
 from _oracles import ref_encode_text
@@ -146,6 +147,21 @@ class TestEncodeText:
                     text = "abc"
                 want = ref_encode_text(text, 3, seed_bits, tie_value=1)
                 assert list(e.encode(text).to_bits()) == want
+
+    @pytest.mark.parametrize("length", [5000, 5001])  # even and odd window counts
+    def test_long_text_matches_histogram_oracle(self, length):
+        e = TextEncoder(EncoderConfig(dim=100, item_seed=7, tie_seed=8, deterministic_ties=True))
+        assert kernels._contracts(27, 3, length - 2)  # goes through the contraction
+        idx = RandomSource(78).child(length).generator.integers(0, 5, size=length)
+        text = "".join("abcde"[i] for i in idx)
+        seed_bits = {ch: e.item_memory.lookup(ch).to_bits().tolist() for ch in "abcde"}
+        want = ref_encode_text(text, 3, seed_bits, tie_value=1)
+        assert list(e.encode(text).to_bits()) == want
+
+    def test_encoder_keeps_no_sign_table(self, enc):
+        enc.encode("a long text " * 2000)  # contracts
+        arrays = [v for v in vars(enc).values() if isinstance(v, np.ndarray)]
+        assert [a.dtype for a in arrays] == [np.dtype(np.uint64)]
 
 
 @pytest.fixture(scope="module")

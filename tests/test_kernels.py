@@ -69,7 +69,88 @@ def test_accumulate_matches_explicit_sum(dim, n, length):
     assert np.array_equal(counts, want)
 
 
+def _explicit_counts(table, syms, dim):
+    """Per-window sum: XOR each window's rows, unpack, add; no blocks."""
+    n = table.shape[0]
+    k = syms.shape[0] - n + 1
+    words = table[0][syms[:k]]
+    for j in range(1, n):
+        words = words ^ table[j][syms[j : j + k]]
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=dim, bitorder="little")
+    return bits.sum(axis=0, dtype=np.int64)
+
+
+def _count_cases():
+    """(dim, n, nsym, k): k on both sides of the nsym**n <= 4k boundary
+    (two consecutive k, so one odd and one even), plus two-block streams."""
+    cases = []
+    for dim in (100, 128, 10000):
+        for n in (1, 2, 3, 4):
+            for nsym in (1, 4, 27):
+                if (dim, n, nsym) == (10000, 4, 27):
+                    continue  # the explicit sum over ~133k windows would unpack 1.3 GB
+                edge = -(-nsym**n // 4)  # smallest k that contracts
+                ks = (edge - 1, edge) if edge > 1 else (1, 2)  # every k contracts
+                cases += [(dim, n, nsym, k) for k in ks]
+    chunk = kernels.NGRAM_CHUNK
+    cases += [(100, 3, 4, chunk + 1), (128, 2, 27, 2 * chunk), (10000, 3, 27, chunk + 7)]
+    return cases
+
+
+@pytest.mark.parametrize("dim,n,nsym,k", _count_cases())
+def test_count_paths_match_explicit_sum(dim, n, nsym, k):
+    table, syms = _accumulate_inputs(dim=dim, n=n, num_symbols=nsym,
+                                     length=k + n - 1, seed=dim + 10 * n + nsym)
+    start = np.arange(dim, dtype=np.int64)  # counts are added to, not overwritten
+    want = start + _explicit_counts(table, syms, dim)
+    stream, contraction, routed = start.copy(), start.copy(), start.copy()
+    assert kernels._count_stream(table, syms, stream) == k
+    assert kernels._count_contraction(table, syms, contraction) == k
+    assert kernels.accumulate_ngrams(table, syms, routed) == k
+    assert np.array_equal(stream, want)
+    assert np.array_equal(contraction, stream)
+    assert np.array_equal(routed, want)
+
+
+def test_dispatch_rule():
+    contracts = kernels._contracts
+    assert not contracts(27, 3, 100 - 2)  # a 100-char sentence streams
+    assert contracts(27, 3, 20000 - 2)  # a 20k-char trigram text contracts
+    assert not contracts(27, 4, 20000 - 3)  # (27**3, dim) intermediate too big
+    assert not contracts(27, 4, 10**7)
+    assert contracts(27, 3, 2**24 - 1)
+    assert not contracts(27, 3, 2**24)  # float32 would no longer be exact
+    assert not contracts(27, 3, 0)
+    assert contracts(4, 3, 16) and not contracts(4, 3, 15)  # 64 bins <= 4k
+    assert contracts(4, 6, 1024)  # 4 * 4**5 == NGRAM_CHUNK, the size bound's edge
+    assert not contracts(4, 7, 2**20)
+    # n up to dim must not build a huge power.
+    assert not contracts(27, 10000, 10**6)
+    assert not contracts(2, 10000, 10**6)
+    assert contracts(1, 10000, 1)
+
+
+@pytest.mark.parametrize("length,path", [(100, "_count_stream"), (20000, "_count_contraction")])
+def test_accumulate_ngrams_dispatches_on_length(monkeypatch, length, path):
+    table, syms = _accumulate_inputs(dim=64, n=3, num_symbols=27, length=length, seed=10)
+    called = []
+
+    def spy(name):
+        real = getattr(kernels, name)
+
+        def count(*args):
+            called.append(name)
+            return real(*args)
+        return count
+
+    for name in ("_count_stream", "_count_contraction"):
+        monkeypatch.setattr(kernels, name, spy(name))
+    counts = np.zeros(64, dtype=np.int64)
+    assert kernels.accumulate_ngrams(table, syms, counts) == length - 2
+    assert called == [path]
+
+
 def test_markov_sample_handles_uniform_one_edge():
-    cum = np.array([[0.5, 1.0], [0.5, 1.0]])
-    out = kernels.markov_sample(cum, 0, np.array([0.9999999, 1.0 - 1e-16]))
-    assert set(out) <= {0, 1}
+    cum = np.array([[[0.5, 1.0], [0.5, 1.0]]])
+    out = kernels.markov_sample(cum, np.array([0]), np.array([[0.9999999, 1.0 - 1e-16, 1.0]]))
+    assert out.tolist() == [[1, 1, 1]]

@@ -28,6 +28,14 @@ def test_train_stores_sorted_labels():
     assert len(model.memory) == 2
 
 
+def test_trained_model_keeps_prototype_rows_only():
+    model = train_pipeline(tiny_corpus(), EncoderConfig(dim=2000))
+    with pytest.raises(ValueError, match="cannot resume training"):
+        model.memory.add("aa", model.encoder.encode("abc abc"))
+    assert model.memory.prototype("bb") == model.encoder.encode(
+        "xyz xyzxyz zyx xyzzy xyz yzx")  # one sample: its prototype is its vector
+
+
 def test_empty_corpus_rejected():
     with pytest.raises(ConfigurationError):
         train_pipeline(Corpus(), EncoderConfig(dim=500))

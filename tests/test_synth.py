@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hdclab import DEFAULT_ALPHABET, MarkovLanguage, RandomSource, synth_corpus
+from _oracles import ref_markov_walk
 
 
 def test_shape_and_labels():
@@ -38,6 +39,33 @@ def test_markov_language_sampling():
     assert seq.shape == (200,)
     assert seq.min() >= 0 and seq.max() < 5
     assert np.array_equal(seq, lang.sample(200, RandomSource(6)))
+
+
+def test_lockstep_texts_equal_per_chain_walks():
+    corpus = synth_corpus(num_languages=3, train_chars=300, test_sentences=4,
+                          sentence_chars=40, seed=12)
+    root = RandomSource(12)
+    for li, label in enumerate(corpus.labels):
+        lang = MarkovLanguage(len(DEFAULT_ALPHABET), root.child(li, 0))
+
+        def walk(length, *key):
+            u = root.child(li, *key).generator.random(length)
+            syms = ref_markov_walk(lang.cum_start, lang.cum_trans, u)
+            assert lang.sample(length, root.child(li, *key)).tolist() == syms
+            return "".join(DEFAULT_ALPHABET[s] for s in syms)
+
+        assert corpus.train[label] == [walk(300, 1)]
+        assert corpus.test[label] == [walk(40, 2, si) for si in range(4)]
+
+
+def test_no_test_sentences():
+    corpus = synth_corpus(num_languages=2, train_chars=50, test_sentences=0, seed=13)
+    assert corpus.test == {} and len(corpus.train["lang01"][0]) == 50
+
+
+def test_one_symbol_sample():
+    seq = MarkovLanguage(5, RandomSource(14)).sample(1, RandomSource(15))
+    assert seq.shape == (1,) and 0 <= seq[0] < 5
 
 
 def test_bad_args():
