@@ -22,7 +22,7 @@ from .algebra import (
     unpack_bits,
 )
 from .assocmem import AssociativeMemory, ClassificationResult, NotTrainedError
-from .baseline import BaselineClassifier, BaselineProfile, baseline_evaluate, baseline_train
+from .baseline import BaselineClassifier, baseline_evaluate, baseline_train
 from .corpus import Corpus, ingest, write_corpus
 from .encoder import (
     DEFAULT_ALPHABET,
@@ -54,7 +54,6 @@ __all__ = [
     "Accumulator",
     "AssociativeMemory",
     "BaselineClassifier",
-    "BaselineProfile",
     "ClassificationResult",
     "ConfigurationError",
     "Corpus",

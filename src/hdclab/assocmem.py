@@ -16,6 +16,9 @@ from .algebra import Accumulator, Hypervector, RandomSource, _tail_mask, n_words
 from .errors import ConfigurationError
 
 
+TIE_SEED = 3  # root of the prototype tie-breaking streams
+
+
 class NotTrainedError(ConfigurationError):
     """Raised when classifying against a memory that has no prototypes."""
 
@@ -32,12 +35,12 @@ class ClassificationResult:
 class AssociativeMemory:
     """Label -> prototype store with majority training and Hamming lookup."""
 
-    def __init__(self, dim: int, deterministic_ties: bool = False, tie_seed: int = 3):
+    def __init__(self, dim: int, deterministic_ties: bool = False):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
         self.deterministic_ties = deterministic_ties
-        self._tie_root = RandomSource(tie_seed)
+        self._tie_root = RandomSource(TIE_SEED)
         self._labels: list = []
         self._accs: dict | None = {}  # None once built from rows
         self._rows = None  # packed prototype matrix cache, rebuilt lazily
@@ -64,11 +67,6 @@ class AssociativeMemory:
             self._accs[label] = acc
             self._labels.append(label)
         self._rows = None
-
-    def train(self, pairs):
-        """Consume an iterable of (label, hypervector) pairs."""
-        for label, hv in pairs:
-            self.add(label, hv)
 
     def _tie_rng(self, index: int) -> RandomSource | None:
         if self.deterministic_ties:

@@ -1,32 +1,20 @@
 """Classical n-gram histogram baseline.
 
-Counts every length-n window of a text into a dense vector of size
-|alphabet|**n (19,683 buckets for trigrams over 27 symbols) and classifies
-by maximum cosine similarity against per-language count profiles. The
-reference point the hypervector classifier is judged against.
+Reads text as the encoder does (``DataError`` outside the alphabet), counts
+every length-n window with ``kernels.ngram_histogram`` into a dense
+|alphabet|**n vector (19,683 buckets for trigrams over 27 symbols), and
+classifies by maximum cosine similarity against per-language count
+profiles. The reference point the hypervector classifier is judged against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .encoder import DEFAULT_ALPHABET, normalize_text
+from . import kernels
+from .encoder import DEFAULT_ALPHABET, code_table, normalize_text, symbol_codes
 from .errors import ConfigurationError, TextTooShortError
 from .pipeline import encode_test_sentences, score_report
-
-
-class BaselineProfile:
-    """Dense n-gram count vector for one language."""
-
-    def __init__(self, counts: np.ndarray):
-        if counts.ndim != 1 or np.any(counts < 0):
-            raise ValueError("counts must be a 1-d non-negative vector")
-        self.counts = counts
-        self.total = int(counts.sum())
-
-    @property
-    def nbytes(self) -> int:
-        return self.counts.nbytes
 
 
 class BaselineClassifier:
@@ -35,46 +23,35 @@ class BaselineClassifier:
     def __init__(self, n: int = 3, alphabet: str = DEFAULT_ALPHABET):
         if n < 1:
             raise ValueError("n must be >= 1")
+        code_table(alphabet)  # validates the alphabet
         self.num_buckets = len(alphabet) ** n
         if self.num_buckets > 2**24:  # keeps one int64 profile within 128 MiB
             raise ValueError(f"n={n} needs {self.num_buckets} buckets, over 2**24")
         self.n = n
         self.alphabet = alphabet
-        self._sym_index = {ch: i for i, ch in enumerate(alphabet)}
-        self._powers = np.array(
-            [len(alphabet) ** (n - 1 - j) for j in range(n)], dtype=np.int64
-        )
         self.labels: list = []
         self._profiles: dict = {}
         self._unit_rows = None
 
-    def count_vector(self, text: str, normalize: bool = True) -> np.ndarray:
-        """Histogram of all sliding n-grams of the text."""
-        if normalize:
-            text = normalize_text(text)
-        try:
-            syms = np.array([self._sym_index[ch] for ch in text], dtype=np.int64)
-        except KeyError as exc:
-            raise KeyError(f"symbol {exc.args[0]!r} is not in the alphabet") from None
+    def count_vector(self, text: str) -> np.ndarray:
+        """int64 histogram of all sliding n-grams of the normalized text."""
+        syms = symbol_codes(normalize_text(text), self.alphabet)
         if syms.shape[0] < self.n:
             raise TextTooShortError(
                 f"need at least {self.n} symbols, got {syms.shape[0]}"
             )
-        windows = np.lib.stride_tricks.sliding_window_view(syms, self.n)
-        idx = windows @ self._powers
-        return np.bincount(idx, minlength=self.num_buckets).astype(np.int64)
+        return kernels.ngram_histogram(syms, len(self.alphabet), self.n)
 
     def train(self, label, text: str):
         """Accumulate one training text into the label's profile."""
         vec = self.count_vector(text)
-        if label in self._profiles:
-            self._profiles[label] = BaselineProfile(self._profiles[label].counts + vec)
-        else:
-            self._profiles[label] = BaselineProfile(vec)
+        if label not in self._profiles:
             self.labels.append(label)
+        self._profiles[label] = self._profiles.get(label, 0) + vec
         self._unit_rows = None
 
-    def profile(self, label) -> BaselineProfile:
+    def profile(self, label) -> np.ndarray:
+        """The label's int64 n-gram count vector."""
         try:
             return self._profiles[label]
         except KeyError:
@@ -84,21 +61,14 @@ class BaselineClassifier:
         if self._unit_rows is None:
             if not self.labels:
                 raise ConfigurationError("baseline classifier has no profiles")
-            rows = np.vstack(
-                [self._profiles[lb].counts for lb in self.labels]
-            ).astype(np.float64)
-            norms = np.linalg.norm(rows, axis=1)
-            norms[norms == 0] = 1.0
-            self._unit_rows = rows / norms[:, None]
+            rows = np.vstack([self._profiles[lb] for lb in self.labels]).astype(np.float64)
+            self._unit_rows = rows / np.linalg.norm(rows, axis=1)[:, None]
         return self._unit_rows
 
     def similarities(self, text: str) -> np.ndarray:
         """Cosine similarity of the text to every profile, in label order."""
-        vec = self.count_vector(text).astype(np.float64)
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        return self._units() @ vec
+        vec = self.count_vector(text).astype(np.float64)  # at least one window
+        return self._units() @ (vec / np.linalg.norm(vec))
 
     def classify(self, text: str):
         """(label, cosine similarity) of the best profile; ties -> lowest index."""

@@ -19,7 +19,7 @@ from .algebra import RandomSource
 from .baseline import baseline_evaluate, baseline_train
 from .corpus import ingest, write_corpus
 from .encoder import EncoderConfig
-from .errors import ConfigurationError, DataError, TextTooShortError
+from .errors import ConfigurationError, DataError
 from .itemmem import ItemMemory
 from .model_io import load_model, save_model
 from .pipeline import encode_test_set, evaluate, train_pipeline
@@ -87,10 +87,7 @@ def cmd_classify(args) -> int:
         text = args.text
     else:
         text = Path(args.file).read_text(encoding="utf-8", errors="replace")
-    try:
-        result = model.classify_text(text)
-    except TextTooShortError as exc:
-        raise DataError(str(exc)) from None
+    result = model.classify_text(text)  # too short or out-of-alphabet text: DataError
     doc = {
         "label": result.label,
         "distance": result.distance,

@@ -5,10 +5,14 @@ symbol's seed vector by its distance from the window end (oldest symbol
 rotated most) and XOR-folding the results. A whole text is the majority
 vote over all its sliding windows. The same binding machinery also encodes
 key/value records and decodes fields back out of them.
+
+Text reaches this encoder and the n-gram baseline through one front end:
+``normalize_text``, then ``symbol_codes`` (``DataError`` outside the alphabet).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 import string
@@ -18,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .algebra import Accumulator, Hypervector, RandomSource, bind, bundle, n_words, permute
-from .errors import TextTooShortError
+from .errors import DataError, TextTooShortError
 from .itemmem import ItemMemory
 
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz "
@@ -34,6 +38,29 @@ def normalize_text(raw: str) -> str:
     as non-alphabet and disappear into the separating space.
     """
     return _NON_ALPHA.sub(" ", raw.translate(_FOLD)).strip(" ")
+
+
+@functools.lru_cache(maxsize=8)
+def code_table(alphabet: str) -> np.ndarray:
+    """Read-only int64 code point -> alphabet index table, -1 elsewhere and last."""
+    if not alphabet or len(set(alphabet)) != len(alphabet):
+        raise ValueError("alphabet must be non-empty and free of duplicates")
+    points = [ord(ch) for ch in alphabet]
+    table = np.full(max(points) + 2, -1, dtype=np.int64)
+    table[points] = np.arange(len(points))
+    table.setflags(write=False)
+    return table
+
+
+def symbol_codes(text: str, alphabet: str) -> np.ndarray:
+    """int64 alphabet index of every character; DataError names the first one outside it."""
+    table = code_table(alphabet)
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    syms = table[np.minimum(points, table.shape[0] - 1)]
+    bad = np.flatnonzero(syms < 0)
+    if bad.size:
+        raise DataError(f"symbol {text[bad[0]]!r} is not in the alphabet")
+    return syms
 
 
 @dataclass(frozen=True)
@@ -56,8 +83,7 @@ class EncoderConfig:
             # Rotations repeat every dim positions, so a longer window would reuse
             # one; this also bounds TextEncoder's (n, symbols, words) table.
             raise ValueError("n must not exceed dim")
-        if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
-            raise ValueError("alphabet must be non-empty and free of duplicates")
+        code_table(self.alphabet)  # validates the alphabet
         for name in ("item_seed", "tie_seed"):
             s = getattr(self, name)
             if not 0 <= int(s) < 2**64:
@@ -113,7 +139,6 @@ class TextEncoder:
             if ch not in item_memory:
                 raise ValueError(f"item memory is missing alphabet symbol {ch!r}")
         self.item_memory = item_memory
-        self._sym_index = {ch: i for i, ch in enumerate(config.alphabet)}
         self._table = self._build_rotated_table()
         self._tie_root = RandomSource(config.tie_seed)
         self.symbols_consumed = 0  # instrumentation: total symbols fed to encode()
@@ -130,13 +155,10 @@ class TextEncoder:
         return table
 
     def symbol_indices(self, text: str, normalize: bool = True) -> np.ndarray:
-        """Map text to int64 alphabet indices; KeyError on symbols outside it."""
+        """Map text to int64 alphabet indices; DataError on symbols outside it."""
         if normalize:
             text = normalize_text(text)
-        try:
-            return np.array([self._sym_index[ch] for ch in text], dtype=np.int64)
-        except KeyError as exc:
-            raise KeyError(f"symbol {exc.args[0]!r} is not in the alphabet") from None
+        return symbol_codes(text, self.config.alphabet)
 
     def _tie_rng(self, syms: np.ndarray) -> RandomSource | None:
         if self.config.deterministic_ties:

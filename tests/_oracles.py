@@ -2,6 +2,8 @@
 
 Everything here works on plain Python lists of ints, shares no code
 with the package kernels, and is written for obviousness over speed.
+Oracles that sum bits convert them to Python ints on entry, so numpy
+integer items (``list(hv.to_bits())``) cannot wrap.
 """
 
 from bisect import bisect_right
@@ -29,6 +31,7 @@ def ref_hamming(a, b):
 
 def ref_majority(vectors, tie_value=1):
     """Componentwise majority of a list of bit lists; exact ties -> tie_value."""
+    vectors = [[int(b) for b in v] for v in vectors]
     k = len(vectors)
     out = []
     for i in range(len(vectors[0])):
@@ -44,6 +47,7 @@ def ref_majority(vectors, tie_value=1):
 
 def ref_ngram(window, seed_bits, n):
     """Rotate-and-bind of one symbol window given per-symbol seed bit lists."""
+    seed_bits = {sym: [int(b) for b in bits] for sym, bits in seed_bits.items()}
     d = len(next(iter(seed_bits.values())))
     out = [0] * d
     for j, sym in enumerate(window):
@@ -55,6 +59,7 @@ def ref_encode_text(text, n, seed_bits, tie_value=1):
     """Histogram-style text encoding: count every distinct n-gram, then take
     the weighted componentwise majority. Deliberately a different strategy
     from the package's stream and contraction kernels."""
+    seed_bits = {sym: [int(b) for b in bits] for sym, bits in seed_bits.items()}
     counts = {}
     for i in range(len(text) - n + 1):
         window = text[i : i + n]

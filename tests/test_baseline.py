@@ -1,17 +1,38 @@
 import numpy as np
 import pytest
 
-from hdclab import Corpus, DataError, TextTooShortError
+from hdclab import Corpus, DataError, RandomSource, TextTooShortError, kernels
 from hdclab.baseline import BaselineClassifier, baseline_evaluate, baseline_train
+from hdclab.encoder import normalize_text, symbol_codes
 
 
 def test_single_trigram_profile():
     clf = BaselineClassifier(n=3)
     clf.train("x", "aaa")
     profile = clf.profile("x")
-    assert profile.total == 1
-    assert profile.counts.sum() == 1
-    assert profile.counts[0] == 1  # bucket of "aaa" is index 0
+    assert profile.dtype == np.int64
+    assert profile.sum() == 1
+    assert profile[0] == 1  # bucket of "aaa" is index 0
+
+
+def _dict_histogram(syms, nsym, n):
+    """Plain per-window count, keyed by the base-nsym code (first symbol most significant)."""
+    counts = {}
+    for i in range(len(syms) - n + 1):
+        code = 0
+        for s in syms[i : i + n]:
+            code = code * nsym + int(s)
+        counts[code] = counts.get(code, 0) + 1
+    return counts
+
+
+def _kept_text(alphabet, length, gen):
+    """Random text over alphabet that normalize_text leaves unchanged."""
+    chars = [alphabet[i] for i in gen.integers(0, len(alphabet), size=length)]
+    for i, ch in enumerate(chars):
+        if ch == " " and (i in (0, length - 1) or chars[i - 1] == " "):
+            chars[i] = "a"
+    return "".join(chars)
 
 
 def test_bucket_indexing():
@@ -19,6 +40,21 @@ def test_bucket_indexing():
     vec = clf.count_vector("abab")
     # windows: ab, ba, ab -> buckets (0*2+1)=1 twice, (1*2+0)=2 once
     assert list(vec) == [0, 2, 1, 0]
+    # The shared histogram kernel and count_vector against a per-window dict
+    # count, up to NGRAM_CHUNK + 50 windows (two blocks).
+    for alphabet in ("ab", "abcd ", "abcdefghijklmnopqrstuvwxyz "):
+        nsym = len(alphabet)
+        for n in (1, 2, 3):
+            clf = BaselineClassifier(n=n, alphabet=alphabet)
+            for length in (n, 100, kernels.NGRAM_CHUNK + 50):
+                text = _kept_text(alphabet, length, RandomSource(nsym).child(n, length).generator)
+                assert normalize_text(text) == text
+                syms = symbol_codes(text, alphabet)
+                want = _dict_histogram(syms, nsym, n)
+                hist = kernels.ngram_histogram(syms, nsym, n)
+                assert hist.dtype == np.int64 and hist.shape == (nsym**n,)
+                assert {int(c): int(hist[c]) for c in np.flatnonzero(hist)} == want
+                assert np.array_equal(clf.count_vector(text), hist)
 
 
 def test_count_vector_window_count():
@@ -46,7 +82,7 @@ def test_profile_accumulates_across_files():
     corpus.add_train("aa", "abcabc")
     corpus.add_train("aa", "abcabc")
     clf = baseline_train(corpus)
-    assert clf.profile("aa").total == 8  # two files of 4 windows each
+    assert clf.profile("aa").sum() == 8  # two files of 4 windows each
 
 
 def test_tie_goes_to_first_label():
@@ -113,3 +149,15 @@ def test_evaluate_tie_goes_to_first_label():
     corpus.add_test("second", "aaa")
     report = baseline_evaluate(baseline_train(corpus), corpus)
     assert report["confusion"] == {"second": {"first": 1}}
+
+
+@pytest.mark.parametrize("alphabet", ["aab", ""])
+def test_bad_alphabet_rejected_at_construction(alphabet):
+    with pytest.raises(ValueError, match="non-empty and free of duplicates"):
+        BaselineClassifier(alphabet=alphabet)
+
+
+def test_symbol_outside_alphabet_is_data_error():
+    clf = BaselineClassifier(n=2, alphabet="ab")
+    with pytest.raises(DataError, match="symbol 'c' is not in the alphabet"):
+        clf.count_vector("abcab")

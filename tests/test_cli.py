@@ -177,6 +177,23 @@ def test_bad_fractions_is_config_error(workspace, capsys):
     capsys.readouterr()
 
 
+def _run_cli(args, cwd):
+    """Run the CLI in a real process, so an escaping exception shows as exit 1
+    plus a traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(hdclab.__file__).parent.parent), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, "-m", "hdclab.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def _assert_one_error_line(proc, code):
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("args", [
     ["noise-curve", "--trials", "0", "--out", "out"],
     ["noise-curve", "--dim", "0", "--out", "out"],
@@ -191,17 +208,39 @@ def test_bad_fractions_is_config_error(workspace, capsys):
 def test_bad_number_exits_2_without_traceback(workspace, tmp_path, args):
     root, corpus, model = workspace
     args = [{"MODEL": str(model), "CORPUS": str(corpus)}.get(a, a) for a in args]
-    # A real process, so an escaping exception shows as exit 1 plus a traceback.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(hdclab.__file__).parent.parent), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run([sys.executable, "-m", "hdclab.cli", *args],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+    _assert_one_error_line(_run_cli(args, tmp_path), 2)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def narrow_model(workspace):
+    """A valid model of the workspace's languages over the alphabet "abc "."""
+    root, corpus, model = workspace
+    train = hdclab.Corpus()
+    for i, label in enumerate(hdclab.ingest(corpus).labels):
+        train.add_train(label, "abc cab " * (i + 1) + "bca " * 5)
+    path = root / "narrow.hdc"
+    hdclab.save_model(
+        hdclab.train_pipeline(train, hdclab.EncoderConfig(dim=256, alphabet="abc ")), path
+    )
+    return path
+
+
+@pytest.mark.parametrize("command", ["classify", "eval", "fault-sweep"])
+def test_text_outside_model_alphabet_exits_3(workspace, narrow_model, tmp_path, command):
+    root, corpus, model = workspace
+    args = [command, "--model", str(narrow_model)]
+    if command == "classify":
+        args += ["--text", "hello"]
+    else:
+        args += ["--corpus", str(corpus)]
+    if command == "fault-sweep":
+        args += ["--trials", "1", "--out", str(tmp_path / "sweep.csv")]
+    proc = _run_cli(args, tmp_path)
+    _assert_one_error_line(proc, 3)
+    assert "is not in the alphabet" in proc.stderr
+    if command == "classify":
+        assert "error: symbol 'h' is not in the alphabet" in proc.stderr
 
 
 def test_determinism_across_runs(workspace, tmp_path):

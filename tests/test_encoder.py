@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hdclab import (
+    DEFAULT_ALPHABET,
+    DataError,
     EncoderConfig,
     ItemMemory,
     RandomSource,
@@ -16,6 +18,7 @@ from hdclab import (
     kernels,
     permute,
 )
+from hdclab.encoder import code_table, symbol_codes
 from _oracles import ref_encode_text
 
 
@@ -50,8 +53,10 @@ class TestConfig:
             EncoderConfig(n=0)
         with pytest.raises(ValueError, match="n must not exceed dim"):
             EncoderConfig(dim=2, n=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="free of duplicates"):
             EncoderConfig(alphabet="abca")
+        with pytest.raises(ValueError, match="non-empty"):
+            EncoderConfig(alphabet="")
         with pytest.raises(ValueError):
             EncoderConfig(item_seed=2**64)
 
@@ -148,13 +153,18 @@ class TestEncodeText:
                 want = ref_encode_text(text, 3, seed_bits, tie_value=1)
                 assert list(e.encode(text).to_bits()) == want
 
-    @pytest.mark.parametrize("length", [5000, 5001])  # even and odd window counts
-    def test_long_text_matches_histogram_oracle(self, length):
+    # Even and odd window counts; the oracle takes Python int or numpy uint8 bits.
+    @pytest.mark.parametrize("length, bit_list", [
+        pytest.param(5000, np.ndarray.tolist, id="5000"),
+        pytest.param(5001, np.ndarray.tolist, id="5001"),
+        pytest.param(5000, list, id="5000-uint8-bits"),
+    ])
+    def test_long_text_matches_histogram_oracle(self, length, bit_list):
         e = TextEncoder(EncoderConfig(dim=100, item_seed=7, tie_seed=8, deterministic_ties=True))
         assert kernels._contracts(27, 3, length - 2)  # goes through the contraction
         idx = RandomSource(78).child(length).generator.integers(0, 5, size=length)
         text = "".join("abcde"[i] for i in idx)
-        seed_bits = {ch: e.item_memory.lookup(ch).to_bits().tolist() for ch in "abcde"}
+        seed_bits = {ch: bit_list(e.item_memory.lookup(ch).to_bits()) for ch in "abcde"}
         want = ref_encode_text(text, 3, seed_bits, tie_value=1)
         assert list(e.encode(text).to_bits()) == want
 
@@ -162,6 +172,39 @@ class TestEncodeText:
         enc.encode("a long text " * 2000)  # contracts
         arrays = [v for v in vars(enc).values() if isinstance(v, np.ndarray)]
         assert [a.dtype for a in arrays] == [np.dtype(np.uint64)]
+
+
+class TestSymbolCodes:
+    def test_alphabet_positions(self, enc):
+        syms = enc.symbol_indices("cab z", normalize=False)
+        assert syms.dtype == np.int64 and syms.tolist() == [2, 0, 1, 26, 25]
+        text = normalize_text("The quick brown fox jumps over the lazy dog. " * 50)
+        want = [DEFAULT_ALPHABET.index(ch) for ch in text]
+        assert symbol_codes(text, DEFAULT_ALPHABET).tolist() == want
+
+    @pytest.mark.parametrize("text, bad", [
+        ("ab!c", "!"),  # below the table's end, not in the alphabet
+        ("ab\u20acc!", "\u20ac"),  # above the table: clipped onto its -1 entry
+        ("ab\ud800c", "\ud800"),  # lone surrogate
+    ], ids=["in-range", "above-table", "lone-surrogate"])
+    def test_outside_alphabet_is_data_error(self, enc, text, bad):
+        with pytest.raises(DataError) as exc:
+            enc.symbol_indices(text, normalize=False)
+        assert str(exc.value) == f"symbol {bad!r} is not in the alphabet"
+
+    def test_encode_ngram_outside_alphabet_is_data_error(self, enc):
+        with pytest.raises(DataError, match="symbol '!' is not in the alphabet"):
+            enc.encode_ngram("a!c")
+
+    def test_empty_text(self, enc):
+        syms = enc.symbol_indices("", normalize=False)
+        assert syms.dtype == np.int64 and syms.shape == (0,)
+
+    def test_code_table_is_cached_and_read_only(self):
+        table = code_table("ab")
+        assert code_table("ab") is table and not table.flags.writeable
+        assert table.dtype == np.int64 and table.tolist()[-3:] == [0, 1, -1]
+        assert table.shape == (ord("b") + 2,)
 
 
 @pytest.fixture(scope="module")
