@@ -35,14 +35,7 @@ from .encoder import (
     normalize_text,
 )
 from .errors import ConfigurationError, DataError, TextTooShortError
-from .faultlab import (
-    FaultMask,
-    SweepResult,
-    apply_mask,
-    fault_sweep,
-    flip_noise,
-    make_mask,
-)
+from .faultlab import FaultMask, SweepResult, fault_sweep, flip_noise
 from .itemmem import ItemMemory, build_item_memory
 from .model_io import load_model, save_model
 from .pipeline import TrainedModel, evaluate, train_pipeline
@@ -71,7 +64,6 @@ __all__ = [
     "TextEncoder",
     "TextTooShortError",
     "TrainedModel",
-    "apply_mask",
     "baseline_evaluate",
     "baseline_train",
     "bind",
@@ -88,7 +80,6 @@ __all__ = [
     "ingest",
     "inverse_permute",
     "load_model",
-    "make_mask",
     "normalize_text",
     "normalized_hamming",
     "pack_bits",

@@ -2,8 +2,9 @@
 
 Nothing here models electrical causes. A FaultMask pins a chosen set of
 components to 0 or 1, and flip_noise inverts an exact count of positions.
-fault_sweep runs a trained classifier through a grid of fault fractions and
-reports accuracy per trial.
+Both come from draw_stuck, which draws a block of packed masks with an exact
+fault count per row. fault_sweep runs a trained classifier through a grid of
+fault fractions and reports accuracy per trial.
 """
 
 from __future__ import annotations
@@ -15,9 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .algebra import Hypervector, RandomSource, n_words, pack_bits, unpack_bits
+from .algebra import Hypervector, RandomSource, _ones_words, _tail_mask, n_words
 
-PASS, STUCK0, STUCK1 = 0, 1, 2
+# Version of the stuck-at draw recorded in sweep JSON; it changes whenever the
+# same seed starts giving different masks.
+MASK_SCHEME = 2
+# The first pass draws Bernoulli words with p rounded to this many bits.
+_CODE_BITS = 10
 
 
 def _exact_count(fraction: float, dim: int) -> int:
@@ -25,6 +30,112 @@ def _exact_count(fraction: float, dim: int) -> int:
         raise ValueError("fraction must lie in [0, 1]")
     # Half-up rounding; round() would send exact halves to the even neighbor.
     return int(fraction * dim + 0.5)
+
+
+def _random_words(gen: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    # The raw 64-bit outputs: gen.integers costs several microseconds more per call.
+    return gen.bit_generator.random_raw(shape[0] * shape[1]).reshape(shape)
+
+
+def _bernoulli_words(p: float, shape, gen: np.random.Generator) -> np.ndarray:
+    """Packed words whose bits are 1 independently with probability ~p.
+
+    Random planes folded least significant bit first (OR where the bit of
+    code is 1, AND where it is 0) give probability code / 2**_CODE_BITS.
+    """
+    # 2**_CODE_BITS itself would need one more bit; the count fix absorbs it.
+    code = min(int(p * 2**_CODE_BITS + 0.5), 2**_CODE_BITS - 1)
+    words = np.zeros(shape, dtype=np.uint64)
+    for bit in range(_CODE_BITS):
+        fold = np.bitwise_or if code >> bit & 1 else np.bitwise_and
+        fold(words, _random_words(gen, shape), out=words)
+    return words
+
+
+def _distinct_keys(need: np.ndarray, avail: np.ndarray, dim: int,
+                   gen: np.random.Generator) -> np.ndarray:
+    """Sorted keys row * dim + rank: need[row] distinct ranks below avail[row].
+
+    Ranks are drawn with replacement and each row's shortfall is redrawn, so
+    a row's set is that of the first need[row] distinct values of an iid
+    uniform sequence, which is uniform over need[row]-subsets.
+    """
+    keys = np.empty(0, dtype=np.int64)
+    short = need
+    while short.any():
+        owner = np.repeat(np.arange(need.size), short)
+        keys = np.sort(np.concatenate([keys, gen.integers(0, avail[owner]) + owner * dim]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        short = need - np.bincount(keys // dim, minlength=need.size)
+    return keys
+
+
+def _select_bit(words: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Bit index of the rank-th set bit (from 0) of each word."""
+    words = words.copy()
+    rank = rank.astype(np.uint64)
+    pos = np.zeros_like(words)
+    for width in (32, 16, 8, 4, 2, 1):
+        low = np.bitwise_count(words & np.uint64((1 << width) - 1)).astype(np.uint64)
+        high = rank >= low  # the bit lies above the low `width` bits
+        rank -= low * high
+        shift = np.uint64(width) * high
+        pos += shift
+        words >>= shift
+    return pos
+
+
+def _fix_counts(faults: np.ndarray, count: int, dim: int, gen: np.random.Generator):
+    """Flip bits in place so that every row of faults holds exactly count ones.
+
+    A row with m > count loses m - count of its ones and a row with m < count
+    gains count - m of its zeros, each set uniform without replacement.
+    """
+    m = np.bitwise_count(faults).sum(axis=1, dtype=np.int64)
+    rows = np.flatnonzero(m != count)
+    if rows.size == 0:
+        return
+    m = m[rows]
+    excess = m > count
+    cand = faults[rows]  # the bits that may flip: a row's ones or its zeros
+    cand[~excess] ^= _ones_words(dim)
+    keys = _distinct_keys(np.abs(m - count), np.where(excess, m, dim - m), dim, gen)
+    owner = keys // dim
+    # Running candidate counts, offset by row * dim so that one sorted
+    # search finds the word holding each key's candidate.
+    per_word = np.bitwise_count(cand).astype(np.int64)
+    ends = (np.cumsum(per_word, axis=1) + (np.arange(rows.size) * dim)[:, np.newaxis]).ravel()
+    per_word = per_word.ravel()
+    at = np.searchsorted(ends, keys, side="right")
+    bit = _select_bit(cand.ravel()[at], keys - (ends[at] - per_word[at]))
+    np.bitwise_xor.at(faults, (rows[owner], at - owner * faults.shape[1]),
+                      np.left_shift(np.uint64(1), bit))
+
+
+def draw_stuck(dim: int, fraction: float, rows: int,
+               rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, n_words(dim)) stuck-at-0 and stuck-at-1 words for rows masks.
+
+    Every row has exactly round(fraction*dim) faults (half up), placed
+    uniformly and independently per row, each stuck at 0 or 1 with
+    probability 1/2. The draw order is part of the determinism contract
+    (MASK_SCHEME 2): Bernoulli words from _CODE_BITS random planes, the count
+    fix, then one random value word per word (s1 = faults & v, s0 = faults &
+    ~v). No faults draws nothing, and all faults only the values.
+    """
+    count = _exact_count(fraction, dim)
+    shape = (rows, n_words(dim))
+    if count == 0:
+        return np.zeros(shape, dtype=np.uint64), np.zeros(shape, dtype=np.uint64)
+    gen = rng.generator
+    if count == dim:
+        faults = np.tile(_ones_words(dim), (rows, 1))
+    else:
+        faults = _bernoulli_words(count / dim, shape, gen)
+        faults[:, -1] &= _tail_mask(dim)
+        _fix_counts(faults, count, dim, gen)
+    values = _random_words(gen, shape)
+    return faults & ~values, faults & values
 
 
 class FaultMask:
@@ -49,37 +160,11 @@ class FaultMask:
     def make(cls, dim: int, fraction: float, rng: RandomSource) -> "FaultMask":
         """Place round(fraction*dim) faults uniformly; each stuck0 or stuck1 at 1/2.
 
-        Draw order (positions, then values) is part of the determinism contract.
+        This is the one-row draw_stuck, so its draw order (MASK_SCHEME 2) is
+        part of the determinism contract.
         """
-        count = _exact_count(fraction, dim)
-        gen = rng.generator
-        positions = gen.choice(dim, size=count, replace=False)
-        values = gen.integers(0, 2, size=count, dtype=np.uint8)
-        bits0 = np.zeros(dim, dtype=np.uint8)
-        bits1 = np.zeros(dim, dtype=np.uint8)
-        bits0[positions[values == 0]] = 1
-        bits1[positions[values == 1]] = 1
-        return cls(dim, pack_bits(bits0), pack_bits(bits1), fraction)
-
-    @classmethod
-    def from_states(cls, states) -> "FaultMask":
-        """Build from an explicit per-component array of PASS/STUCK0/STUCK1."""
-        states = np.asarray(states, dtype=np.int8)
-        dim = states.shape[0]
-        if dim < 1 or states.ndim != 1:
-            raise ValueError("states must be a non-empty 1-d array")
-        if not np.isin(states, (PASS, STUCK0, STUCK1)).all():
-            raise ValueError("states may only contain PASS, STUCK0, STUCK1")
-        b0 = (states == STUCK0).astype(np.uint8)
-        b1 = (states == STUCK1).astype(np.uint8)
-        frac = float((states != PASS).sum()) / dim
-        return cls(dim, pack_bits(b0), pack_bits(b1), frac)
-
-    def states(self) -> np.ndarray:
-        out = np.full(self.dim, PASS, dtype=np.int8)
-        out[unpack_bits(self.stuck0_words, self.dim) == 1] = STUCK0
-        out[unpack_bits(self.stuck1_words, self.dim) == 1] = STUCK1
-        return out
+        s0, s1 = draw_stuck(dim, fraction, 1, rng)
+        return cls(dim, s0[0], s1[0], fraction)
 
     @property
     def num_faults(self) -> int:
@@ -100,23 +185,13 @@ class FaultMask:
         return f"FaultMask(dim={self.dim}, faults={self.num_faults})"
 
 
-def make_mask(dim: int, fraction: float, rng: RandomSource) -> FaultMask:
-    return FaultMask.make(dim, fraction, rng)
-
-
-def apply_mask(hv: Hypervector, mask: FaultMask) -> Hypervector:
-    return mask.apply(hv)
-
-
 def flip_noise(hv: Hypervector, fraction: float, rng: RandomSource) -> Hypervector:
-    """Invert exactly round(fraction*dim) distinct positions, chosen uniformly."""
-    count = _exact_count(fraction, hv.dim)
-    if count == 0:
-        return hv
-    positions = rng.generator.choice(hv.dim, size=count, replace=False)
-    bits = np.zeros(hv.dim, dtype=np.uint8)
-    bits[positions] = 1
-    return Hypervector(hv.dim, hv.words ^ pack_bits(bits))
+    """Invert exactly round(fraction*dim) distinct positions, chosen uniformly.
+
+    The positions are those of a one-row draw_stuck; its stuck values are unused.
+    """
+    s0, s1 = draw_stuck(hv.dim, fraction, 1, rng)
+    return Hypervector(hv.dim, hv.words ^ (s0[0] | s1[0]))
 
 
 def distance_matrix(rows: np.ndarray, query_words) -> np.ndarray:
@@ -206,6 +281,7 @@ class SweepResult:
     def write_json(self, path):
         doc = {
             "mode": self.mode,
+            "mask_scheme": MASK_SCHEME,
             "rows": [
                 {"fraction": fraction, "trial": trial, "accuracy": acc}
                 for fraction, trial, acc in self.rows
@@ -228,8 +304,10 @@ def fault_sweep(rows: np.ndarray, queries, true_idx, fractions, trials: int,
     rows is the packed prototype matrix, queries a list of Hypervector,
     true_idx the row index of each query's true label. shared=True applies
     one mask per trial to the rows and every query (one physical array);
-    shared=False draws an independent mask for each query. Seeds split per
-    (fraction, trial) by counter, so trials are order-independent.
+    shared=False gives every query its own mask. Each (fraction, trial) cell
+    draws from one stream, root.child(fi, trial), so trials are
+    order-independent: first the row mask (FaultMask.make), then, with
+    shared=False, one draw_stuck block of a mask per query.
     """
     if mode not in ("multiclass", "pairwise"):
         raise ValueError(f"unknown sweep mode {mode!r}")
@@ -250,9 +328,7 @@ def fault_sweep(rows: np.ndarray, queries, true_idx, fractions, trials: int,
             if shared:
                 masked_queries = mask.apply_words(query_words)
             else:
-                masked_queries = np.vstack([
-                    FaultMask.make(dim, fraction, rng.child(qi)).apply_words(words)
-                    for qi, words in enumerate(query_words)
-                ])
+                s0, s1 = draw_stuck(dim, fraction, len(query_words), rng)
+                masked_queries = (query_words & ~s0) | s1
             result.add(fraction, trial, score(masked_rows, masked_queries, true_idx))
     return result

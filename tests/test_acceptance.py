@@ -14,6 +14,7 @@ import pytest
 
 from hdclab import (
     EncoderConfig,
+    FaultMask,
     Hypervector,
     ItemMemory,
     RandomSource,
@@ -27,7 +28,6 @@ from hdclab import (
     hamming,
     ingest,
     load_model,
-    make_mask,
     normalize_text,
     normalized_hamming,
     pack_bits,
@@ -215,7 +215,7 @@ def _masked_arm_success(dim, fraction, flip, n_classes, rng):
     rows = np.vstack([p.words for p in protos])
     target = int(rng.child(1).generator.integers(0, n_classes))
     query = _bernoulli_flip(protos[target], flip, rng.child(2))
-    mask = make_mask(dim, fraction, rng.child(3))
+    mask = FaultMask.make(dim, fraction, rng.child(3))
     masked_rows = mask.apply_words(rows)
     masked_query = mask.apply(query)
     return multiclass_accuracy(masked_rows, [masked_query.words],

@@ -88,6 +88,22 @@ def test_fault_sweep_csv(workspace):
     assert len(rows) == 5
 
 
+def test_fault_sweep_independent_masks_json(workspace, tmp_path):
+    root, corpus, model = workspace
+    report = tmp_path / "sweep.json"
+    assert main(["fault-sweep", "--model", str(model), "--corpus", str(corpus),
+                 "--fractions", "0,0.5,0.9", "--trials", "2", "--independent-masks",
+                 "--out", str(tmp_path / "sweep.csv"), "--json", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["mask_scheme"] == 2
+    assert [(r["fraction"], r["trial"]) for r in doc["rows"]] == [
+        (f, t) for f in (0.0, 0.5, 0.9) for t in (0, 1)]
+    for row in doc["rows"]:
+        assert 0.0 <= row["accuracy"] <= 1.0
+        hits = row["accuracy"] * 40  # a whole number of the 40 test sentences
+        assert abs(hits - round(hits)) < 1e-9
+
+
 def _corpus_copy(corpus, dest, short_only):
     """Copy of the workspace corpus with a 2-character test sentence added,
     or, with short_only, with every test sentence replaced by one."""

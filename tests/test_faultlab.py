@@ -5,21 +5,22 @@ import pytest
 
 from hdclab import (
     FaultMask,
+    Hypervector,
     RandomSource,
-    apply_mask,
     complement,
     fault_sweep,
     flip_noise,
     hamming,
-    make_mask,
+    pack_bits,
     random_hv,
 )
 from hdclab import kernels
+from hdclab.algebra import n_words
 from hdclab.faultlab import (
-    PASS,
-    STUCK0,
-    STUCK1,
+    MASK_SCHEME,
+    _exact_count,
     distance_matrix,
+    draw_stuck,
     multiclass_accuracy,
     pairwise_accuracy,
     pairwise_from_dmat,
@@ -27,53 +28,50 @@ from hdclab.faultlab import (
 from _oracles import ref_pairwise
 from conftest import hv_from_string, hv_to_string
 
+ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
 
 class TestFaultMask:
     def test_fraction_zero_is_identity(self):
         hv = random_hv(1000, RandomSource(1))
-        mask = make_mask(1000, 0.0, RandomSource(2))
+        mask = FaultMask.make(1000, 0.0, RandomSource(2))
         assert mask.num_faults == 0
-        assert apply_mask(hv, mask) == hv
+        assert mask.apply(hv) == hv
 
     def test_fraction_one_leaves_no_pass(self):
-        mask = make_mask(256, 1.0, RandomSource(3))
+        mask = FaultMask.make(256, 1.0, RandomSource(3))
         assert mask.num_faults == 256
-        assert not np.any(mask.states() == PASS)
+        assert np.all((mask.stuck0_words | mask.stuck1_words) == ALL_ONES)
 
     def test_exact_count_at_078(self):
-        mask = make_mask(10000, 0.78, RandomSource(4))
+        mask = FaultMask.make(10000, 0.78, RandomSource(4))
         assert mask.num_faults == 7800
 
     def test_rounding_convention(self):
-        assert make_mask(10, 0.25, RandomSource(5)).num_faults == 3  # 2.5 rounds up
+        assert FaultMask.make(10, 0.25, RandomSource(5)).num_faults == 3  # 2.5 rounds up
 
     def test_out_of_range_fraction(self):
         with pytest.raises(ValueError):
-            make_mask(64, 1.1, RandomSource(6))
+            FaultMask.make(64, 1.1, RandomSource(6))
         with pytest.raises(ValueError):
             flip_noise(random_hv(64, RandomSource(7)), -0.1, RandomSource(8))
 
     def test_regeneration_deterministic(self):
-        a = make_mask(512, 0.3, RandomSource(9))
-        b = make_mask(512, 0.3, RandomSource(9))
+        a = FaultMask.make(512, 0.3, RandomSource(9))
+        b = FaultMask.make(512, 0.3, RandomSource(9))
         assert np.array_equal(a.stuck0_words, b.stuck0_words)
         assert np.array_equal(a.stuck1_words, b.stuck1_words)
 
     def test_hand_example(self):
-        mask = FaultMask.from_states([PASS, STUCK1, PASS, STUCK0])
+        # Components: pass, stuck at 1, pass, stuck at 0.
+        mask = FaultMask(4, pack_bits([0, 0, 0, 1]), pack_bits([0, 1, 0, 0]))
         assert hv_to_string(mask.apply(hv_from_string("1010"))) == "1110"
 
     def test_idempotent(self):
         hv = random_hv(2048, RandomSource(10))
-        mask = make_mask(2048, 0.4, RandomSource(11))
+        mask = FaultMask.make(2048, 0.4, RandomSource(11))
         once = mask.apply(hv)
         assert mask.apply(once) == once
-
-    def test_states_round_trip(self):
-        mask = make_mask(100, 0.5, RandomSource(12))
-        again = FaultMask.from_states(mask.states())
-        assert np.array_equal(again.stuck0_words, mask.stuck0_words)
-        assert np.array_equal(again.stuck1_words, mask.stuck1_words)
 
     def test_conflicting_masks_rejected(self):
         ones = np.array([np.uint64(1)])
@@ -84,10 +82,84 @@ class TestFaultMask:
         rng = RandomSource(13)
         vecs = [random_hv(777, rng.child(i)) for i in range(4)]
         rows = np.vstack([v.words for v in vecs])
-        mask = make_mask(777, 0.25, RandomSource(14))
+        mask = FaultMask.make(777, 0.25, RandomSource(14))
         batch = mask.apply_words(rows)
         for i, v in enumerate(vecs):
             assert np.array_equal(batch[i], mask.apply(v).words)
+
+    def test_make_is_the_one_row_draw(self):
+        mask = FaultMask.make(777, 0.3, RandomSource(15, (2,)))
+        s0, s1 = draw_stuck(777, 0.3, 1, RandomSource(15, (2,)))
+        assert np.array_equal(mask.stuck0_words, s0[0])
+        assert np.array_equal(mask.stuck1_words, s1[0])
+
+
+def _fault_bits(s0, s1, dim):
+    """(rows, dim) 0/1 matrix of the faulted components of a drawn block."""
+    return np.unpackbits((s0 | s1).view(np.uint8), axis=1, bitorder="little")[:, :dim]
+
+
+class TestDrawStuck:
+    @pytest.mark.parametrize("dim", [64, 777, 10000])
+    @pytest.mark.parametrize("fraction", ["0", "1/D", "0.5", "0.78", "1"])
+    def test_exact_count_in_every_row(self, dim, fraction):
+        f = 1 / dim if fraction == "1/D" else float(fraction)
+        s0, s1 = draw_stuck(dim, f, 40, RandomSource(20, (dim,)))
+        assert s0.shape == s1.shape == (40, n_words(dim))
+        assert s0.dtype == s1.dtype == np.uint64
+        counts = np.bitwise_count(s0 | s1).sum(axis=1)
+        assert np.all(counts == _exact_count(f, dim))
+
+    @pytest.mark.parametrize("dim", [1, 63, 65, 777])
+    @pytest.mark.parametrize("fraction", [0.01, 0.5, 0.78, 0.9999, 1.0])
+    def test_disjoint_values_and_clear_tail(self, dim, fraction):
+        s0, s1 = draw_stuck(dim, fraction, 30, RandomSource(21, (dim,)))
+        assert not np.any(s0 & s1)
+        # The padding bits above dim in the last word stay clear.
+        padding = ~np.uint64((1 << (dim % 64)) - 1)
+        assert not np.any((s0 | s1)[:, -1] & padding)
+        counts = np.bitwise_count(s0 | s1).sum(axis=1)
+        assert np.all(counts == _exact_count(fraction, dim))
+
+    def test_positions_uniform(self):
+        # Every position is faulted in about the same share of rows: a
+        # chi-square over positions against Bernoulli(c/D) per row.
+        dim, rows = 1000, 4000
+        c = _exact_count(0.78, dim)
+        s0, s1 = draw_stuck(dim, 0.78, rows, RandomSource(22))
+        hits = _fault_bits(s0, s1, dim).sum(axis=0)
+        p = c / dim
+        z = (hits - rows * p) / np.sqrt(rows * p * (1 - p))
+        chi2 = float(np.sum(z**2))
+        assert abs(chi2 - dim) < 6 * np.sqrt(2 * dim)
+        assert np.abs(z).max() < 5.0
+
+    def test_stuck_values_balanced(self):
+        s0, s1 = draw_stuck(1000, 0.78, 4000, RandomSource(23))
+        ones = np.bitwise_count(s1).sum()
+        share = ones / (ones + np.bitwise_count(s0).sum())
+        assert abs(share - 0.5) < 0.005  # about 8 standard deviations
+
+    def test_rows_independent(self):
+        # Two independent uniform c-subsets share c*c/D positions on average
+        # (hypergeometric), with variance c p (1 - p) (D - c) / (D - 1).
+        dim, rows = 1000, 4001
+        c = _exact_count(0.78, dim)
+        s0, s1 = draw_stuck(dim, 0.78, rows, RandomSource(24))
+        faults = s0 | s1
+        overlap = np.bitwise_count(faults[:-1] & faults[1:]).sum(axis=1)
+        p = c / dim
+        sd = np.sqrt(c * p * (1 - p) * (dim - c) / (dim - 1))
+        assert abs(overlap.mean() - c * p) < 6 * sd / np.sqrt(rows - 1)
+        assert 0.8 < overlap.std() / sd < 1.2
+
+    def test_same_cell_same_block(self):
+        root = RandomSource(25)
+        a = draw_stuck(777, 0.78, 8, root.child(1, 0))
+        b = draw_stuck(777, 0.78, 8, root.child(1, 0))
+        c = draw_stuck(777, 0.78, 8, root.child(1, 1))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[0] | a[1], c[0] | c[1])
 
 
 class TestFlipNoise:
@@ -126,6 +198,14 @@ class TestSweep:
         for _, trial, acc in res.rows:
             assert acc == base
 
+    def test_independent_fraction_zero_equals_fault_free(self):
+        rows, queries, true_idx = _random_setup(2000, 5, 40, 50, flip=0.49)
+        qwords = np.vstack([q.words for q in queries])
+        base = multiclass_accuracy(rows, qwords, true_idx)
+        assert base < 1.0  # so a wrong mask could show
+        res = fault_sweep(rows, queries, true_idx, [0.0], trials=3, shared=False, seed=51)
+        assert [acc for _, _, acc in res.rows] == [base] * 3
+
     def test_accuracy_survives_heavy_shared_faults(self):
         rows, queries, true_idx = _random_setup(10000, 21, 60, 52)
         res = fault_sweep(rows, queries, true_idx, [0.78], trials=3, seed=53)
@@ -147,6 +227,17 @@ class TestSweep:
             rows, queries, true_idx, [0.3], trials=2, shared=False, seed=57
         )
         assert len(res.rows) == 2
+
+    def test_independent_masks_differ_per_query(self):
+        # Queries equal to their prototypes stay at distance 0 under one
+        # shared mask; under a mask of their own they lose most of that lead.
+        rows, _, _ = _random_setup(1000, 20, 0, 66)
+        true_idx = np.arange(20)
+        queries = [Hypervector(1000, words) for words in rows]
+        shared = fault_sweep(rows, queries, true_idx, [0.9], trials=1, seed=67)
+        indep = fault_sweep(rows, queries, true_idx, [0.9], trials=1, shared=False, seed=67)
+        assert shared.rows[0][2] == 1.0
+        assert indep.rows[0][2] < 0.5
 
     def test_deterministic_given_seed(self):
         rows, queries, true_idx = _random_setup(2048, 4, 20, 58)
@@ -194,6 +285,7 @@ class TestSweep:
         res.write_json(out)
         doc = json.loads(out.read_text())
         assert doc["mode"] == "multiclass"
+        assert doc["mask_scheme"] == MASK_SCHEME == 2
         assert len(doc["rows"]) == 2
         assert len(doc["aggregate"]) == 1
 
@@ -205,7 +297,7 @@ def test_shared_mask_neutrality_spot_check():
     # lives in the acceptance suite.
     dim, f = 4000, 0.5
     rows, queries, true_idx = _random_setup(dim, 21, 150, 70, flip=0.42)
-    mask = make_mask(dim, f, RandomSource(71))
+    mask = FaultMask.make(dim, f, RandomSource(71))
     masked = multiclass_accuracy(
         mask.apply_words(rows),
         np.vstack([mask.apply(q).words for q in queries]),
