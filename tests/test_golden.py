@@ -17,9 +17,9 @@ GOLDEN = {
     "eval_multiclass": "ca6ae9fc1bab753989d10e7504706e6cff12f866728628b48a59dd6d2cc2f808",
     "eval_pairwise": "4b076b8c7008f1892e19b030a3bc3cb58381c286267d7cc0960b935279904042",
     "eval_baseline": "aa6f226b271097418f67accb5295826f041c4c79b30cdd71195fdf8434d090a4",
-    "sweep_shared_multiclass": "eef106cb6a5eee142797ba75d4933252ae42d2afb299fb242c17b97f77a71036",
-    "sweep_shared_pairwise": "7bdb312ff0bcbe337fdb148c8a2b0485409ad0634e76a20d341d834013944888",
-    "sweep_independent_multiclass": "5dfabb445db0fe5dcffdcb9709421407f2d40fa0b4648a4bf4ac359026b0ac3f",
+    "sweep_shared_multiclass": "89d5a744184c038c413cee37ad2cb5aec5c2adf3f3787fe708d25ce86c137733",
+    "sweep_shared_pairwise": "5aa355f29a9ca9d7a0d7818a39f94e4a68a86f1dc8da0165e45c7573ac54f407",
+    "sweep_independent_multiclass": "b3412325ef2120c055d1688d1c7e9ab9a8eb4a3f915e104d484624c6541d1f90",
 }
 SWEEP_FRACTIONS = (0.0, 0.78)
 SWEEP_TRIALS = 2
