@@ -93,8 +93,6 @@ def _fix_counts(faults: np.ndarray, count: int, dim: int, gen: np.random.Generat
     """
     m = np.bitwise_count(faults).sum(axis=1, dtype=np.int64)
     rows = np.flatnonzero(m != count)
-    if rows.size == 0:
-        return
     m = m[rows]
     excess = m > count
     cand = faults[rows]  # the bits that may flip: a row's ones or its zeros

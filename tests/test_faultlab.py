@@ -15,7 +15,7 @@ from hdclab import (
     random_hv,
 )
 from hdclab import kernels
-from hdclab.algebra import n_words
+from hdclab.algebra import _tail_mask, n_words
 from hdclab.faultlab import (
     MASK_SCHEME,
     _exact_count,
@@ -94,32 +94,19 @@ class TestFaultMask:
         assert np.array_equal(mask.stuck1_words, s1[0])
 
 
-def _fault_bits(s0, s1, dim):
-    """(rows, dim) 0/1 matrix of the faulted components of a drawn block."""
-    return np.unpackbits((s0 | s1).view(np.uint8), axis=1, bitorder="little")[:, :dim]
-
-
 class TestDrawStuck:
-    @pytest.mark.parametrize("dim", [64, 777, 10000])
-    @pytest.mark.parametrize("fraction", ["0", "1/D", "0.5", "0.78", "1"])
-    def test_exact_count_in_every_row(self, dim, fraction):
-        f = 1 / dim if fraction == "1/D" else float(fraction)
+    @pytest.mark.parametrize("dim", [1, 63, 64, 65, 777, 10000])
+    @pytest.mark.parametrize("fraction", ["0", "1/D", "0.01", "0.5", "0.78", "1-1/D", "1"])
+    def test_exact_count_disjoint_values_clear_tail(self, dim, fraction):
+        f = {"1/D": 1 / dim, "1-1/D": 1 - 1 / dim}.get(fraction, None)
+        f = float(fraction) if f is None else f
         s0, s1 = draw_stuck(dim, f, 40, RandomSource(20, (dim,)))
         assert s0.shape == s1.shape == (40, n_words(dim))
         assert s0.dtype == s1.dtype == np.uint64
+        assert not np.any(s0 & s1)
+        assert not np.any((s0 | s1)[:, -1] & ~_tail_mask(dim))
         counts = np.bitwise_count(s0 | s1).sum(axis=1)
         assert np.all(counts == _exact_count(f, dim))
-
-    @pytest.mark.parametrize("dim", [1, 63, 65, 777])
-    @pytest.mark.parametrize("fraction", [0.01, 0.5, 0.78, 0.9999, 1.0])
-    def test_disjoint_values_and_clear_tail(self, dim, fraction):
-        s0, s1 = draw_stuck(dim, fraction, 30, RandomSource(21, (dim,)))
-        assert not np.any(s0 & s1)
-        # The padding bits above dim in the last word stay clear.
-        padding = ~np.uint64((1 << (dim % 64)) - 1)
-        assert not np.any((s0 | s1)[:, -1] & padding)
-        counts = np.bitwise_count(s0 | s1).sum(axis=1)
-        assert np.all(counts == _exact_count(fraction, dim))
 
     def test_positions_uniform(self):
         # Every position is faulted in about the same share of rows: a
@@ -127,7 +114,8 @@ class TestDrawStuck:
         dim, rows = 1000, 4000
         c = _exact_count(0.78, dim)
         s0, s1 = draw_stuck(dim, 0.78, rows, RandomSource(22))
-        hits = _fault_bits(s0, s1, dim).sum(axis=0)
+        bits = np.unpackbits((s0 | s1).view(np.uint8), axis=1, bitorder="little")
+        hits = bits[:, :dim].sum(axis=0)
         p = c / dim
         z = (hits - rows * p) / np.sqrt(rows * p * (1 - p))
         chi2 = float(np.sum(z**2))
