@@ -30,13 +30,12 @@ from .encoder import (
     RecordField,
     TextEncoder,
     decode_field,
-    encode_ngram,
     encode_record,
     normalize_text,
 )
 from .errors import ConfigurationError, DataError, TextTooShortError
 from .faultlab import FaultMask, SweepResult, fault_sweep, flip_noise
-from .itemmem import ItemMemory, build_item_memory
+from .itemmem import ItemMemory
 from .model_io import load_model, save_model
 from .pipeline import TrainedModel, evaluate, train_pipeline
 from .synth import MarkovLanguage, synth_corpus
@@ -67,11 +66,9 @@ __all__ = [
     "baseline_evaluate",
     "baseline_train",
     "bind",
-    "build_item_memory",
     "bundle",
     "complement",
     "decode_field",
-    "encode_ngram",
     "encode_record",
     "evaluate",
     "fault_sweep",

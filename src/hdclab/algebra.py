@@ -177,10 +177,7 @@ def inverse_permute(a: Hypervector, shifts: int) -> Hypervector:
     """Cyclic rotation left; inverse_permute(permute(a, s), s) == a."""
     if shifts < 0:
         raise ValueError("shifts must be non-negative")
-    s = shifts % a.dim
-    if s == 0:
-        return a
-    return Hypervector.from_bits(np.roll(a.to_bits(), -s))
+    return permute(a, a.dim - shifts % a.dim)
 
 
 def hamming(a: Hypervector, b: Hypervector) -> int:
@@ -231,24 +228,14 @@ class Accumulator:
     def items_added(self) -> int:
         return self._items
 
-    def reset(self):
-        self._counts[:] = 0
-        self._items = 0
-
-    def add(self, hv: Hypervector, weight: int = 1):
-        """Add ``hv`` (optionally ``weight`` times at once) into the counters."""
+    def add(self, hv: Hypervector):
+        """Add ``hv`` into the counters."""
         if hv.dim != self.dim:
             raise ValueError(f"dimension mismatch: {hv.dim} != {self.dim}")
-        if not isinstance(weight, (int, np.integer)) or weight < 1:
-            raise ValueError("weight must be a positive integer")
-        weight = int(weight)
-        if self._items + weight >= self._MAX_ITEMS:
+        if self._items + 1 >= self._MAX_ITEMS:
             raise ValueError("accumulator supports fewer than 2**31 additions")
-        if weight == 1:
-            self._counts += hv.to_bits()
-        else:
-            self._counts += weight * hv.to_bits().astype(np.int64)
-        self._items += weight
+        self._counts += hv.to_bits()
+        self._items += 1
 
     def threshold(self, rng: RandomSource | None = None) -> Hypervector:
         """Majority vote: 1 where counts exceed half the additions.

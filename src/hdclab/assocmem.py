@@ -55,17 +55,16 @@ class AssociativeMemory:
     def __contains__(self, label):
         return label in self._labels
 
-    def add(self, label, hv: Hypervector, weight: int = 1):
+    def add(self, label, hv: Hypervector):
         """Fold one training vector into the label's accumulator."""
         if self._accs is None:
             raise ValueError("memory built from rows cannot resume training")
         if hv.dim != self.dim:
             raise ValueError(f"dimension mismatch: memory {self.dim}, vector {hv.dim}")
-        acc = self._accs[label] if label in self._accs else Accumulator(self.dim)
-        acc.add(hv, weight)  # raises on a bad weight before a new label is registered
         if label not in self._accs:
-            self._accs[label] = acc
+            self._accs[label] = Accumulator(self.dim)
             self._labels.append(label)
+        self._accs[label].add(hv)
         self._rows = None
 
     def _tie_rng(self, index: int) -> RandomSource | None:
@@ -104,14 +103,6 @@ class AssociativeMemory:
             distance=int(d[i]),
             all_distances=tuple(zip(self._labels, (int(x) for x in d))),
         )
-
-    def pairwise_classify(self, query: Hypervector, label_a, label_b):
-        """Closer of exactly two stored labels; tie goes to the lower stored index."""
-        ia, ib = self._require(label_a), self._require(label_b)
-        d = self.distances(query)
-        if d[ia] == d[ib]:
-            return label_a if ia < ib else label_b
-        return label_a if d[ia] < d[ib] else label_b
 
     def _require(self, label) -> int:
         try:

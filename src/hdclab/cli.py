@@ -2,8 +2,8 @@
 
 Subcommands: train, classify, eval, baseline, fault-sweep, noise-curve,
 synth-corpus. Exit codes: 0 success, 2 configuration error (bad arguments,
-unusable corpus layout, unknown labels), 3 data error (unreadable or
-malformed files, texts too short to encode).
+unusable corpus layout, unknown labels, pairwise mode on one language),
+3 data error (unreadable or malformed files, texts too short to encode).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .encoder import EncoderConfig
 from .errors import ConfigurationError, DataError
 from .itemmem import ItemMemory
 from .model_io import load_model, save_model
-from .pipeline import encode_test_set, evaluate, train_pipeline
+from .pipeline import check_mode, encode_test_set, evaluate, train_pipeline
 from .synth import synth_corpus
 
 
@@ -134,6 +134,7 @@ def cmd_fault_sweep(args) -> int:
     fractions = _parse_floats(args.fractions, "fractions")
     if any(not 0 <= f <= 1 for f in fractions):
         raise ConfigurationError("fractions must lie in [0, 1]")
+    check_mode(model, args.mode)
     queries, true_idx, skipped = encode_test_set(model, corpus)
     if skipped:
         print(f"skipped {skipped} short sentence(s)")

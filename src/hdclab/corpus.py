@@ -26,7 +26,6 @@ class Corpus:
 
     train: dict = field(default_factory=dict)  # label -> list of texts
     test: dict = field(default_factory=dict)   # label -> list of sentences
-    provenance: list = field(default_factory=list)
 
     @property
     def labels(self) -> list:
@@ -48,19 +47,11 @@ class Corpus:
     def num_test_sentences(self) -> int:
         return sum(len(v) for v in self.test.values())
 
-    def add_train(self, label, text, source=None):
+    def add_train(self, label, text):
         self.train.setdefault(label, []).append(text)
-        if source is not None:
-            self.provenance.append(
-                {"path": str(source), "label": label, "role": "train", "chars": len(text)}
-            )
 
-    def add_test(self, label, sentence, source=None):
+    def add_test(self, label, sentence):
         self.test.setdefault(label, []).append(sentence)
-        if source is not None:
-            self.provenance.append(
-                {"path": str(source), "label": label, "role": "test", "chars": len(sentence)}
-            )
 
 
 def _label_dirs(role_dir: Path):
@@ -87,7 +78,7 @@ def ingest(root) -> Corpus:
             if not text:
                 warnings.warn(f"train sample {path} is empty after normalization")
                 continue
-            corpus.add_train(label, text, source=path)
+            corpus.add_train(label, text)
     if not corpus.train:
         raise ConfigurationError(f"no usable training samples under {train_dir}")
 
@@ -105,7 +96,7 @@ def ingest(root) -> Corpus:
                 for line in raw.splitlines():
                     sentence = normalize_text(line)
                     if sentence:
-                        corpus.add_test(label, sentence, source=path)
+                        corpus.add_test(label, sentence)
                         kept += 1
                 if kept == 0:
                     warnings.warn(f"test file {path} yields no usable sentences")

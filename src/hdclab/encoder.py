@@ -98,23 +98,6 @@ class RecordField:
     value: str
 
 
-def encode_ngram(letters, mem: ItemMemory) -> Hypervector:
-    """Rotate-and-bind composition of a symbol window.
-
-    With letters l_0 .. l_{n-1}, returns
-    permute(l_0, n-1) XOR permute(l_1, n-2) XOR ... XOR l_{n-1}.
-    """
-    letters = list(letters)
-    n = len(letters)
-    if n < 1:
-        raise ValueError("n-gram needs at least one symbol")
-    out = None
-    for j, sym in enumerate(letters):
-        v = permute(mem.lookup(sym), n - 1 - j)
-        out = v if out is None else bind(out, v)
-    return out
-
-
 class TextEncoder:
     """Streams normalized text into a single text hypervector.
 
@@ -141,7 +124,6 @@ class TextEncoder:
         self.item_memory = item_memory
         self._table = self._build_rotated_table()
         self._tie_root = RandomSource(config.tie_seed)
-        self.symbols_consumed = 0  # instrumentation: total symbols fed to encode()
 
     def _build_rotated_table(self) -> np.ndarray:
         n, dim = self.config.n, self.config.dim
@@ -154,11 +136,9 @@ class TextEncoder:
         table.setflags(write=False)
         return table
 
-    def symbol_indices(self, text: str, normalize: bool = True) -> np.ndarray:
-        """Map text to int64 alphabet indices; DataError on symbols outside it."""
-        if normalize:
-            text = normalize_text(text)
-        return symbol_codes(text, self.config.alphabet)
+    def symbol_indices(self, text: str) -> np.ndarray:
+        """Normalize text and map it to int64 alphabet indices; DataError on symbols outside it."""
+        return symbol_codes(normalize_text(text), self.config.alphabet)
 
     def _tie_rng(self, syms: np.ndarray) -> RandomSource | None:
         if self.config.deterministic_ties:
@@ -170,9 +150,12 @@ class TextEncoder:
         lo = int.from_bytes(digest[8:], "little")
         return self._tie_root.child(hi, lo)
 
-    def encode(self, text: str, normalize: bool = True) -> Hypervector:
-        """Accumulate every sliding n-gram of the text and threshold at k/2."""
-        syms = self.symbol_indices(text, normalize=normalize)
+    def encode(self, text: str) -> Hypervector:
+        """Accumulate every sliding n-gram of the normalized text and threshold at k/2.
+
+        n symbols are one window: permute(l_0, n-1) XOR ... XOR l_{n-1}.
+        """
+        syms = self.symbol_indices(text)
         n = self.config.n
         if syms.shape[0] < n:
             raise TextTooShortError(
@@ -180,18 +163,8 @@ class TextEncoder:
             )
         counts = np.zeros(self.config.dim, dtype=np.int64)
         k = kernels.accumulate_ngrams(self._table, syms, counts)
-        self.symbols_consumed += int(syms.shape[0])
         acc = Accumulator.from_counts(counts, k)
         return acc.threshold(self._tie_rng(syms))
-
-    def encode_ngram(self, letters) -> Hypervector:
-        """Single-window encode; length must equal the configured n."""
-        letters = list(letters)
-        if len(letters) != self.config.n:
-            raise ValueError(
-                f"expected exactly {self.config.n} symbols, got {len(letters)}"
-            )
-        return self.encode("".join(letters), normalize=False)
 
 
 def encode_record(fields, mem: ItemMemory, rng: RandomSource | None = None) -> Hypervector:

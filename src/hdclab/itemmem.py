@@ -78,7 +78,3 @@ class ItemMemory:
 
     def __repr__(self):
         return f"ItemMemory({len(self)} symbols, dim={self.dim}, seed={self.seed})"
-
-
-def build_item_memory(symbols, dimension: int, seed: int) -> ItemMemory:
-    return ItemMemory.build(symbols, dimension, seed)

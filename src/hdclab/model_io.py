@@ -10,7 +10,8 @@ Binary container (all integers little-endian):
     class vectors, packed u64 words per class
 
 A sidecar JSON at <path>.json mirrors the metadata for human inspection.
-Loading and re-saving reproduces the file byte for byte.
+Loading refuses a flag other than 0 or 1 and any bit set past dim, so
+loading and re-saving reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import Hypervector, n_words
+from .algebra import Hypervector, _tail_mask, n_words
 from .assocmem import AssociativeMemory, NotTrainedError
 from .encoder import EncoderConfig, TextEncoder
 from .errors import DataError
@@ -113,6 +114,8 @@ def load_model(path) -> TrainedModel:
         raise DataError(f"{path}: unsupported model version {version}")
     alphabet = r.text()
     item_seed, tie_seed, det = struct.unpack("<QQB", r.take(17))
+    if det > 1:
+        raise DataError(f"{path}: deterministic-ties flag {det} is not 0 or 1")
     num_symbols = r.u32()
     if num_symbols != len(alphabet):
         raise DataError(f"{path}: symbol count does not match alphabet")
@@ -129,6 +132,8 @@ def load_model(path) -> TrainedModel:
     try:
         config = EncoderConfig(dim=dim, n=n, alphabet=alphabet, item_seed=item_seed,
                                tie_seed=tie_seed, deterministic_ties=bool(det))
+        if any((rows[:, -1] & ~_tail_mask(dim)).any() for rows in (sym_rows, class_rows)):
+            raise DataError(f"{path}: a vector has bits set past dim {dim}")
         vectors = [Hypervector(dim, row.copy()) for row in sym_rows]
         mem = ItemMemory(list(alphabet), vectors, dim, seed=item_seed)
         encoder = TextEncoder(config, item_memory=mem)

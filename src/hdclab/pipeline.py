@@ -114,6 +114,15 @@ def score_report(dmat: np.ndarray, true_idx: np.ndarray, labels, skipped: int) -
     }
 
 
+def check_mode(model: TrainedModel, mode: str) -> None:
+    """ConfigurationError unless mode is multiclass, or pairwise over two or more labels."""
+    if mode not in ("multiclass", "pairwise"):
+        raise ConfigurationError(f"unknown evaluation mode {mode!r}")
+    if mode == "pairwise" and len(model.labels) < 2:
+        raise ConfigurationError(
+            f"pairwise mode needs at least two languages; the model has {len(model.labels)}")
+
+
 def evaluate(model: TrainedModel, corpus, mode: str = "multiclass") -> dict:
     """Per-sentence accuracy report.
 
@@ -121,8 +130,7 @@ def evaluate(model: TrainedModel, corpus, mode: str = "multiclass") -> dict:
     every language pair on the sentences belonging to that pair and averages
     the 210 (for 21 languages) two-class accuracies.
     """
-    if mode not in ("multiclass", "pairwise"):
-        raise ConfigurationError(f"unknown evaluation mode {mode!r}")
+    check_mode(model, mode)
     queries, true_idx, skipped = encode_test_set(model, corpus)
     dmat = distance_matrix(model.memory.rows(), np.vstack([q.words for q in queries]))
     report = {

@@ -119,25 +119,6 @@ def test_binding_invariance():
     assert shifted.classify_full(bind(q, c)).label == mem.classify_full(q).label
 
 
-def test_pairwise_classify():
-    mem, vecs = make_memory(4096, ["a", "b", "c"], 18)
-    q = flip_noise(vecs["c"], 0.1, RandomSource(19))
-    assert mem.pairwise_classify(q, "a", "c") == "c"
-    assert mem.pairwise_classify(q, "c", "b") == "c"
-    full = mem.classify_full(q).label
-    assert mem.pairwise_classify(q, "b", "c") == full  # restriction agrees
-    with pytest.raises(KeyError):
-        mem.pairwise_classify(q, "a", "zz")
-
-
-def test_pairwise_tie_rule():
-    mem = AssociativeMemory(64)
-    v = random_hv(64, RandomSource(20))
-    mem.add("first", v)
-    mem.add("second", v)
-    assert mem.pairwise_classify(v, "second", "first") == "first"
-
-
 def test_from_rows_round_trip():
     mem, _ = make_memory(300, ["x", "y", "z"], 21)
     clone = AssociativeMemory.from_rows(mem.labels, mem.rows(), 300)
@@ -149,17 +130,17 @@ def test_weight_training():
     mem = AssociativeMemory(256, deterministic_ties=True)
     a = random_hv(256, RandomSource(22))
     b = random_hv(256, RandomSource(23))
-    mem.add("x", a, weight=3)
+    for _ in range(3):
+        mem.add("x", a)
     mem.add("x", b)
     assert mem.prototype("x") == a  # 3-of-4 majority everywhere a is decisive
 
 
-@pytest.mark.parametrize("weight", [0, 1.5, 2.0])
-def test_rejected_add_leaves_memory_unchanged(weight):
+def test_rejected_add_leaves_memory_unchanged():
     mem = AssociativeMemory(128)
     v = random_hv(128, RandomSource(24))
-    with pytest.raises(ValueError, match="weight must be a positive integer"):
-        mem.add("x", v, weight=weight)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mem.add("x", random_hv(129, RandomSource(24)))
     assert len(mem) == 0
     assert "x" not in mem
     mem.add("y", v)

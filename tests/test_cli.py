@@ -259,6 +259,32 @@ def test_text_outside_model_alphabet_exits_3(workspace, narrow_model, tmp_path, 
         assert "error: symbol 'h' is not in the alphabet" in proc.stderr
 
 
+@pytest.fixture(scope="module")
+def one_language(tmp_path_factory):
+    """A corpus of one language and a D = 1000 model trained on it."""
+    root = tmp_path_factory.mktemp("solo")
+    corpus = hdclab.Corpus()
+    corpus.add_train("solo", "abc cab bca " * 20)
+    corpus.add_test("solo", "abc cab bca")
+    hdclab.write_corpus(corpus, root / "corpus")
+    hdclab.save_model(
+        hdclab.train_pipeline(corpus, hdclab.EncoderConfig(dim=1000)), root / "model.hdc"
+    )
+    return root / "corpus", root / "model.hdc"
+
+
+@pytest.mark.parametrize("command", ["eval", "fault-sweep"])
+def test_pairwise_on_one_language_exits_2(one_language, tmp_path, command):
+    corpus, model = one_language
+    args = [command, "--model", str(model), "--corpus", str(corpus), "--mode", "pairwise"]
+    if command == "fault-sweep":
+        args += ["--trials", "1", "--out", "sweep.csv"]
+    proc = _run_cli(args, tmp_path)
+    _assert_one_error_line(proc, 2)
+    assert "pairwise mode needs at least two languages" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_determinism_across_runs(workspace, tmp_path):
     root, corpus, model = workspace
     m2 = tmp_path / "again.hdc"

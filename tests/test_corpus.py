@@ -73,15 +73,6 @@ def test_invalid_utf8_degrades_to_spaces(tmp_path):
     assert corpus.train["xx"] == ["abc def"]
 
 
-def test_provenance_recorded(tmp_path):
-    _make_layout(tmp_path, train={"en": ["hello world"]})
-    corpus = ingest(tmp_path)
-    assert len(corpus.provenance) == 1
-    entry = corpus.provenance[0]
-    assert entry["role"] == "train" and entry["label"] == "en"
-    assert entry["chars"] == len("hello world")
-
-
 def test_write_then_ingest_round_trip(tmp_path):
     corpus = Corpus()
     corpus.add_train("aa", "abc abc abc")

@@ -11,7 +11,6 @@ from hdclab import (
     TextTooShortError,
     bind,
     decode_field,
-    encode_ngram,
     encode_record,
     normalized_hamming,
     normalize_text,
@@ -19,7 +18,7 @@ from hdclab import (
     permute,
 )
 from hdclab.encoder import code_table, symbol_codes
-from _oracles import ref_encode_text
+from _oracles import ref_encode_text, ref_ngram
 
 
 class TestNormalize:
@@ -73,26 +72,15 @@ class TestNgram:
             bind(permute(mem.lookup("a"), 2), permute(mem.lookup("b"), 1)),
             mem.lookup("c"),
         )
-        assert encode_ngram("abc", mem) == want
-        assert enc.encode_ngram("abc") == want
+        assert enc.encode("abc") == want
 
     def test_order_sensitivity(self, enc):
-        d = normalized_hamming(
-            encode_ngram("abc", enc.item_memory), encode_ngram("acb", enc.item_memory)
-        )
+        d = normalized_hamming(enc.encode("abc"), enc.encode("acb"))
         assert 0.45 <= d <= 0.55
 
     def test_unigram_is_lookup(self):
         e = TextEncoder(EncoderConfig(dim=500, n=1, item_seed=1, tie_seed=2))
-        assert encode_ngram("a", e.item_memory) == e.item_memory.lookup("a")
-
-    def test_wrong_length_rejected(self, enc):
-        with pytest.raises(ValueError):
-            enc.encode_ngram("ab")
-
-    def test_unknown_symbol(self, enc):
-        with pytest.raises(KeyError):
-            encode_ngram("a!c", enc.item_memory)
+        assert e.encode("a") == e.item_memory.lookup("a")
 
 
 class TestEncodeText:
@@ -105,18 +93,14 @@ class TestEncodeText:
             assert np.array_equal(table[j, enc.symbol_indices("q")[0]], want)
 
     def test_exact_window_equals_ngram(self, enc):
-        assert enc.encode("the") == enc.encode_ngram("the")
+        seed_bits = {ch: enc.item_memory.lookup(ch).to_bits() for ch in "the"}
+        assert list(enc.encode("the").to_bits()) == ref_ngram("the", seed_bits, 3)
 
     def test_too_short(self, enc):
         with pytest.raises(TextTooShortError):
             enc.encode("ab")
         with pytest.raises(TextTooShortError):
             enc.encode("!!")  # empty after normalization
-
-    def test_window_count_instrumentation(self, enc):
-        before = enc.symbols_consumed
-        enc.encode("abcdef")
-        assert enc.symbols_consumed - before == 6
 
     def test_same_text_same_vector(self, enc):
         a = enc.encode("many words make a text")
@@ -175,8 +159,8 @@ class TestEncodeText:
 
 
 class TestSymbolCodes:
-    def test_alphabet_positions(self, enc):
-        syms = enc.symbol_indices("cab z", normalize=False)
+    def test_alphabet_positions(self):
+        syms = symbol_codes("cab z", DEFAULT_ALPHABET)
         assert syms.dtype == np.int64 and syms.tolist() == [2, 0, 1, 26, 25]
         text = normalize_text("The quick brown fox jumps over the lazy dog. " * 50)
         want = [DEFAULT_ALPHABET.index(ch) for ch in text]
@@ -187,17 +171,13 @@ class TestSymbolCodes:
         ("ab\u20acc!", "\u20ac"),  # above the table: clipped onto its -1 entry
         ("ab\ud800c", "\ud800"),  # lone surrogate
     ], ids=["in-range", "above-table", "lone-surrogate"])
-    def test_outside_alphabet_is_data_error(self, enc, text, bad):
+    def test_outside_alphabet_is_data_error(self, text, bad):
         with pytest.raises(DataError) as exc:
-            enc.symbol_indices(text, normalize=False)
+            symbol_codes(text, DEFAULT_ALPHABET)
         assert str(exc.value) == f"symbol {bad!r} is not in the alphabet"
 
-    def test_encode_ngram_outside_alphabet_is_data_error(self, enc):
-        with pytest.raises(DataError, match="symbol '!' is not in the alphabet"):
-            enc.encode_ngram("a!c")
-
-    def test_empty_text(self, enc):
-        syms = enc.symbol_indices("", normalize=False)
+    def test_empty_text(self):
+        syms = symbol_codes("", DEFAULT_ALPHABET)
         assert syms.dtype == np.int64 and syms.shape == (0,)
 
     def test_code_table_is_cached_and_read_only(self):

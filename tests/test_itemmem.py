@@ -5,7 +5,6 @@ from hdclab import (
     DEFAULT_ALPHABET,
     ItemMemory,
     RandomSource,
-    build_item_memory,
     flip_noise,
     hamming,
     normalized_hamming,
@@ -26,7 +25,7 @@ def test_build_counts_and_determinism(latin):
 
 
 def test_single_symbol_memory():
-    mem = build_item_memory(["a"], 64, seed=1)
+    mem = ItemMemory.build(["a"], 64, seed=1)
     assert len(mem) == 1
     assert mem.cleanup(mem.lookup("a")) == ("a", 0)
 

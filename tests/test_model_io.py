@@ -124,8 +124,9 @@ def _edit(raw, offset, new):
     return raw[:offset] + new + raw[offset + len(new):]
 
 
-# HDCM byte offsets: n at 12, the alphabet at 20. The labels "de" and "en",
-# each after a u32 length, end just before the two 32-byte class rows.
+# HDCM byte offsets: n at 12, the alphabet at 20, the deterministic-ties flag
+# at 63. The labels "de" and "en", each after a u32 length, end just before
+# the two 32-byte class rows.
 @pytest.mark.parametrize("offset, new", [
     (12, struct.pack("<I", 0)),
     (12, struct.pack("<I", 257)),
@@ -133,13 +134,27 @@ def _edit(raw, offset, new):
     (20, b"\xff"),
     (-66, b"de"),
     (-72, b"\xc3("),
+    (63, b"\x02"),
 ], ids=["n-0", "n-over-dim", "duplicate-symbol", "alphabet-utf8", "duplicate-label",
-        "label-utf8"])
+        "label-utf8", "ties-flag"])
 def test_invalid_header_values_are_data_errors(small_model_bytes, tmp_path, offset, new):
     assert small_model_bytes[-72:-70] == b"de" and small_model_bytes[-66:-64] == b"en"
     p = tmp_path / "bad.hdc"
     p.write_bytes(_edit(small_model_bytes, offset, new))
     with pytest.raises(DataError, match="bad.hdc"):
+        load_model(p)
+
+
+# At D = 1500 a row is 24 words, and bits 1500-1535 of the last word are
+# padding, the row's last byte among them. Byte 259 ends the first symbol row
+# (rows start at 68); the file's last byte ends the last class row.
+@pytest.mark.parametrize("offset", [259, -1], ids=["symbol-row", "class-row"])
+def test_bits_past_dim_are_data_errors(model, tmp_path, offset):
+    p = tmp_path / "pad.hdc"
+    save_model(model, p)
+    raw = p.read_bytes()
+    p.write_bytes(_edit(raw, offset, bytes([raw[offset] | 0x80])))
+    with pytest.raises(DataError, match="pad.hdc"):
         load_model(p)
 
 

@@ -6,6 +6,7 @@ from hdclab import (
     Corpus,
     DataError,
     EncoderConfig,
+    TextEncoder,
     TextTooShortError,
     evaluate,
     train_pipeline,
@@ -48,11 +49,18 @@ def test_short_training_sample_names_label():
         train_pipeline(corpus, EncoderConfig(dim=500))
 
 
-def test_training_is_single_pass():
+def test_training_is_single_pass(monkeypatch):
     corpus = tiny_corpus()
-    model = train_pipeline(corpus, EncoderConfig(dim=1000))
-    total_chars = sum(len(t) for _, t in corpus.train_items())
-    assert model.encoder.symbols_consumed == total_chars
+    encoded = []
+    encode = TextEncoder.encode
+
+    def counting_encode(self, text):
+        encoded.append(text)
+        return encode(self, text)
+
+    monkeypatch.setattr(TextEncoder, "encode", counting_encode)
+    train_pipeline(corpus, EncoderConfig(dim=1000))
+    assert encoded == [text for _, text in corpus.train_items()]
 
 
 def test_classify_text():
