@@ -1,10 +1,10 @@
 """Classical n-gram histogram baseline.
 
-Reads text as the encoder does (``DataError`` outside the alphabet), counts
-every length-n window with ``kernels.ngram_histogram`` into a dense
-|alphabet|**n vector (19,683 buckets for trigrams over 27 symbols), and
-classifies by maximum cosine similarity against per-language count
-profiles. The reference point the hypervector classifier is judged against.
+Reads text as the encoder does, counts every length-n window with
+``kernels.ngram_histogram`` into a dense 27**n vector over
+``DEFAULT_ALPHABET`` (19,683 buckets for trigrams), and classifies by
+maximum cosine similarity against per-language count profiles. The
+reference point the hypervector classifier is judged against.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .encoder import DEFAULT_ALPHABET, code_table, normalize_text, symbol_codes
+from .encoder import DEFAULT_ALPHABET, normalize_text, symbol_codes
 from .errors import ConfigurationError, TextTooShortError
 from .pipeline import encode_test_sentences, score_report
 
@@ -20,27 +20,25 @@ from .pipeline import encode_test_sentences, score_report
 class BaselineClassifier:
     """Per-label count profiles plus cosine-similarity classification."""
 
-    def __init__(self, n: int = 3, alphabet: str = DEFAULT_ALPHABET):
+    def __init__(self, n: int = 3):
         if n < 1:
             raise ValueError("n must be >= 1")
-        code_table(alphabet)  # validates the alphabet
-        self.num_buckets = len(alphabet) ** n
+        self.num_buckets = len(DEFAULT_ALPHABET) ** n
         if self.num_buckets > 2**24:  # keeps one int64 profile within 128 MiB
             raise ValueError(f"n={n} needs {self.num_buckets} buckets, over 2**24")
         self.n = n
-        self.alphabet = alphabet
         self.labels: list = []
         self._profiles: dict = {}
         self._unit_rows = None
 
     def count_vector(self, text: str) -> np.ndarray:
         """int64 histogram of all sliding n-grams of the normalized text."""
-        syms = symbol_codes(normalize_text(text), self.alphabet)
+        syms = symbol_codes(normalize_text(text))
         if syms.shape[0] < self.n:
             raise TextTooShortError(
                 f"need at least {self.n} symbols, got {syms.shape[0]}"
             )
-        return kernels.ngram_histogram(syms, len(self.alphabet), self.n)
+        return kernels.ngram_histogram(syms, len(DEFAULT_ALPHABET), self.n)
 
     def train(self, label, text: str):
         """Accumulate one training text into the label's profile."""
@@ -77,8 +75,8 @@ class BaselineClassifier:
         return self.labels[i], float(sims[i])
 
 
-def baseline_train(corpus, n: int = 3, alphabet: str = DEFAULT_ALPHABET) -> BaselineClassifier:
-    clf = BaselineClassifier(n, alphabet)
+def baseline_train(corpus, n: int = 3) -> BaselineClassifier:
+    clf = BaselineClassifier(n)
     for label, text in corpus.train_items():
         clf.train(label, text)
     return clf

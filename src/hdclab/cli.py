@@ -65,7 +65,6 @@ def _config_from_args(args) -> EncoderConfig:
             dim=args.dim,
             n=args.n,
             item_seed=args.seed,
-            tie_seed=(args.seed + 1) % 2**64,
             deterministic_ties=args.deterministic_ties,
         )
     except ValueError as exc:
@@ -87,7 +86,7 @@ def cmd_classify(args) -> int:
         text = args.text
     else:
         text = Path(args.file).read_text(encoding="utf-8", errors="replace")
-    result = model.classify_text(text)  # too short or out-of-alphabet text: DataError
+    result = model.classify_text(text)  # too short after normalization: DataError
     doc = {
         "label": result.label,
         "distance": result.distance,

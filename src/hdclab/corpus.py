@@ -44,9 +44,6 @@ class Corpus:
             for sentence in self.test[label]:
                 yield label, sentence
 
-    def num_test_sentences(self) -> int:
-        return sum(len(v) for v in self.test.values())
-
     def add_train(self, label, text):
         self.train.setdefault(label, []).append(text)
 

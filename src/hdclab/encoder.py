@@ -7,12 +7,12 @@ vote over all its sliding windows. The same binding machinery also encodes
 key/value records and decodes fields back out of them.
 
 Text reaches this encoder and the n-gram baseline through one front end:
-``normalize_text``, then ``symbol_codes`` (``DataError`` outside the alphabet).
+``normalize_text``, then ``symbol_codes``. The symbol set is fixed: the 27
+characters ``DEFAULT_ALPHABET`` holds, which are all ``normalize_text`` emits.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import re
 import string
@@ -25,6 +25,8 @@ from .algebra import Accumulator, Hypervector, RandomSource, bind, bundle, n_wor
 from .errors import DataError, TextTooShortError
 from .itemmem import ItemMemory
 
+# The only symbol set: a-z and space, as in the 21-language trigram
+# classifier (Rahimi, Kanerva & Rabaey, ISLPED 2016).
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 
 _FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
@@ -40,23 +42,17 @@ def normalize_text(raw: str) -> str:
     return _NON_ALPHA.sub(" ", raw.translate(_FOLD)).strip(" ")
 
 
-@functools.lru_cache(maxsize=8)
-def code_table(alphabet: str) -> np.ndarray:
-    """Read-only int64 code point -> alphabet index table, -1 elsewhere and last."""
-    if not alphabet or len(set(alphabet)) != len(alphabet):
-        raise ValueError("alphabet must be non-empty and free of duplicates")
-    points = [ord(ch) for ch in alphabet]
-    table = np.full(max(points) + 2, -1, dtype=np.int64)
-    table[points] = np.arange(len(points))
-    table.setflags(write=False)
-    return table
+# Code point -> DEFAULT_ALPHABET index, -1 elsewhere and in the last entry,
+# onto which every larger code point is clipped.
+_CODES = np.full(max(map(ord, DEFAULT_ALPHABET)) + 2, -1, dtype=np.int64)
+_CODES[[ord(ch) for ch in DEFAULT_ALPHABET]] = np.arange(len(DEFAULT_ALPHABET))
+_CODES.setflags(write=False)
 
 
-def symbol_codes(text: str, alphabet: str) -> np.ndarray:
+def symbol_codes(text: str) -> np.ndarray:
     """int64 alphabet index of every character; DataError names the first one outside it."""
-    table = code_table(alphabet)
     points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    syms = table[np.minimum(points, table.shape[0] - 1)]
+    syms = _CODES[np.minimum(points, _CODES.shape[0] - 1)]
     bad = np.flatnonzero(syms < 0)
     if bad.size:
         raise DataError(f"symbol {text[bad[0]]!r} is not in the alphabet")
@@ -69,25 +65,25 @@ class EncoderConfig:
 
     dim: int = 10000
     n: int = 3
-    alphabet: str = DEFAULT_ALPHABET
     item_seed: int = 1
-    tie_seed: int = 2
     deterministic_ties: bool = False
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not 1 <= self.dim < 2**32:  # the model file stores dim as a u32
+            raise ValueError(f"dim must be in [1, 2**32), got {self.dim}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.n > self.dim:
             # Rotations repeat every dim positions, so a longer window would reuse
             # one; this also bounds TextEncoder's (n, symbols, words) table.
             raise ValueError("n must not exceed dim")
-        code_table(self.alphabet)  # validates the alphabet
-        for name in ("item_seed", "tie_seed"):
-            s = getattr(self, name)
-            if not 0 <= int(s) < 2**64:
-                raise ValueError(f"{name} must be a 64-bit non-negative integer")
+        if not 0 <= int(self.item_seed) < 2**64:
+            raise ValueError("item_seed must be a 64-bit non-negative integer")
+
+    @property
+    def tie_seed(self) -> int:
+        """Root seed of the tie-breaking streams: the item seed plus one, mod 2**64."""
+        return (int(self.item_seed) + 1) % 2**64
 
 
 @dataclass(frozen=True)
@@ -114,11 +110,11 @@ class TextEncoder:
         self.config = config
         if item_memory is None:
             item_memory = ItemMemory.build(
-                list(config.alphabet), config.dim, config.item_seed
+                list(DEFAULT_ALPHABET), config.dim, config.item_seed
             )
         if item_memory.dim != config.dim:
             raise ValueError("item memory dimension does not match config")
-        for ch in config.alphabet:
+        for ch in DEFAULT_ALPHABET:
             if ch not in item_memory:
                 raise ValueError(f"item memory is missing alphabet symbol {ch!r}")
         self.item_memory = item_memory
@@ -127,9 +123,8 @@ class TextEncoder:
 
     def _build_rotated_table(self) -> np.ndarray:
         n, dim = self.config.n, self.config.dim
-        nsym = len(self.config.alphabet)
-        table = np.empty((n, nsym, n_words(dim)), dtype=np.uint64)
-        for s, ch in enumerate(self.config.alphabet):
+        table = np.empty((n, len(DEFAULT_ALPHABET), n_words(dim)), dtype=np.uint64)
+        for s, ch in enumerate(DEFAULT_ALPHABET):
             base = self.item_memory.lookup(ch)
             for j in range(n):
                 table[j, s] = permute(base, n - 1 - j).words
@@ -137,8 +132,8 @@ class TextEncoder:
         return table
 
     def symbol_indices(self, text: str) -> np.ndarray:
-        """Normalize text and map it to int64 alphabet indices; DataError on symbols outside it."""
-        return symbol_codes(normalize_text(text), self.config.alphabet)
+        """Normalize text and map it to int64 alphabet indices."""
+        return symbol_codes(normalize_text(text))
 
     def _tie_rng(self, syms: np.ndarray) -> RandomSource | None:
         if self.config.deterministic_ties:

@@ -139,8 +139,7 @@ def draw_stuck(dim: int, fraction: float, rows: int,
 class FaultMask:
     """Per-component stuck-at fault map held as two packed bit masks."""
 
-    def __init__(self, dim: int, stuck0_words: np.ndarray, stuck1_words: np.ndarray,
-                 fraction: float | None = None):
+    def __init__(self, dim: int, stuck0_words: np.ndarray, stuck1_words: np.ndarray):
         self.dim = dim
         s0 = np.ascontiguousarray(stuck0_words, dtype=np.uint64)
         s1 = np.ascontiguousarray(stuck1_words, dtype=np.uint64)
@@ -152,7 +151,6 @@ class FaultMask:
         s1.setflags(write=False)
         self.stuck0_words = s0
         self.stuck1_words = s1
-        self.fraction = fraction
 
     @classmethod
     def make(cls, dim: int, fraction: float, rng: RandomSource) -> "FaultMask":
@@ -162,7 +160,7 @@ class FaultMask:
         part of the determinism contract.
         """
         s0, s1 = draw_stuck(dim, fraction, 1, rng)
-        return cls(dim, s0[0], s1[0], fraction)
+        return cls(dim, s0[0], s1[0])
 
     @property
     def num_faults(self) -> int:

@@ -17,7 +17,7 @@ from .algebra import Hypervector, RandomSource, random_hv
 class ItemMemory:
     """Ordered symbol -> seed hypervector table, immutable after build."""
 
-    def __init__(self, symbols, vectors, dim: int, seed: int | None = None):
+    def __init__(self, symbols, vectors, dim: int):
         symbols = list(symbols)
         if not symbols:
             raise ValueError("item memory needs at least one symbol")
@@ -30,7 +30,6 @@ class ItemMemory:
             if v.dim != dim:
                 raise ValueError(f"vector dimension {v.dim} != memory dimension {dim}")
         self.dim = dim
-        self.seed = seed
         self._symbols = symbols
         self._index = {s: i for i, s in enumerate(symbols)}
         self._matrix = np.vstack([v.words for v in vectors])
@@ -42,7 +41,7 @@ class ItemMemory:
         symbols = list(symbols)
         rng = RandomSource(seed)
         vectors = [random_hv(dim, rng) for _ in symbols]
-        return cls(symbols, vectors, dim, seed=seed)
+        return cls(symbols, vectors, dim)
 
     @property
     def symbols(self) -> list:
@@ -77,4 +76,4 @@ class ItemMemory:
         return self._symbols[best], int(dists[best])
 
     def __repr__(self):
-        return f"ItemMemory({len(self)} symbols, dim={self.dim}, seed={self.seed})"
+        return f"ItemMemory({len(self)} symbols, dim={self.dim})"

@@ -10,8 +10,10 @@ Binary container (all integers little-endian):
     class vectors, packed u64 words per class
 
 A sidecar JSON at <path>.json mirrors the metadata for human inspection.
-Loading refuses a flag other than 0 or 1 and any bit set past dim, so
-loading and re-saving reproduces the file byte for byte.
+The alphabet is always ``DEFAULT_ALPHABET`` and the tie seed the item seed
+plus one (mod 2**64). Loading refuses any other, a flag other than 0 or 1
+and any bit set past dim, so loading and re-saving reproduces the file
+byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .algebra import Hypervector, _tail_mask, n_words
 from .assocmem import AssociativeMemory, NotTrainedError
-from .encoder import EncoderConfig, TextEncoder
+from .encoder import DEFAULT_ALPHABET, EncoderConfig, TextEncoder
 from .errors import DataError
 from .itemmem import ItemMemory
 from .pipeline import TrainedModel
@@ -40,13 +42,13 @@ def _pack_words(rows: np.ndarray) -> bytes:
 def save_model(model: TrainedModel, path) -> None:
     path = Path(path)
     cfg = model.config
-    alpha = cfg.alphabet.encode("utf-8")
+    alpha = DEFAULT_ALPHABET.encode("utf-8")
     parts = [
         MAGIC,
         struct.pack("<III", VERSION, cfg.dim, cfg.n),
         struct.pack("<I", len(alpha)), alpha,
         struct.pack("<QQB", cfg.item_seed, cfg.tie_seed, int(cfg.deterministic_ties)),
-        struct.pack("<I", len(cfg.alphabet)),
+        struct.pack("<I", len(DEFAULT_ALPHABET)),
         _pack_words(model.encoder.item_memory.words_matrix()),
         struct.pack("<I", len(model.labels)),
     ]
@@ -62,7 +64,7 @@ def save_model(model: TrainedModel, path) -> None:
         "version": VERSION,
         "dim": cfg.dim,
         "n": cfg.n,
-        "alphabet": cfg.alphabet,
+        "alphabet": DEFAULT_ALPHABET,
         "item_seed": cfg.item_seed,
         "tie_seed": cfg.tie_seed,
         "deterministic_ties": cfg.deterministic_ties,
@@ -113,7 +115,11 @@ def load_model(path) -> TrainedModel:
     if version != VERSION:
         raise DataError(f"{path}: unsupported model version {version}")
     alphabet = r.text()
+    if alphabet != DEFAULT_ALPHABET:
+        raise DataError(f"{path}: alphabet {alphabet!r} is not {DEFAULT_ALPHABET!r}")
     item_seed, tie_seed, det = struct.unpack("<QQB", r.take(17))
+    if tie_seed != (item_seed + 1) % 2**64:
+        raise DataError(f"{path}: tie seed {tie_seed} is not the item seed plus one")
     if det > 1:
         raise DataError(f"{path}: deterministic-ties flag {det} is not 0 or 1")
     num_symbols = r.u32()
@@ -128,14 +134,13 @@ def load_model(path) -> TrainedModel:
         raise DataError(f"{path}: trailing bytes after model payload")
 
     # The layout is intact, but the values may still be ones the model
-    # classes reject: dim or n of 0, a duplicate symbol or label, no classes.
+    # classes reject: dim or n of 0, a duplicate label, no classes.
     try:
-        config = EncoderConfig(dim=dim, n=n, alphabet=alphabet, item_seed=item_seed,
-                               tie_seed=tie_seed, deterministic_ties=bool(det))
+        config = EncoderConfig(dim=dim, n=n, item_seed=item_seed, deterministic_ties=bool(det))
         if any((rows[:, -1] & ~_tail_mask(dim)).any() for rows in (sym_rows, class_rows)):
             raise DataError(f"{path}: a vector has bits set past dim {dim}")
         vectors = [Hypervector(dim, row.copy()) for row in sym_rows]
-        mem = ItemMemory(list(alphabet), vectors, dim, seed=item_seed)
+        mem = ItemMemory(list(alphabet), vectors, dim)
         encoder = TextEncoder(config, item_memory=mem)
         assoc = AssociativeMemory.from_rows(labels, class_rows, dim)
     except (ValueError, NotTrainedError) as exc:

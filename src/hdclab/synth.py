@@ -1,9 +1,9 @@
 """Synthetic fallback corpus: languages faked with first-order Markov chains.
 
-Each language gets its own random transition matrix over the 27-symbol
-alphabet (softmax of Gaussian logits, temperature low enough that the
-chains are far apart). Good enough to exercise the whole classification
-pipeline when no real multilingual corpus is on disk.
+Each language gets its own random transition matrix over the 27 symbols
+of ``DEFAULT_ALPHABET`` (softmax of Gaussian logits at ``TEMPERATURE``).
+Good enough to exercise the whole classification pipeline when no real
+multilingual corpus is on disk.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ from .algebra import RandomSource
 from .corpus import Corpus
 from .encoder import DEFAULT_ALPHABET
 
+# Softmax temperature of the chains' logits: low enough that the chains are far apart.
+TEMPERATURE = 0.7
+
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -24,10 +27,11 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 class MarkovLanguage:
     """One synthetic language: start distribution plus transition matrix."""
 
-    def __init__(self, num_symbols: int, rng: RandomSource, temperature: float = 0.7):
+    def __init__(self, rng: RandomSource):
         gen = rng.generator
-        self.start = _softmax_rows(gen.normal(size=num_symbols) / temperature)
-        trans = _softmax_rows(gen.normal(size=(num_symbols, num_symbols)) / temperature)
+        nsym = len(DEFAULT_ALPHABET)
+        self.start = _softmax_rows(gen.normal(size=nsym) / TEMPERATURE)
+        trans = _softmax_rows(gen.normal(size=(nsym, nsym)) / TEMPERATURE)
         # Cumulative rows for inverse-transform sampling; force the final
         # column to 1 so float drift can never strand a uniform above it.
         self.cum_start = np.cumsum(self.start)
@@ -35,20 +39,14 @@ class MarkovLanguage:
         self.cum_trans = np.cumsum(trans, axis=1)
         self.cum_trans[:, -1] = 1.0
 
-    def sample(self, length: int, rng: RandomSource) -> np.ndarray:
-        """Symbol indices of one independent chain run."""
-        return _sample_chains([self], [rng], length)[0]
-
 
 def _sample_chains(langs, rngs, length: int) -> np.ndarray:
     """Independent chain runs stepped in lockstep, one row per chain.
 
     Chain c walks ``langs[c]`` on ``length`` uniforms drawn from ``rngs[c]``
-    (the first picks the start symbol), so each row equals that language's
-    own one-chain ``sample``.
+    (the first picks the start symbol), so each row is that chain's own walk,
+    whatever the other chains are.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
     if not langs:
         return np.empty((0, length), dtype=np.int64)
     u = np.stack([rng.generator.random(length) for rng in rngs])
@@ -62,10 +60,9 @@ def _sample_chains(langs, rngs, length: int) -> np.ndarray:
     return out
 
 
-def synth_corpus(num_languages: int = 21, alphabet: str = DEFAULT_ALPHABET,
-                 train_chars: int = 20000, test_sentences: int = 30,
-                 sentence_chars: int = 100, seed: int = 0,
-                 temperature: float = 0.7) -> Corpus:
+def synth_corpus(num_languages: int = 21, train_chars: int = 20000,
+                 test_sentences: int = 30, sentence_chars: int = 100,
+                 seed: int = 0) -> Corpus:
     """Generate a labeled Corpus of num_languages synthetic languages.
 
     Labels are lang00, lang01, ... so lexical order is stable. Every text
@@ -76,11 +73,10 @@ def synth_corpus(num_languages: int = 21, alphabet: str = DEFAULT_ALPHABET,
         raise ValueError("need at least two languages to classify")
     if train_chars < 3 or sentence_chars < 3:
         raise ValueError("texts must be at least one trigram long")
-    symbols = np.array(list(alphabet))
+    symbols = np.array(list(DEFAULT_ALPHABET))
     root = RandomSource(seed)
     labels = [f"lang{li:02d}" for li in range(num_languages)]
-    langs = [MarkovLanguage(len(alphabet), root.child(li, 0), temperature)
-             for li in range(num_languages)]
+    langs = [MarkovLanguage(root.child(li, 0)) for li in range(num_languages)]
     train = _sample_chains(langs, [root.child(li, 1) for li in range(num_languages)],
                           train_chars)
     pairs = [(li, si) for li in range(num_languages) for si in range(test_sentences)]

@@ -138,8 +138,7 @@ def test_05_oracle_equivalence():
     alphabet = "abcdefghijklmnopqrstuvwxyz "
     checked = 0
     for dim in (16, 32):
-        enc = TextEncoder(EncoderConfig(dim=dim, item_seed=55, tie_seed=56,
-                                        deterministic_ties=True))
+        enc = TextEncoder(EncoderConfig(dim=dim, item_seed=55, deterministic_ties=True))
         seed_bits = {ch: list(enc.item_memory.lookup(ch).to_bits()) for ch in alphabet}
         for t in range(50):
             r = rng.child(dim, t)

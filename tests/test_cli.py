@@ -220,6 +220,8 @@ def _assert_one_error_line(proc, code):
     ["fault-sweep", "--seed", "-1", "--model", "MODEL", "--corpus", "CORPUS", "--out", "out"],
     ["baseline", "--n", "0", "--corpus", "CORPUS"],
     ["baseline", "--n", "14", "--corpus", "CORPUS"],
+    # The model file stores dim as a u32; rejected before any training.
+    ["train", "--dim", "4294967296", "--corpus", "CORPUS", "--out", "m.hdc"],
 ], ids=lambda args: " ".join(args[:3]))
 def test_bad_number_exits_2_without_traceback(workspace, tmp_path, args):
     root, corpus, model = workspace
@@ -229,23 +231,21 @@ def test_bad_number_exits_2_without_traceback(workspace, tmp_path, args):
 
 
 @pytest.fixture(scope="module")
-def narrow_model(workspace):
-    """A valid model of the workspace's languages over the alphabet "abc "."""
+def other_alphabet_model(workspace):
+    """The workspace's model with "ab" of its stored alphabet swapped to "ba"."""
     root, corpus, model = workspace
-    train = hdclab.Corpus()
-    for i, label in enumerate(hdclab.ingest(corpus).labels):
-        train.add_train(label, "abc cab " * (i + 1) + "bca " * 5)
-    path = root / "narrow.hdc"
-    hdclab.save_model(
-        hdclab.train_pipeline(train, hdclab.EncoderConfig(dim=256, alphabet="abc ")), path
-    )
+    raw = model.read_bytes()
+    assert raw[20:22] == b"ab"
+    path = root / "other-alphabet.hdc"
+    path.write_bytes(raw[:20] + b"ba" + raw[22:])
     return path
 
 
 @pytest.mark.parametrize("command", ["classify", "eval", "fault-sweep"])
-def test_text_outside_model_alphabet_exits_3(workspace, narrow_model, tmp_path, command):
+def test_model_with_other_alphabet_exits_3(workspace, other_alphabet_model, tmp_path,
+                                           command):
     root, corpus, model = workspace
-    args = [command, "--model", str(narrow_model)]
+    args = [command, "--model", str(other_alphabet_model)]
     if command == "classify":
         args += ["--text", "hello"]
     else:
@@ -254,9 +254,8 @@ def test_text_outside_model_alphabet_exits_3(workspace, narrow_model, tmp_path, 
         args += ["--trials", "1", "--out", str(tmp_path / "sweep.csv")]
     proc = _run_cli(args, tmp_path)
     _assert_one_error_line(proc, 3)
-    assert "is not in the alphabet" in proc.stderr
-    if command == "classify":
-        assert "error: symbol 'h' is not in the alphabet" in proc.stderr
+    assert f"error: {other_alphabet_model}: alphabet 'bacdefghijklmnopqrstuvwxyz '" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,7 @@ def test_basic_ingest(tmp_path):
     assert corpus.labels == ["en", "fr"]
     assert corpus.train["en"] == ["the quick brown fox"]
     assert corpus.test["en"] == ["hello there", "another line"]
-    assert corpus.num_test_sentences() == 3
+    assert len(list(corpus.test_items())) == 3
 
 
 def test_missing_train_dir(tmp_path):
@@ -56,7 +56,7 @@ def test_punctuation_only_test_file_warns(tmp_path):
     _make_layout(tmp_path, train={"en": ["real text"]}, test={"en": ["...", "!!!"]})
     with pytest.warns(UserWarning, match="no usable sentences"):
         corpus = ingest(tmp_path)
-    assert corpus.num_test_sentences() == 0
+    assert list(corpus.test_items()) == []
 
 
 def test_blank_lines_skipped_silently(tmp_path):

@@ -17,7 +17,7 @@ from hdclab import (
     kernels,
     permute,
 )
-from hdclab.encoder import code_table, symbol_codes
+from hdclab.encoder import symbol_codes
 from _oracles import ref_encode_text, ref_ngram
 
 
@@ -43,7 +43,7 @@ class TestNormalize:
 class TestConfig:
     def test_defaults(self):
         cfg = EncoderConfig()
-        assert cfg.dim == 10000 and cfg.n == 3 and len(cfg.alphabet) == 27
+        assert (cfg.dim, cfg.n, cfg.item_seed, cfg.tie_seed) == (10000, 3, 1, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -52,17 +52,18 @@ class TestConfig:
             EncoderConfig(n=0)
         with pytest.raises(ValueError, match="n must not exceed dim"):
             EncoderConfig(dim=2, n=3)
-        with pytest.raises(ValueError, match="free of duplicates"):
-            EncoderConfig(alphabet="abca")
-        with pytest.raises(ValueError, match="non-empty"):
-            EncoderConfig(alphabet="")
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            EncoderConfig(dim=2**32)  # the model file stores dim as a u32
+        assert EncoderConfig(dim=2**32 - 1).dim == 2**32 - 1
         with pytest.raises(ValueError):
             EncoderConfig(item_seed=2**64)
+        with pytest.raises(TypeError):
+            EncoderConfig(tie_seed=3)  # derived from item_seed, not set
 
 
 @pytest.fixture(scope="module")
 def enc():
-    return TextEncoder(EncoderConfig(dim=10000, item_seed=9, tie_seed=10))
+    return TextEncoder(EncoderConfig(dim=10000, item_seed=9))
 
 
 class TestNgram:
@@ -79,7 +80,7 @@ class TestNgram:
         assert 0.45 <= d <= 0.55
 
     def test_unigram_is_lookup(self):
-        e = TextEncoder(EncoderConfig(dim=500, n=1, item_seed=1, tie_seed=2))
+        e = TextEncoder(EncoderConfig(dim=500, n=1, item_seed=1))
         assert e.encode("a") == e.item_memory.lookup("a")
 
 
@@ -110,8 +111,8 @@ class TestEncodeText:
     def test_encoding_order_independent(self):
         # Content-keyed tie breaking: interleaving other texts must not shift
         # the result of encoding a given text.
-        e1 = TextEncoder(EncoderConfig(dim=200, item_seed=3, tie_seed=4))
-        e2 = TextEncoder(EncoderConfig(dim=200, item_seed=3, tie_seed=4))
+        e1 = TextEncoder(EncoderConfig(dim=200, item_seed=3))
+        e2 = TextEncoder(EncoderConfig(dim=200, item_seed=3))
         e2.encode("completely different material first")
         assert e1.encode("abab") == e2.encode("abab")
 
@@ -122,15 +123,15 @@ class TestEncodeText:
         rng = RandomSource(77)
         for dim in (16, 32):
             e = TextEncoder(
-                EncoderConfig(dim=dim, item_seed=5, tie_seed=6, deterministic_ties=True)
+                EncoderConfig(dim=dim, item_seed=5, deterministic_ties=True)
             )
             seed_bits = {
-                ch: list(e.item_memory.lookup(ch).to_bits()) for ch in e.config.alphabet
+                ch: list(e.item_memory.lookup(ch).to_bits()) for ch in DEFAULT_ALPHABET
             }
             for t in range(30):
                 n_chars = int(rng.child(dim, t).generator.integers(3, 40))
                 idx = rng.child(dim, t, 1).generator.integers(0, 27, size=n_chars)
-                text = "".join(e.config.alphabet[i] for i in idx)
+                text = "".join(DEFAULT_ALPHABET[i] for i in idx)
                 text = normalize_text(text) or "abc"
                 if len(text) < 3:
                     text = "abc"
@@ -144,7 +145,7 @@ class TestEncodeText:
         pytest.param(5000, list, id="5000-uint8-bits"),
     ])
     def test_long_text_matches_histogram_oracle(self, length, bit_list):
-        e = TextEncoder(EncoderConfig(dim=100, item_seed=7, tie_seed=8, deterministic_ties=True))
+        e = TextEncoder(EncoderConfig(dim=100, item_seed=7, deterministic_ties=True))
         assert kernels._contracts(27, 3, length - 2)  # goes through the contraction
         idx = RandomSource(78).child(length).generator.integers(0, 5, size=length)
         text = "".join("abcde"[i] for i in idx)
@@ -160,11 +161,11 @@ class TestEncodeText:
 
 class TestSymbolCodes:
     def test_alphabet_positions(self):
-        syms = symbol_codes("cab z", DEFAULT_ALPHABET)
+        syms = symbol_codes("cab z")
         assert syms.dtype == np.int64 and syms.tolist() == [2, 0, 1, 26, 25]
         text = normalize_text("The quick brown fox jumps over the lazy dog. " * 50)
         want = [DEFAULT_ALPHABET.index(ch) for ch in text]
-        assert symbol_codes(text, DEFAULT_ALPHABET).tolist() == want
+        assert symbol_codes(text).tolist() == want
 
     @pytest.mark.parametrize("text, bad", [
         ("ab!c", "!"),  # below the table's end, not in the alphabet
@@ -173,18 +174,25 @@ class TestSymbolCodes:
     ], ids=["in-range", "above-table", "lone-surrogate"])
     def test_outside_alphabet_is_data_error(self, text, bad):
         with pytest.raises(DataError) as exc:
-            symbol_codes(text, DEFAULT_ALPHABET)
+            symbol_codes(text)
         assert str(exc.value) == f"symbol {bad!r} is not in the alphabet"
 
     def test_empty_text(self):
-        syms = symbol_codes("", DEFAULT_ALPHABET)
+        syms = symbol_codes("")
         assert syms.dtype == np.int64 and syms.shape == (0,)
 
-    def test_code_table_is_cached_and_read_only(self):
-        table = code_table("ab")
-        assert code_table("ab") is table and not table.flags.writeable
-        assert table.dtype == np.int64 and table.tolist()[-3:] == [0, 1, -1]
-        assert table.shape == (ord("b") + 2,)
+    def test_normalized_text_always_has_codes(self):
+        # Any text, once normalized, holds only DEFAULT_ALPHABET symbols, so the
+        # fixed alphabet can never reject what the encoder and baseline read.
+        gen = RandomSource(2016).generator
+        spans = [(0, 0x80), (0x80, 0x3000), (0xD800, 0xE000), (0, 0x110000)]
+        for t in range(2000):
+            low, high = spans[t % len(spans)]  # ASCII, non-ASCII letters, surrogates, any
+            points = gen.integers(low, high, size=int(gen.integers(0, 40)))
+            text = normalize_text("".join(map(chr, points)))
+            assert set(text) <= set(DEFAULT_ALPHABET)
+            syms = symbol_codes(text)
+            assert "".join(DEFAULT_ALPHABET[s] for s in syms) == text
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hdclab import (
+    DEFAULT_ALPHABET,
     Corpus,
     DataError,
     EncoderConfig,
@@ -20,7 +21,7 @@ def model():
     corpus = Corpus()
     corpus.add_train("de", "der die das und der die das immer wieder")
     corpus.add_train("en", "the and the of the to the in a for the")
-    return train_pipeline(corpus, EncoderConfig(dim=1500, item_seed=7, tie_seed=8))
+    return train_pipeline(corpus, EncoderConfig(dim=1500, item_seed=7))
 
 
 def test_round_trip_preserves_everything(model, tmp_path):
@@ -30,7 +31,7 @@ def test_round_trip_preserves_everything(model, tmp_path):
     assert loaded.labels == model.labels
     assert loaded.config == model.config
     assert np.array_equal(loaded.memory.rows(), model.memory.rows())
-    for ch in model.config.alphabet:
+    for ch in DEFAULT_ALPHABET:
         assert loaded.encoder.item_memory.lookup(ch) == model.encoder.item_memory.lookup(ch)
 
 
@@ -48,6 +49,21 @@ def test_sidecar_json(model, tmp_path):
     assert doc["format"] == "HDCM"
     assert doc["dim"] == 1500
     assert doc["labels"] == ["de", "en"]
+    assert doc["alphabet"] == DEFAULT_ALPHABET
+    assert (doc["item_seed"], doc["tie_seed"]) == (7, 8)
+
+
+def test_round_trip_where_the_tie_seed_wraps(tmp_path):
+    corpus = Corpus()
+    corpus.add_train("en", "the and the of the to the in a for the")
+    model = train_pipeline(corpus, EncoderConfig(dim=256, item_seed=2**64 - 1))
+    p1, p2 = tmp_path / "a.hdc", tmp_path / "b.hdc"
+    save_model(model, p1)
+    loaded = load_model(p1)
+    assert loaded.config == model.config and loaded.config.tie_seed == 0
+    save_model(loaded, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert p1.read_bytes()[47:63] == struct.pack("<QQ", 2**64 - 1, 0)
 
 
 def test_classification_identical_after_reload(model, tmp_path):
@@ -115,7 +131,7 @@ def small_model_bytes(tmp_path):
     corpus.add_train("de", "der die das und der die das immer wieder")
     corpus.add_train("en", "the and the of the to the in a for the")
     p = tmp_path / "small.hdc"
-    save_model(train_pipeline(corpus, EncoderConfig(dim=256, item_seed=7, tie_seed=8)), p)
+    save_model(train_pipeline(corpus, EncoderConfig(dim=256, item_seed=7)), p)
     return p.read_bytes()
 
 
@@ -124,19 +140,21 @@ def _edit(raw, offset, new):
     return raw[:offset] + new + raw[offset + len(new):]
 
 
-# HDCM byte offsets: n at 12, the alphabet at 20, the deterministic-ties flag
-# at 63. The labels "de" and "en", each after a u32 length, end just before
-# the two 32-byte class rows.
+# HDCM byte offsets: n at 12, the alphabet at 20, the tie seed at 55, the
+# deterministic-ties flag at 63. The labels "de" and "en", each after a u32
+# length, end just before the two 32-byte class rows.
 @pytest.mark.parametrize("offset, new", [
     (12, struct.pack("<I", 0)),
     (12, struct.pack("<I", 257)),
     (21, b"a"),
     (20, b"\xff"),
+    (20, b"ba"),
+    (55, b"\x09"),
     (-66, b"de"),
     (-72, b"\xc3("),
     (63, b"\x02"),
-], ids=["n-0", "n-over-dim", "duplicate-symbol", "alphabet-utf8", "duplicate-label",
-        "label-utf8", "ties-flag"])
+], ids=["n-0", "n-over-dim", "duplicate-symbol", "alphabet-utf8", "other-alphabet",
+        "tie-seed", "duplicate-label", "label-utf8", "ties-flag"])
 def test_invalid_header_values_are_data_errors(small_model_bytes, tmp_path, offset, new):
     assert small_model_bytes[-72:-70] == b"de" and small_model_bytes[-66:-64] == b"en"
     p = tmp_path / "bad.hdc"

@@ -33,12 +33,11 @@ def test_seeds_separate_languages():
     assert corpus.train["lang00"][0] != corpus.train["lang01"][0]
 
 
-def test_markov_language_sampling():
-    lang = MarkovLanguage(5, RandomSource(5))
-    seq = lang.sample(200, RandomSource(6))
-    assert seq.shape == (200,)
-    assert seq.min() >= 0 and seq.max() < 5
-    assert np.array_equal(seq, lang.sample(200, RandomSource(6)))
+def test_markov_language_rows_are_cumulative_over_the_alphabet():
+    lang = MarkovLanguage(RandomSource(5))
+    assert lang.cum_start.shape == (27,) and lang.cum_trans.shape == (27, 27)
+    for rows in (lang.cum_start[None], lang.cum_trans):
+        assert (np.diff(rows, axis=1) >= 0).all() and (rows[:, -1] == 1.0).all()
 
 
 def test_lockstep_texts_equal_per_chain_walks():
@@ -46,12 +45,11 @@ def test_lockstep_texts_equal_per_chain_walks():
                           sentence_chars=40, seed=12)
     root = RandomSource(12)
     for li, label in enumerate(corpus.labels):
-        lang = MarkovLanguage(len(DEFAULT_ALPHABET), root.child(li, 0))
+        lang = MarkovLanguage(root.child(li, 0))
 
         def walk(length, *key):
             u = root.child(li, *key).generator.random(length)
             syms = ref_markov_walk(lang.cum_start, lang.cum_trans, u)
-            assert lang.sample(length, root.child(li, *key)).tolist() == syms
             return "".join(DEFAULT_ALPHABET[s] for s in syms)
 
         assert corpus.train[label] == [walk(300, 1)]
@@ -63,15 +61,10 @@ def test_no_test_sentences():
     assert corpus.test == {} and len(corpus.train["lang01"][0]) == 50
 
 
-def test_one_symbol_sample():
-    seq = MarkovLanguage(5, RandomSource(14)).sample(1, RandomSource(15))
-    assert seq.shape == (1,) and 0 <= seq[0] < 5
-
-
 def test_bad_args():
     with pytest.raises(ValueError):
         synth_corpus(num_languages=1)
     with pytest.raises(ValueError):
         synth_corpus(num_languages=2, train_chars=2)
     with pytest.raises(ValueError):
-        MarkovLanguage(4, RandomSource(7)).sample(0, RandomSource(8))
+        synth_corpus(num_languages=2, sentence_chars=2)
