@@ -110,6 +110,13 @@ def _fix_counts(faults: np.ndarray, count: int, dim: int, gen: np.random.Generat
                       np.left_shift(np.uint64(1), bit))
 
 
+def _apply_stuck(words: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """New array of words with the s0 bits forced to 0 and the s1 bits to 1."""
+    out = words & ~s0
+    out |= s1
+    return out
+
+
 def draw_stuck(dim: int, fraction: float, rows: int,
                rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
     """(rows, n_words(dim)) stuck-at-0 and stuck-at-1 words for rows masks.
@@ -170,12 +177,13 @@ class FaultMask:
     def apply(self, hv: Hypervector) -> Hypervector:
         if hv.dim != self.dim:
             raise ValueError(f"dimension mismatch: mask {self.dim}, vector {hv.dim}")
-        words = (hv.words & ~self.stuck0_words) | self.stuck1_words
+        words = _apply_stuck(hv.words, self.stuck0_words, self.stuck1_words)
+        words.setflags(write=False)  # so Hypervector keeps it rather than copying
         return Hypervector(self.dim, words)
 
     def apply_words(self, rows: np.ndarray) -> np.ndarray:
         """Mask a whole (num_rows, n_words) matrix at once."""
-        return (rows & ~self.stuck0_words) | self.stuck1_words
+        return _apply_stuck(rows, self.stuck0_words, self.stuck1_words)
 
     def __repr__(self):
         return f"FaultMask(dim={self.dim}, faults={self.num_faults})"
@@ -190,24 +198,39 @@ def flip_noise(hv: Hypervector, fraction: float, rng: RandomSource) -> Hypervect
     return Hypervector(hv.dim, hv.words ^ (s0[0] | s1[0]))
 
 
+def _checked_rows(rows, words_per_query: int) -> np.ndarray:
+    """rows as a non-empty (labels, words_per_query) uint64 array, or ValueError."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or len(rows) == 0 or rows.dtype != np.uint64:
+        raise ValueError("prototype rows must form a non-empty (labels, words per row) "
+                         "uint64 matrix")
+    if rows.shape[1] != words_per_query:
+        raise ValueError(f"prototype rows have {rows.shape[1]} words per row, "
+                         f"the queries {words_per_query}")
+    return rows
+
+
 def distance_matrix(rows: np.ndarray, query_words) -> np.ndarray:
     """(Q, C) int64 Hamming distances from each packed query to each prototype row."""
     # Caller input: a list of word arrays is accepted, any other shape rejected.
     query_words = np.asarray(query_words)
     if len(query_words) == 0:
         raise ValueError("no queries to score")
-    if query_words.ndim != 2 or query_words.shape[1:] != np.shape(rows)[1:]:
-        raise ValueError("query words must form a (queries, words per row) matrix")
-    return np.column_stack([kernels.hamming_many(query_words, row) for row in rows])
+    if query_words.ndim != 2 or query_words.dtype != np.uint64:
+        raise ValueError("query words must form a (queries, words per row) uint64 matrix")
+    rows = _checked_rows(rows, query_words.shape[1])
+    return kernels.hamming_matrix(query_words, rows)
 
 
 def _label_index(true_idx, n_queries: int, n_labels: int) -> np.ndarray:
     true_idx = np.asarray(true_idx)
     if true_idx.shape != (n_queries,):
         raise ValueError("true_idx needs exactly one label index per query")
-    if not np.isin(true_idx, np.arange(n_labels)).all():
+    if true_idx.dtype.kind not in "iu":
+        raise ValueError(f"true_idx must hold integer label indices, not {true_idx.dtype}")
+    if n_queries and (true_idx.min() < 0 or true_idx.max() >= n_labels):
         raise ValueError(f"true_idx holds a value outside label indices 0..{n_labels - 1}")
-    return true_idx.astype(np.int64)
+    return true_idx.astype(np.int64, copy=False)
 
 
 def multiclass_accuracy(rows: np.ndarray, queries, true_idx) -> float:
@@ -228,8 +251,8 @@ def pairwise_from_dmat(dmat: np.ndarray, true_idx: np.ndarray) -> float:
     lower = true_idx[:, np.newaxis] < np.arange(n_labels)
     # beats[q, j]: query q's true label wins the two-class decision against j.
     beats = (d_true < dmat) | ((d_true == dmat) & lower)
-    wins = np.zeros((n_labels, n_labels), dtype=np.int64)
-    np.add.at(wins, true_idx, beats)
+    cells = (true_idx[:, np.newaxis] * n_labels + np.arange(n_labels))[beats]
+    wins = np.bincount(cells, minlength=n_labels * n_labels).reshape(n_labels, n_labels)
     members = np.bincount(true_idx, minlength=n_labels)
     i, j = np.triu_indices(n_labels, k=1)
     totals = members[i] + members[j]
@@ -312,7 +335,8 @@ def fault_sweep(rows: np.ndarray, queries, true_idx, fractions, trials: int,
     if len({q.dim for q in queries}) != 1:
         raise ValueError("fault_sweep needs at least one query, all of one dimension")
     dim = queries[0].dim
-    query_words = np.vstack([q.words for q in queries])
+    query_words = np.concatenate([q.words for q in queries]).reshape(len(queries), -1)
+    rows = _checked_rows(rows, query_words.shape[1])
     root = RandomSource(seed)
     score = multiclass_accuracy if mode == "multiclass" else pairwise_accuracy
     result = SweepResult(mode=mode)
@@ -325,6 +349,6 @@ def fault_sweep(rows: np.ndarray, queries, true_idx, fractions, trials: int,
                 masked_queries = mask.apply_words(query_words)
             else:
                 s0, s1 = draw_stuck(dim, fraction, len(query_words), rng)
-                masked_queries = (query_words & ~s0) | s1
+                masked_queries = _apply_stuck(query_words, s0, s1)
             result.add(fraction, trial, score(masked_rows, masked_queries, true_idx))
     return result

@@ -6,6 +6,17 @@ bits only to count them. ``hamming_bitloop`` is the per-bit reference over
 unpacked uint8 bit arrays that the word-wise kernels are tested and
 benchmarked against (``python -m hdclab.bench``).
 
+``hamming_many`` scores one query against every row; ``hamming_matrix``
+scores a (Q, W) query block against every row, one row at a time through
+two reused (Q, W) buffers: the XOR words and their uint8 bit counts. Each
+row's counts are summed in the narrowest unsigned type that holds 64*W,
+the largest distance a W-word row can have, so the sum is exact: uint16
+up to 1023 words (D = 10000 is 157), uint32 beyond. At Q = 630 and
+D = 10000 a uint16 row sum took 26 us against 64 us in int64, and the
+whole (630, 21) matrix 2.5 ms against 3.1 ms for 21 ``hamming_many``
+calls stacked by column (fastest of 400 interleaved calls, one thread,
+2-vCPU Xeon VM).
+
 ``accumulate_ngrams`` counts, per component, how many sliding n-gram
 vectors of a symbol stream have a 1, by one of two exact methods:
 
@@ -58,6 +69,20 @@ def hamming_many(rows, q):
     return np.bitwise_count(np.bitwise_xor(rows, q[np.newaxis, :])).sum(
         axis=1, dtype=np.int64
     )
+
+
+def hamming_matrix(queries, rows):
+    """(Q, C) int64 distances from each packed query row to each packed row of ``rows``."""
+    n_queries, n_w = queries.shape
+    xor = np.empty((n_queries, n_w), dtype=np.uint64)
+    bits = np.empty((n_queries, n_w), dtype=np.uint8)
+    # Exact: no distance exceeds 64 * n_w, which this type holds.
+    dist = np.empty((rows.shape[0], n_queries), dtype=np.min_scalar_type(64 * n_w))
+    for c, row in enumerate(rows):
+        np.bitwise_xor(queries, row, out=xor)
+        np.bitwise_count(xor, out=bits)
+        bits.sum(axis=1, dtype=dist.dtype, out=dist[c])
+    return dist.T.astype(np.int64, order="C")
 
 
 def _unpack(words, dim):

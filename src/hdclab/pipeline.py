@@ -132,7 +132,8 @@ def evaluate(model: TrainedModel, corpus, mode: str = "multiclass") -> dict:
     """
     check_mode(model, mode)
     queries, true_idx, skipped = encode_test_set(model, corpus)
-    dmat = distance_matrix(model.memory.rows(), np.vstack([q.words for q in queries]))
+    query_words = np.concatenate([q.words for q in queries]).reshape(len(queries), -1)
+    dmat = distance_matrix(model.memory.rows(), query_words)
     report = {
         "classifier": "hd",
         "mode": mode,

@@ -327,9 +327,14 @@ def test_true_idx_length_must_match_queries(score):
     qwords = np.vstack([q.words for q in queries])
     with pytest.raises(ValueError, match="one label index per query"):
         score(rows, qwords, true_idx[:1])
-    for bad in (-1, rows.shape[0], 0.5):
+    first = np.arange(len(true_idx)) == 0
+    for bad in (-1, rows.shape[0]):
         with pytest.raises(ValueError, match="outside"):
-            score(rows, qwords, np.where(np.arange(len(true_idx)) == 0, bad, true_idx))
+            score(rows, qwords, np.where(first, bad, true_idx))
+    # Label indices are integers: not floats, not even whole ones, and not bools.
+    for bad in (np.where(first, 0.5, true_idx), true_idx.astype(float), first):
+        with pytest.raises(ValueError, match="integer label indices"):
+            score(rows, qwords, bad)
 
 
 def test_pairwise_from_dmat_matches_reference_loop():
@@ -350,13 +355,40 @@ def test_pairwise_from_dmat_matches_reference_loop():
 def test_scorers_take_a_list_of_word_arrays(score, monkeypatch):
     # distance_matrix turns the caller's list into one checked (Q, W) array;
     # the stand-in fails if the list itself reaches the kernel.
-    real_hamming_many = kernels.hamming_many
+    real_hamming_matrix = kernels.hamming_matrix
+    seen = []
 
-    def strict_hamming_many(rows, q):
-        assert isinstance(rows, np.ndarray) and rows.ndim == 2
-        return real_hamming_many(rows, q)
+    def strict_hamming_matrix(queries, rows):
+        assert isinstance(queries, np.ndarray) and queries.shape == (12, rows.shape[1])
+        seen.append(queries.shape)
+        return real_hamming_matrix(queries, rows)
 
     rows, queries, true_idx = _random_setup(1000, 4, 12, 77)
     expected = score(rows, np.vstack([q.words for q in queries]), true_idx)
-    monkeypatch.setattr(kernels, "hamming_many", strict_hamming_many)
+    monkeypatch.setattr(kernels, "hamming_matrix", strict_hamming_matrix)
     assert score(rows, [q.words for q in queries], list(true_idx)) == expected
+    assert seen == [(12, rows.shape[1])]
+
+
+@pytest.mark.parametrize("score", [multiclass_accuracy, pairwise_accuracy])
+def test_distance_matrix_names_bad_prototype_rows(score):
+    rows, queries, true_idx = _random_setup(1000, 4, 12, 79)
+    qwords = np.vstack([q.words for q in queries])
+    empty = np.empty((0, rows.shape[1]), dtype=np.uint64)
+    for bad in (empty, rows[0], rows.astype(np.int64)):
+        with pytest.raises(ValueError, match="prototype rows must form"):
+            score(bad, qwords, true_idx)
+    with pytest.raises(ValueError, match="prototype rows have 15 words per row, the queries 16"):
+        score(rows[:, :-1], qwords, true_idx)
+    with pytest.raises(ValueError, match="query words must form"):
+        score(rows, qwords.astype(np.int64), true_idx)
+
+
+def test_fault_sweep_names_bad_prototype_rows():
+    rows, queries, true_idx = _random_setup(1000, 4, 12, 80)
+    for shared in (True, False):
+        with pytest.raises(ValueError, match="prototype rows must form"):
+            fault_sweep(rows[:0], queries, true_idx, [0.5], trials=1, shared=shared)
+        with pytest.raises(ValueError, match="prototype rows have 17 words per row"):
+            fault_sweep(np.pad(rows, ((0, 0), (0, 1))), queries, true_idx, [0.5], trials=1,
+                        shared=shared)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hdclab import RandomSource, kernels, random_hv, unpack_bits
+from hdclab import RandomSource, kernels, pack_bits, random_hv, unpack_bits
 from hdclab.algebra import n_words
+from _oracles import ref_hamming
 
 
 def _pair(dim, seed):
@@ -34,6 +35,35 @@ def test_hamming_many():
     got = kernels.hamming_many(rows, q.words)
     want = [kernels.hamming_bitloop(v.to_bits(), q.to_bits()) for v in vecs]
     assert list(got) == want
+
+
+@pytest.mark.parametrize("n_queries,n_rows,dim", [
+    (1, 1, 64), (1, 21, 1000), (7, 1, 130), (12, 5, 1), (30, 21, 10000), (5, 3, 65 * 64 + 3),
+])
+def test_hamming_matrix_matches_per_query_kernel_and_oracle(n_queries, n_rows, dim):
+    rng = RandomSource(dim, (n_queries, n_rows))
+    queries = [random_hv(dim, rng.child(0, q)) for q in range(n_queries)]
+    rows = [random_hv(dim, rng.child(1, c)) for c in range(n_rows)]
+    qwords = np.vstack([q.words for q in queries])
+    rwords = np.vstack([r.words for r in rows])
+    got = kernels.hamming_matrix(qwords, rwords)
+    assert got.shape == (n_queries, n_rows) and got.dtype == np.int64
+    for qi, q in enumerate(queries):
+        assert np.array_equal(got[qi], kernels.hamming_many(rwords, q.words))
+    # The pure-Python oracle on a few cells only: it walks every bit.
+    for qi, c in {(0, 0), (n_queries - 1, n_rows - 1), (n_queries // 2, n_rows // 2)}:
+        want = ref_hamming(list(queries[qi].to_bits()), list(rows[c].to_bits()))
+        assert got[qi, c] == want
+
+
+def test_hamming_matrix_counts_past_uint16():
+    # A distance of 70,000 wraps in a 16-bit accumulator (to 4,464).
+    dim = 70000
+    ones = pack_bits(np.ones(dim, dtype=np.uint8))
+    zeros = pack_bits(np.zeros(dim, dtype=np.uint8))
+    queries = np.vstack([ones, zeros, ones])
+    got = kernels.hamming_matrix(queries, np.vstack([zeros, ones]))
+    assert got.tolist() == [[dim, 0], [0, dim], [dim, 0]]
 
 
 def _accumulate_inputs(dim, n, num_symbols, length, seed):
