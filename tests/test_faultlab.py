@@ -359,7 +359,7 @@ def test_scorers_take_a_list_of_word_arrays(score, monkeypatch):
     seen = []
 
     def strict_hamming_matrix(queries, rows):
-        assert isinstance(queries, np.ndarray) and queries.shape == (12, rows.shape[1])
+        assert isinstance(queries, np.ndarray)
         seen.append(queries.shape)
         return real_hamming_matrix(queries, rows)
 
