@@ -1,8 +1,9 @@
 """Associative memory: one prototype hypervector per class label.
 
-Training accumulates text vectors per label; the stored prototype is the
-componentwise majority over everything added under that label. Classification
-is a nearest-neighbor search in Hamming distance over the prototype rows.
+The memory stores finished prototypes, one packed row per label in the order
+they were added; training them (one majority over all of a label's n-gram
+windows) is the encoder's job. Classification is a nearest-neighbor search in
+Hamming distance over the prototype rows.
 """
 
 from __future__ import annotations
@@ -12,11 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .algebra import Accumulator, Hypervector, RandomSource, _tail_mask, n_words
+from .algebra import Hypervector, _tail_mask, n_words
 from .errors import ConfigurationError
-
-
-TIE_SEED = 3  # root of the prototype tie-breaking streams
 
 
 class NotTrainedError(ConfigurationError):
@@ -33,17 +31,14 @@ class ClassificationResult:
 
 
 class AssociativeMemory:
-    """Label -> prototype store with majority training and Hamming lookup."""
+    """Label -> prototype store with Hamming lookup."""
 
-    def __init__(self, dim: int, deterministic_ties: bool = False):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
-        self.deterministic_ties = deterministic_ties
-        self._tie_root = RandomSource(TIE_SEED)
         self._labels: list = []
-        self._accs: dict | None = {}  # None once built from rows
-        self._rows = None  # packed prototype matrix cache, rebuilt lazily
+        self._rows = np.empty((0, n_words(dim)), dtype=np.uint64)
 
     @property
     def labels(self) -> list:
@@ -55,37 +50,25 @@ class AssociativeMemory:
     def __contains__(self, label):
         return label in self._labels
 
-    def add(self, label, hv: Hypervector):
-        """Fold one training vector into the label's accumulator."""
-        if self._accs is None:
-            raise ValueError("memory built from rows cannot resume training")
-        if hv.dim != self.dim:
-            raise ValueError(f"dimension mismatch: memory {self.dim}, vector {hv.dim}")
-        if label not in self._accs:
-            self._accs[label] = Accumulator(self.dim)
-            self._labels.append(label)
-        self._accs[label].add(hv)
-        self._rows = None
-
-    def _tie_rng(self, index: int) -> RandomSource | None:
-        if self.deterministic_ties:
-            return None
-        # Keyed by stored slot so prototype bits never depend on how many
-        # other labels exist or the order queries arrive.
-        return self._tie_root.child(index)
+    def add(self, label, prototype: Hypervector):
+        """Store the prototype of a new label as the next row."""
+        if label in self._labels:
+            raise ValueError(f"label {label!r} already has a prototype")
+        if prototype.dim != self.dim:
+            raise ValueError(f"dimension mismatch: memory {self.dim}, vector {prototype.dim}")
+        rows = np.vstack([self._rows, prototype.words])
+        rows.setflags(write=False)
+        self._labels.append(label)
+        self._rows = rows
 
     def prototype(self, label) -> Hypervector:
-        """Thresholded majority vector for one label (a view of its row)."""
+        """The stored vector for one label (a view of its row)."""
         return Hypervector(self.dim, self.rows()[self._require(label)])
 
     def rows(self) -> np.ndarray:
-        """Packed (num_labels, n_words) prototype matrix, cached until training resumes."""
-        if self._rows is None:
-            if not self._labels:
-                raise NotTrainedError("associative memory holds no prototypes")
-            self._rows = np.vstack([acc.threshold(self._tie_rng(i)).words
-                                    for i, acc in enumerate(self._accs.values())])
-            self._rows.setflags(write=False)
+        """Read-only packed (num_labels, n_words) prototype matrix."""
+        if not self._labels:
+            raise NotTrainedError("associative memory holds no prototypes")
         return self._rows
 
     def distances(self, query: Hypervector) -> np.ndarray:
@@ -112,10 +95,9 @@ class AssociativeMemory:
 
     @classmethod
     def from_rows(cls, labels, rows: np.ndarray, dim: int) -> "AssociativeMemory":
-        """Rebuild a memory from stored prototype rows (loading, fault copies).
+        """Build a memory from stored prototype rows in one step (the model loader).
 
-        Stores a read-only copy of the rows, bits past ``dim`` cleared, and no
-        accumulators: the result classifies, but ``add`` raises ValueError.
+        Stores a read-only copy of the rows with bits past ``dim`` cleared.
         """
         labels = list(labels)
         rows = np.array(rows, dtype=np.uint64)
@@ -130,5 +112,5 @@ class AssociativeMemory:
         mem = cls(dim)
         rows[:, -1] &= _tail_mask(dim)
         rows.setflags(write=False)
-        mem._labels, mem._accs, mem._rows = labels, None, rows
+        mem._labels, mem._rows = labels, rows
         return mem

@@ -2,9 +2,9 @@
 
 A length-n window of symbols becomes one hypervector by rotating each
 symbol's seed vector by its distance from the window end (oldest symbol
-rotated most) and XOR-folding the results. A whole text is the majority
-vote over all its sliding windows. The same binding machinery also encodes
-key/value records and decodes fields back out of them.
+rotated most) and XOR-folding the results. Texts are the majority vote over
+all their sliding windows, none spanning two texts. The same binding
+machinery also encodes key/value records and decodes fields back out of them.
 
 Text reaches this encoder and the n-gram baseline through one front end:
 ``normalize_text``, then ``symbol_codes``. The symbol set is fixed: the 27
@@ -22,12 +22,16 @@ import numpy as np
 
 from . import kernels
 from .algebra import Accumulator, Hypervector, RandomSource, bind, bundle, n_words, permute
-from .errors import DataError, TextTooShortError
+from .errors import ConfigurationError, DataError, TextTooShortError
 from .itemmem import ItemMemory
 
 # The only symbol set: a-z and space, as in the 21-language trigram
 # classifier (Rahimi, Kanerva & Rabaey, ISLPED 2016).
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz "
+
+# Largest pre-rotated table TextEncoder builds, n * symbols * words * 8 bytes:
+# about 660x the 101,736 B of the default trigram table at D = 10000.
+MAX_TABLE_BYTES = 64 * 2**20
 
 _FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 _NON_ALPHA = re.compile(r"[^a-z]+")
@@ -74,8 +78,7 @@ class EncoderConfig:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.n > self.dim:
-            # Rotations repeat every dim positions, so a longer window would reuse
-            # one; this also bounds TextEncoder's (n, symbols, words) table.
+            # Rotations repeat every dim positions, so a longer window would reuse one.
             raise ValueError("n must not exceed dim")
         if not 0 <= int(self.item_seed) < 2**64:
             raise ValueError("item_seed must be a 64-bit non-negative integer")
@@ -107,6 +110,10 @@ class TextEncoder:
     """
 
     def __init__(self, config: EncoderConfig, item_memory: ItemMemory | None = None):
+        table_bytes = config.n * len(DEFAULT_ALPHABET) * n_words(config.dim) * 8
+        if table_bytes > MAX_TABLE_BYTES:
+            raise ConfigurationError(f"an encoder table of n={config.n} at D={config.dim} "
+                                     f"is {table_bytes} bytes, over {MAX_TABLE_BYTES}")
         self.config = config
         if item_memory is None:
             item_memory = ItemMemory.build(
@@ -135,31 +142,33 @@ class TextEncoder:
         """Normalize text and map it to int64 alphabet indices."""
         return symbol_codes(normalize_text(text))
 
-    def _tie_rng(self, syms: np.ndarray) -> RandomSource | None:
+    def _tie_rng(self, digest: bytes) -> RandomSource | None:
+        # Keyed by content so given texts encode identically regardless of
+        # processing order or parallelism.
         if self.config.deterministic_ties:
             return None
-        # Keyed by content so a given text encodes identically regardless of
-        # processing order or parallelism.
-        digest = hashlib.blake2b(syms.tobytes(), digest_size=16).digest()
-        hi = int.from_bytes(digest[:8], "little")
-        lo = int.from_bytes(digest[8:], "little")
-        return self._tie_root.child(hi, lo)
+        return self._tie_root.child(int.from_bytes(digest[:8], "little"),
+                                    int.from_bytes(digest[8:], "little"))
 
-    def encode(self, text: str) -> Hypervector:
-        """Accumulate every sliding n-gram of the normalized text and threshold at k/2.
+    def encode(self, *texts: str) -> Hypervector:
+        """Count the sliding n-grams of every normalized text and threshold once at k/2.
 
-        n symbols are one window: permute(l_0, n-1) XOR ... XOR l_{n-1}.
+        n symbols are one window: permute(l_0, n-1) XOR ... XOR l_{n-1}. No
+        window spans two texts; k is the windows of all texts. Ties are drawn
+        from a stream keyed by one blake2b over each text's symbols in order.
         """
-        syms = self.symbol_indices(text)
+        if not texts:
+            raise ValueError("encode needs at least one text")
         n = self.config.n
-        if syms.shape[0] < n:
-            raise TextTooShortError(
-                f"need at least {n} symbols after normalization, got {syms.shape[0]}"
-            )
         counts = np.zeros(self.config.dim, dtype=np.int64)
-        k = kernels.accumulate_ngrams(self._table, syms, counts)
-        acc = Accumulator.from_counts(counts, k)
-        return acc.threshold(self._tie_rng(syms))
+        content, k = hashlib.blake2b(digest_size=16), 0
+        for syms in map(self.symbol_indices, texts):
+            if syms.shape[0] < n:
+                raise TextTooShortError(
+                    f"need at least {n} symbols after normalization, got {syms.shape[0]}")
+            k += kernels.accumulate_ngrams(self._table, syms, counts)
+            content.update(syms.tobytes())
+        return Accumulator.from_counts(counts, k).threshold(self._tie_rng(content.digest()))
 
 
 def encode_record(fields, mem: ItemMemory, rng: RandomSource | None = None) -> Hypervector:

@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import Hypervector, _tail_mask, n_words
-from .assocmem import AssociativeMemory, NotTrainedError
+from .assocmem import AssociativeMemory
 from .encoder import DEFAULT_ALPHABET, EncoderConfig, TextEncoder
-from .errors import DataError
+from .errors import ConfigurationError, DataError
 from .itemmem import ItemMemory
 from .pipeline import TrainedModel
 
@@ -133,8 +133,8 @@ def load_model(path) -> TrainedModel:
     if r.off != len(r.buf):
         raise DataError(f"{path}: trailing bytes after model payload")
 
-    # The layout is intact, but the values may still be ones the model
-    # classes reject: dim or n of 0, a duplicate label, no classes.
+    # The layout is intact, but the values may still be ones the model classes
+    # reject: dim or n of 0, a duplicate label, no classes, too big a table.
     try:
         config = EncoderConfig(dim=dim, n=n, item_seed=item_seed, deterministic_ties=bool(det))
         if any((rows[:, -1] & ~_tail_mask(dim)).any() for rows in (sym_rows, class_rows)):
@@ -143,6 +143,6 @@ def load_model(path) -> TrainedModel:
         mem = ItemMemory(list(alphabet), vectors, dim)
         encoder = TextEncoder(config, item_memory=mem)
         assoc = AssociativeMemory.from_rows(labels, class_rows, dim)
-    except (ValueError, NotTrainedError) as exc:
+    except (ValueError, ConfigurationError) as exc:
         raise DataError(f"{path}: invalid model: {exc}") from None
-    return TrainedModel(config=config, encoder=encoder, memory=assoc, labels=labels)
+    return TrainedModel(encoder=encoder, memory=assoc)

@@ -1,9 +1,10 @@
 """End-to-end language identification: train on a corpus, evaluate a model.
 
-A trained model is the encoder configuration, the item memory behind it,
-and one prototype hypervector per language. Evaluation scores the encoded
-test set as one distance matrix; sentences shorter than one n-gram are
-counted as skipped rather than failing the run.
+A trained model is an encoder and one prototype hypervector per language:
+the majority over the n-gram windows of all its training texts, as the paper
+trains one accumulator per language. Evaluation scores the encoded test set
+as one distance matrix; sentences shorter than one n-gram are counted as
+skipped rather than failing the run.
 """
 
 from __future__ import annotations
@@ -20,39 +21,44 @@ from .faultlab import distance_matrix, pairwise_from_dmat
 
 @dataclass
 class TrainedModel:
-    """Everything needed to classify text: config, encoder, prototypes."""
+    """Everything needed to classify text: the encoder and the prototypes."""
 
-    config: EncoderConfig
     encoder: TextEncoder
     memory: AssociativeMemory
-    labels: list
+
+    @property
+    def config(self) -> EncoderConfig:
+        return self.encoder.config
+
+    @property
+    def labels(self) -> list:
+        return self.memory.labels
 
     def classify_text(self, text: str) -> ClassificationResult:
         return self.memory.classify_full(self.encoder.encode(text))
 
 
 def train_pipeline(corpus, config: EncoderConfig | None = None) -> TrainedModel:
-    """Encode every training sample once and store per-label majorities.
+    """Encode all of each label's training texts into its one prototype.
 
-    Labels are taken in sorted order, which fixes prototype row order and
-    therefore tie behavior for good.
+    Labels are taken in ``corpus.labels`` (sorted) order, which fixes
+    prototype row order; one with no training text is a ConfigurationError.
     """
     if config is None:
         config = EncoderConfig()
     if not corpus.train:
         raise ConfigurationError("corpus has no training samples")
     encoder = TextEncoder(config)
-    memory = AssociativeMemory(config.dim, deterministic_ties=config.deterministic_ties)
-    for label, text in corpus.train_items():
+    memory = AssociativeMemory(config.dim)
+    for label in corpus.labels:
+        texts = corpus.train[label]
+        if not texts:
+            raise ConfigurationError(f"label {label!r} has no training text")
         try:
-            memory.add(label, encoder.encode(text))
+            memory.add(label, encoder.encode(*texts))
         except TextTooShortError as exc:
             raise TextTooShortError(f"training sample for {label!r}: {exc}") from None
-    # Training is over: keep only the prototype rows, as a loaded model does,
-    # not the per-label int64 counters (64x the rows' size).
-    memory = AssociativeMemory.from_rows(memory.labels, memory.rows(), config.dim)
-    return TrainedModel(config=config, encoder=encoder, memory=memory,
-                        labels=memory.labels)
+    return TrainedModel(encoder=encoder, memory=memory)
 
 
 def encode_test_sentences(labels, corpus, encode):

@@ -59,11 +59,18 @@ def ref_encode_text(text, n, seed_bits, tie_value=1):
     """Histogram-style text encoding: count every distinct n-gram, then take
     the weighted componentwise majority. Deliberately a different strategy
     from the package's stream and contraction kernels."""
+    return ref_encode_texts([text], n, seed_bits, tie_value)
+
+
+def ref_encode_texts(texts, n, seed_bits, tie_value=1):
+    """ref_encode_text over several texts: the n-gram counts of each text are
+    summed, no window reaching across two texts, and thresholded once."""
     seed_bits = {sym: [int(b) for b in bits] for sym, bits in seed_bits.items()}
     counts = {}
-    for i in range(len(text) - n + 1):
-        window = text[i : i + n]
-        counts[window] = counts.get(window, 0) + 1
+    for text in texts:
+        for i in range(len(text) - n + 1):
+            window = text[i : i + n]
+            counts[window] = counts.get(window, 0) + 1
     k = sum(counts.values())
     d = len(next(iter(seed_bits.values())))
     acc = [0] * d

@@ -222,6 +222,9 @@ def _assert_one_error_line(proc, code):
     ["baseline", "--n", "14", "--corpus", "CORPUS"],
     # The model file stores dim as a u32; rejected before any training.
     ["train", "--dim", "4294967296", "--corpus", "CORPUS", "--out", "m.hdc"],
+    # A valid u32, but the encoder table would be about 40 GB: the bound in
+    # TextEncoder rejects it before anything is allocated.
+    ["train", "--dim", "4000000000", "--corpus", "CORPUS", "--out", "m.hdc"],
 ], ids=lambda args: " ".join(args[:3]))
 def test_bad_number_exits_2_without_traceback(workspace, tmp_path, args):
     root, corpus, model = workspace

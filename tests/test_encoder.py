@@ -18,7 +18,7 @@ from hdclab import (
     permute,
 )
 from hdclab.encoder import symbol_codes
-from _oracles import ref_encode_text, ref_ngram
+from _oracles import ref_encode_text, ref_encode_texts, ref_ngram
 
 
 class TestNormalize:
@@ -157,6 +157,19 @@ class TestEncodeText:
         enc.encode("a long text " * 2000)  # contracts
         arrays = [v for v in vars(enc).values() if isinstance(v, np.ndarray)]
         assert [a.dtype for a in arrays] == [np.dtype(np.uint64)]
+
+    def test_several_texts_match_summed_count_oracle(self):
+        e = TextEncoder(EncoderConfig(dim=100, item_seed=7, deterministic_ties=True))
+        seed_bits = {ch: list(e.item_memory.lookup(ch).to_bits()) for ch in DEFAULT_ALPHABET}
+        texts = ["the cat sat", "on the mat", " ".join(["ab"] * 2000)]  # the last contracts
+        assert kernels._contracts(27, 3, len(texts[2]) - 2)
+        assert list(e.encode(*texts).to_bits()) == ref_encode_texts(texts, 3, seed_bits)
+
+    def test_encode_needs_texts_each_one_window_long(self, enc):
+        with pytest.raises(ValueError, match="at least one text"):
+            enc.encode()
+        with pytest.raises(TextTooShortError):
+            enc.encode("long enough", "ab")
 
 
 class TestSymbolCodes:

@@ -176,6 +176,18 @@ def test_bits_past_dim_are_data_errors(model, tmp_path, offset):
         load_model(p)
 
 
+def test_oversized_encoder_table_is_data_error(tmp_path):
+    # n = 9987 passes n <= dim at D = 10000, but its rotated table would be
+    # about 323 MiB; the bound rejects it before the table is built.
+    corpus = Corpus()
+    corpus.add_train("en", "the and the of the to the in a for the")
+    p = tmp_path / "big-n.hdc"
+    save_model(train_pipeline(corpus, EncoderConfig(dim=10000)), p)
+    p.write_bytes(_edit(p.read_bytes(), 12, struct.pack("<I", 9987)))
+    with pytest.raises(DataError, match="big-n.hdc: invalid model: an encoder table"):
+        load_model(p)
+
+
 def test_corrupt_files_load_or_raise_data_error(small_model_bytes, tmp_path):
     raw = small_model_bytes
     cases = [raw[:cut] for cut in range(len(raw))]

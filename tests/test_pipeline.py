@@ -1,13 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from _oracles import ref_encode_texts
 
 from hdclab import (
+    DEFAULT_ALPHABET,
+    Accumulator,
     ConfigurationError,
     Corpus,
     DataError,
     EncoderConfig,
     TextEncoder,
     TextTooShortError,
+    TrainedModel,
     evaluate,
     train_pipeline,
 )
@@ -31,10 +37,29 @@ def test_train_stores_sorted_labels():
 
 def test_trained_model_keeps_prototype_rows_only():
     model = train_pipeline(tiny_corpus(), EncoderConfig(dim=2000))
-    with pytest.raises(ValueError, match="cannot resume training"):
-        model.memory.add("aa", model.encoder.encode("abc abc"))
-    assert model.memory.prototype("bb") == model.encoder.encode(
-        "xyz xyzxyz zyx xyzzy xyz yzx")  # one sample: its prototype is its vector
+    assert [f.name for f in dataclasses.fields(TrainedModel)] == ["encoder", "memory"]
+    assert model.config is model.encoder.config and model.labels == model.memory.labels
+    for label, (text,) in tiny_corpus().train.items():
+        # One sample: its prototype is its vector.
+        assert model.memory.prototype(label) == model.encoder.encode(text)
+
+
+def test_two_text_label_is_one_majority_over_both_texts():
+    texts = ["abc abd abc", "dab cab abca", "bad cab"]
+    corpus = Corpus(train={"aa": texts[:2], "bb": texts[2:]})
+    model = train_pipeline(corpus, EncoderConfig(dim=64, item_seed=3, deterministic_ties=True))
+    seed_bits = {ch: list(model.encoder.item_memory.lookup(ch).to_bits())
+                 for ch in DEFAULT_ALPHABET}
+    want = ref_encode_texts(texts[:2], 3, seed_bits, tie_value=1)
+    assert list(model.memory.prototype("aa").to_bits()) == want
+    assert model.memory.prototype("aa") == model.encoder.encode(*texts[:2])
+    # No window spans the two texts: encoding them joined counts other windows.
+    assert ref_encode_texts([" ".join(texts[:2])], 3, seed_bits) != want
+
+
+def test_label_without_training_text_is_named():
+    with pytest.raises(ConfigurationError, match="'x' has no training text"):
+        train_pipeline(Corpus(train={"x": [], "y": ["abc abc abc"]}), EncoderConfig(dim=500))
 
 
 def test_empty_corpus_rejected():
@@ -51,16 +76,24 @@ def test_short_training_sample_names_label():
 
 def test_training_is_single_pass(monkeypatch):
     corpus = tiny_corpus()
-    encoded = []
-    encode = TextEncoder.encode
+    corpus.add_train("aa", "cab bac cab")
+    read, thresholds = [], []
+    symbol_indices, threshold = TextEncoder.symbol_indices, Accumulator.threshold
 
-    def counting_encode(self, text):
-        encoded.append(text)
-        return encode(self, text)
+    def counting_symbol_indices(self, text):
+        read.append(text)
+        return symbol_indices(self, text)
 
-    monkeypatch.setattr(TextEncoder, "encode", counting_encode)
+    def counting_threshold(self, rng=None):
+        thresholds.append(self.items_added)
+        return threshold(self, rng)
+
+    monkeypatch.setattr(TextEncoder, "symbol_indices", counting_symbol_indices)
+    monkeypatch.setattr(Accumulator, "threshold", counting_threshold)
     train_pipeline(corpus, EncoderConfig(dim=1000))
-    assert encoded == [text for _, text in corpus.train_items()]
+    assert read == [text for _, text in corpus.train_items()]
+    # One majority per label, over the windows of all its texts.
+    assert thresholds == [27 + 9, 26]
 
 
 def test_classify_text():
