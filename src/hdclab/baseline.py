@@ -1,10 +1,8 @@
-"""Classical n-gram histogram baseline.
+"""Classical n-gram histogram baseline, the reference for the hypervector classifier.
 
-Reads text as the encoder does, counts every length-n window with
-``kernels.ngram_histogram`` into a dense 27**n vector over
-``DEFAULT_ALPHABET`` (19,683 buckets for trigrams), and classifies by
-maximum cosine similarity against per-language count profiles. The
-reference point the hypervector classifier is judged against.
+Reads text as the encoder does and counts its length-n windows by base-27 code
+(``kernels.ngram_codes``). A language's profile counts all its training windows
+over the sorted training vocabulary; a text goes to the most cosine-similar one.
 """
 
 from __future__ import annotations
@@ -18,55 +16,52 @@ from .pipeline import encode_test_sentences, score_report
 
 
 class BaselineClassifier:
-    """Per-label count profiles plus cosine-similarity classification."""
+    """L2-normalized count profiles, built once from ``{label: texts}``.
 
-    def __init__(self, n: int = 3):
+    ``vocabulary``: sorted training n-gram codes; ``units``: (labels, vocabulary) float64.
+    """
+
+    def __init__(self, texts_by_label: dict, n: int = 3):
         if n < 1:
             raise ValueError("n must be >= 1")
-        self.num_buckets = len(DEFAULT_ALPHABET) ** n
-        if self.num_buckets > 2**24:  # keeps one int64 profile within 128 MiB
-            raise ValueError(f"n={n} needs {self.num_buckets} buckets, over 2**24")
+        # Memory is set by the training windows, not by 27**n; the cap keeps n
+        # where the baseline is compared and its int64 codes far from overflow.
+        if len(DEFAULT_ALPHABET) ** n > 2**24:
+            raise ValueError(f"n={n} has {len(DEFAULT_ALPHABET) ** n} n-grams, over 2**24")
         self.n = n
-        self.labels: list = []
-        self._profiles: dict = {}
-        self._unit_rows = None
+        self.labels = list(texts_by_label)
+        if not self.labels:
+            raise ConfigurationError("baseline classifier has no profiles")
+        counted = []
+        for label, texts in texts_by_label.items():
+            if not texts:
+                raise ConfigurationError(f"label {label!r} has no training text")
+            counted.append(self.count_vector(*texts))
+        self.vocabulary = np.unique(np.concatenate([codes for codes, _ in counted]))
+        self.units = np.zeros((len(self.labels), self.vocabulary.shape[0]))
+        for row, (codes, counts) in zip(self.units, counted):
+            row[np.searchsorted(self.vocabulary, codes)] = counts / np.linalg.norm(counts)
 
-    def count_vector(self, text: str) -> np.ndarray:
-        """int64 histogram of all sliding n-grams of the normalized text."""
-        syms = symbol_codes(normalize_text(text))
-        if syms.shape[0] < self.n:
-            raise TextTooShortError(
-                f"need at least {self.n} symbols, got {syms.shape[0]}"
-            )
-        return kernels.ngram_histogram(syms, len(DEFAULT_ALPHABET), self.n)
-
-    def train(self, label, text: str):
-        """Accumulate one training text into the label's profile."""
-        vec = self.count_vector(text)
-        if label not in self._profiles:
-            self.labels.append(label)
-        self._profiles[label] = self._profiles.get(label, 0) + vec
-        self._unit_rows = None
-
-    def profile(self, label) -> np.ndarray:
-        """The label's int64 n-gram count vector."""
-        try:
-            return self._profiles[label]
-        except KeyError:
-            raise KeyError(f"unknown label {label!r}") from None
-
-    def _units(self) -> np.ndarray:
-        if self._unit_rows is None:
-            if not self.labels:
-                raise ConfigurationError("baseline classifier has no profiles")
-            rows = np.vstack([self._profiles[lb] for lb in self.labels]).astype(np.float64)
-            self._unit_rows = rows / np.linalg.norm(rows, axis=1)[:, None]
-        return self._unit_rows
+    def count_vector(self, *texts: str):
+        """Sorted unique n-gram codes and counts over the texts; no window spans two."""
+        codes = []
+        for text in texts:
+            syms = symbol_codes(normalize_text(text))
+            if syms.shape[0] < self.n:
+                raise TextTooShortError(f"need at least {self.n} symbols, "
+                                        f"got {syms.shape[0]}")
+            codes.append(kernels.ngram_codes(syms, len(DEFAULT_ALPHABET), self.n))
+        return np.unique(np.concatenate(codes), return_counts=True)
 
     def similarities(self, text: str) -> np.ndarray:
-        """Cosine similarity of the text to every profile, in label order."""
-        vec = self.count_vector(text).astype(np.float64)  # at least one window
-        return self._units() @ (vec / np.linalg.norm(vec))
+        """Cosine similarity of the text to every profile, in label order.
+
+        N-grams outside the vocabulary count only toward the text's norm.
+        """
+        codes, counts = self.count_vector(text)  # at least one window
+        idx = np.searchsorted(self.vocabulary, codes)
+        seen = self.vocabulary.take(idx, mode="clip") == codes
+        return self.units[:, idx[seen]] @ (counts[seen] / np.linalg.norm(counts))
 
     def classify(self, text: str):
         """(label, cosine similarity) of the best profile; ties -> lowest index."""
@@ -76,10 +71,7 @@ class BaselineClassifier:
 
 
 def baseline_train(corpus, n: int = 3) -> BaselineClassifier:
-    clf = BaselineClassifier(n)
-    for label, text in corpus.train_items():
-        clf.train(label, text)
-    return clf
+    return BaselineClassifier({label: corpus.train[label] for label in corpus.labels}, n)
 
 
 def baseline_evaluate(clf: BaselineClassifier, corpus) -> dict:

@@ -15,10 +15,10 @@ import sys
 from pathlib import Path
 
 from . import faultlab
-from .algebra import RandomSource
+from .algebra import RandomSource, n_words
 from .baseline import baseline_evaluate, baseline_train
 from .corpus import ingest, write_corpus
-from .encoder import EncoderConfig
+from .encoder import MAX_TABLE_BYTES, EncoderConfig
 from .errors import ConfigurationError, DataError
 from .itemmem import ItemMemory
 from .model_io import load_model, save_model
@@ -116,7 +116,7 @@ def cmd_baseline(args) -> int:
     corpus = ingest(args.corpus)
     try:
         clf = baseline_train(corpus, n=args.n)
-    except ValueError as exc:  # n too large for the dense histogram
+    except ValueError as exc:  # n over the 2**24 n-gram cap
         raise ConfigurationError(str(exc)) from None
     report = baseline_evaluate(clf, corpus)
     if args.report:
@@ -154,6 +154,9 @@ def cmd_noise_curve(args) -> int:
     flips = _parse_floats(args.flips, "flips")
     if any(not 0 <= f <= 1 for f in flips):
         raise ConfigurationError("flips must lie in [0, 1]")
+    if args.symbols * n_words(args.dim) * 8 > MAX_TABLE_BYTES:  # before anything is built
+        raise ConfigurationError(f"an item memory of {args.symbols} symbols at D={args.dim} "
+                                 f"is over {MAX_TABLE_BYTES} bytes")
     symbols = [f"s{i:02d}" for i in range(args.symbols)]
     mem = ItemMemory.build(symbols, args.dim, args.seed)
     root = RandomSource(args.seed)

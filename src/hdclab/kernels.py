@@ -130,22 +130,26 @@ def _signs(words, dim):
     return s
 
 
-def ngram_histogram(syms, nsym, n):
-    """int64 count of each sliding n-gram, indexed by base-``nsym`` code, first symbol high.
+def ngram_codes(syms, nsym, n):
+    """int64 base-``nsym`` code of each sliding n-gram (n or more syms), first symbol high."""
+    k = syms.shape[0] - n + 1
+    code = syms[:k].astype(np.int64)
+    for j in range(1, n):
+        code *= nsym
+        code += syms[j : j + k]
+    return code
 
-    The one window counter: the contraction and the n-gram baseline use it.
-    Works in blocks of ``NGRAM_CHUNK`` windows; ``np.add.at`` costs per window,
-    not per bin (a per-block bincount took 37 ms at 27**5 bins, add.at 40 us).
+
+def ngram_histogram(syms, nsym, n):
+    """int64 count of each sliding n-gram by ``ngram_codes`` code, in NGRAM_CHUNK blocks.
+
+    ``np.add.at`` costs per window, not per bin (a per-block bincount took
+    37 ms at 27**5 bins, add.at 40 us).
     """
     k = syms.shape[0] - n + 1
     hist = np.zeros(nsym**n, dtype=np.int64)
     for lo in range(0, k, NGRAM_CHUNK):
-        hi = min(lo + NGRAM_CHUNK, k)
-        code = syms[lo:hi].copy()
-        for j in range(1, n):
-            code *= nsym
-            code += syms[lo + j : hi + j]
-        np.add.at(hist, code, 1)
+        np.add.at(hist, ngram_codes(syms[lo : lo + NGRAM_CHUNK + n - 1], nsym, n), 1)
     return hist
 
 

@@ -1,18 +1,28 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from hdclab import DEFAULT_ALPHABET, Corpus, DataError, RandomSource, TextTooShortError, kernels
+from hdclab import (
+    DEFAULT_ALPHABET, ConfigurationError, Corpus, DataError, RandomSource, TextTooShortError,
+    kernels, synth_corpus,
+)
 from hdclab.baseline import BaselineClassifier, baseline_evaluate, baseline_train
 from hdclab.encoder import normalize_text, symbol_codes
 
 
+def _clf(n):
+    """A one-label classifier, for calling count_vector at window length n <= 3."""
+    return BaselineClassifier({"x": ["abc"]}, n=n)
+
+
 def test_single_trigram_profile():
-    clf = BaselineClassifier(n=3)
-    clf.train("x", "aaa")
-    profile = clf.profile("x")
-    assert profile.dtype == np.int64
-    assert profile.sum() == 1
-    assert profile[0] == 1  # bucket of "aaa" is index 0
+    clf = BaselineClassifier({"x": ["aaa"]}, n=3)
+    assert clf.labels == ["x"]
+    assert clf.vocabulary.tolist() == [0]  # code of "aaa" is 0
+    assert clf.units.dtype == np.float64
+    assert clf.units.tolist() == [[1.0]]
 
 
 def _dict_histogram(syms, nsym, n):
@@ -36,14 +46,15 @@ def _kept_text(length, gen):
 
 
 def test_bucket_indexing():
-    # windows: ab, ba, ab of a 2-symbol alphabet -> buckets (0*2+1)=1 twice, (1*2+0)=2 once
+    # windows: ab, ba, ab of a 2-symbol alphabet -> codes (0*2+1)=1 twice, (1*2+0)=2 once
+    assert kernels.ngram_codes(np.array([0, 1, 0, 1]), 2, 2).tolist() == [1, 2, 1]
     assert kernels.ngram_histogram(np.array([0, 1, 0, 1]), 2, 2).tolist() == [0, 2, 1, 0]
-    # The shared histogram kernel against a per-window dict count, up to
-    # NGRAM_CHUNK + 50 windows (two blocks), for any symbol count; over the
-    # full alphabet, count_vector of the text against the same kernel.
+    # The code and histogram kernels against a per-window dict count, up to
+    # NGRAM_CHUNK + 50 windows (two histogram blocks), for any symbol count;
+    # over the full alphabet, count_vector of the text against the same count.
     for nsym in (2, 5, 27):
         for n in (1, 2, 3):
-            clf = BaselineClassifier(n=n)
+            clf = _clf(n)
             for length in (n, 100, kernels.NGRAM_CHUNK + 50):
                 gen = RandomSource(nsym).child(n, length).generator
                 if nsym == 27:
@@ -53,22 +64,44 @@ def test_bucket_indexing():
                 else:
                     syms = gen.integers(0, nsym, size=length)
                 want = _dict_histogram(syms, nsym, n)
+                codes = kernels.ngram_codes(syms, nsym, n)
+                assert codes.dtype == np.int64 and codes.shape == (length - n + 1,)
+                assert Counter(codes.tolist()) == want
                 hist = kernels.ngram_histogram(syms, nsym, n)
                 assert hist.dtype == np.int64 and hist.shape == (nsym**n,)
                 assert {int(c): int(hist[c]) for c in np.flatnonzero(hist)} == want
                 if nsym == 27:
-                    assert np.array_equal(clf.count_vector(text), hist)
+                    codes, counts = clf.count_vector(text)
+                    assert np.all(np.diff(codes) > 0)
+                    assert dict(zip(codes.tolist(), counts.tolist())) == want
 
 
 def test_count_vector_window_count():
-    clf = BaselineClassifier(n=3)
-    assert clf.count_vector("abcdef").sum() == 4
+    codes, counts = _clf(3).count_vector("abcdef")
+    assert counts.dtype == np.int64 and counts.sum() == 4
+
+
+def test_count_vector_counts_each_text_on_its_own():
+    codes, counts = _clf(3).count_vector("abcabc", "abcabc")
+    assert counts.sum() == 8  # 4 windows each; "abcabcabcabc" would have 10
+    once = _dict_histogram(symbol_codes("abcabc"), 27, 3)  # abc 2, bca 1, cab 1
+    assert dict(zip(codes.tolist(), counts.tolist())) == {c: 2 * k for c, k in once.items()}
 
 
 def test_too_short_rejected():
-    clf = BaselineClassifier(n=3)
     with pytest.raises(TextTooShortError):
-        clf.count_vector("ab")
+        _clf(3).count_vector("ab")
+    with pytest.raises(TextTooShortError):
+        _clf(3).count_vector("abc", "ab")
+    with pytest.raises(TextTooShortError):
+        BaselineClassifier({"x": ["abc abc", "ab"]})
+
+
+def test_label_without_training_text_is_named():
+    with pytest.raises(ConfigurationError, match="label 'x' has no training text"):
+        baseline_train(Corpus(train={"x": [], "y": ["abc abd"]}))
+    with pytest.raises(ConfigurationError, match="no profiles"):
+        baseline_train(Corpus())
 
 
 def test_classify_recovers_training_language():
@@ -84,32 +117,62 @@ def test_profile_accumulates_across_files():
     corpus = Corpus()
     corpus.add_train("aa", "abcabc")
     corpus.add_train("aa", "abcabc")
+    corpus.add_train("bb", "xyz")
     clf = baseline_train(corpus)
-    assert clf.profile("aa").sum() == 8  # two files of 4 windows each
+    assert clf.labels == ["aa", "bb"]
+    # two files of 4 windows each: abc 4, bca 2, cab 2, and no window across them
+    once = _dict_histogram(symbol_codes("abcabc"), 27, 3)
+    xyz = _dict_histogram(symbol_codes("xyz"), 27, 3)
+    assert clf.vocabulary.tolist() == sorted([*once, *xyz])
+    profile = np.array([2 * once.get(c, 0) for c in clf.vocabulary.tolist()], dtype=np.float64)
+    np.testing.assert_allclose(clf.units[0], profile / np.linalg.norm(profile), rtol=0, atol=1e-15)
+
+
+def _dense_cosines(texts_by_label, query, n):
+    """Cosine of query to each label's profile as dense 27**n vectors, from _dict_histogram."""
+    def unit(texts):
+        vec = np.zeros(27**n)
+        for text in texts:
+            for code, count in _dict_histogram(symbol_codes(normalize_text(text)), 27, n).items():
+                vec[code] += count
+        return vec / np.linalg.norm(vec)
+
+    return np.array([unit(texts) @ unit([query]) for texts in texts_by_label.values()])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_similarities_match_dense_cosine(n):
+    train = {"aa": ["abc abc abd", "abcab"], "bb": ["xyz xyzzy"], "cc": ["hello world"]}
+    clf = BaselineClassifier(train, n=n)
+    # all seen, some unseen ("bc x", "lo a", ...), and mostly unseen n-grams
+    for query in ("abc abd", "abc xyz", "hello abc zz", "world qqq"):
+        np.testing.assert_allclose(clf.similarities(query), _dense_cosines(train, query, n),
+                                   rtol=0, atol=1e-12)
+    # only unseen n-grams: every score is 0 and the first label wins
+    for query in ("qqqq", "jkjkq"):
+        assert clf.similarities(query).tolist() == [0.0, 0.0, 0.0]
+        assert clf.classify(query) == ("aa", 0.0)
 
 
 def test_tie_goes_to_first_label():
-    clf = BaselineClassifier(n=3)
-    clf.train("first", "aaaa")
-    clf.train("second", "aaaa")
+    clf = BaselineClassifier({"first": ["aaaa"], "second": ["aaaa"]}, n=3)
     assert clf.classify("aaa")[0] == "first"
 
 
 def test_unknown_label():
-    clf = BaselineClassifier()
-    clf.train("x", "abc")
-    with pytest.raises(KeyError):
-        clf.profile("y")
+    corpus = Corpus()
+    corpus.add_train("x", "abc")
+    corpus.add_test("y", "abc")
+    with pytest.raises(ConfigurationError, match="test label 'y' not in the model"):
+        baseline_evaluate(baseline_train(corpus), corpus)
 
 
-def test_memory_footprint_grows_with_n():
-    sizes = {}
+def test_memory_footprint_is_set_by_the_text():
+    # One column per distinct training n-gram, not one per each of the 27**n
+    # possible ones: "abcdefgh" has 9 - n distinct windows.
     for n in (3, 4, 5):
-        clf = BaselineClassifier(n=n)
-        clf.train("x", "abcdefgh")
-        sizes[n] = clf.profile("x").nbytes
-    assert sizes[4] == sizes[3] * 27
-    assert sizes[5] == sizes[4] * 27
+        clf = BaselineClassifier({"x": ["abcdefgh"]}, n=n)
+        assert clf.units.shape == (1, 9 - n)
     # packed hypervectors stay fixed-size across n
     from hdclab import EncoderConfig, TextEncoder
 
@@ -120,10 +183,27 @@ def test_memory_footprint_grows_with_n():
     assert hv_bytes[3] == hv_bytes[4] == hv_bytes[5]
 
 
-def test_dense_histogram_size_is_bounded():
-    assert BaselineClassifier(n=5).num_buckets == 27**5
-    with pytest.raises(ValueError, match="387420489 buckets"):
-        BaselineClassifier(n=6)
+def test_n5_train_and_evaluate_stay_small():
+    corpus = synth_corpus(num_languages=4, train_chars=3000, test_sentences=10,
+                          sentence_chars=100, seed=0)
+    tracemalloc.start()
+    try:
+        report = baseline_evaluate(baseline_train(corpus, n=5), corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["total"] == 40
+    # Measured at 1.8 MB; one dense 27**5 float64 vector alone is 115 MB.
+    assert peak < 8 * 2**20
+
+
+def test_ngram_space_is_capped():
+    assert BaselineClassifier({"x": ["abcde"]}, n=5).n == 5
+    # The cap is checked before any text is counted: "ab" is too short for n = 6.
+    with pytest.raises(ValueError, match="387420489 n-grams"):
+        BaselineClassifier({"x": ["ab"]}, n=6)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        BaselineClassifier({"x": ["ab"]}, n=0)
 
 
 def test_evaluate_report(synth):

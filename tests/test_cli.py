@@ -214,6 +214,9 @@ def _assert_one_error_line(proc, code):
     ["noise-curve", "--trials", "0", "--out", "out"],
     ["noise-curve", "--dim", "0", "--out", "out"],
     ["noise-curve", "--seed", "-1", "--out", "out"],
+    # The packed item memory would be 13.5 GB and 125 GB: refused before it is built.
+    ["noise-curve", "--dim", "4000000000", "--out", "out"],
+    ["noise-curve", "--symbols", "100000000", "--out", "out"],
     ["synth-corpus", "--languages", "1", "--out", "out"],
     ["synth-corpus", "--train-chars", "2", "--out", "out"],
     ["fault-sweep", "--trials", "0", "--model", "MODEL", "--corpus", "CORPUS", "--out", "out"],
