@@ -246,14 +246,18 @@ class Accumulator:
         """
         if self._items == 0:
             raise ValueError("cannot threshold an empty accumulator")
-        doubled = self._counts * 2
-        out = (doubled > self._items).astype(np.uint8)
+        # c > items // 2 is 2c > items for odd and even items alike. The bool
+        # buffer fills whole words, so the bits past dim pack as 0.
+        half = self._items // 2
+        bits = np.zeros(n_words(self.dim) * WORD_BITS, dtype=bool)
+        np.greater(self._counts, half, out=bits[: self.dim])
         if self._items % 2 == 0:
-            ties = doubled == self._items
-            ntie = int(ties.sum())
-            if ntie:
-                out[ties] = 1 if rng is None else rng.bits(ntie)
-        return Hypervector(self.dim, pack_bits(out))
+            ties = np.flatnonzero(self._counts == half)  # in index order
+            if ties.size:
+                bits[ties] = 1 if rng is None else rng.bits(ties.size)
+        words = np.packbits(bits, bitorder="little").view(np.uint64)
+        words.setflags(write=False)  # read-only and clean: Hypervector keeps it
+        return Hypervector(self.dim, words)
 
 
 def bundle(vectors, rng: RandomSource | None = None) -> Hypervector:

@@ -21,13 +21,25 @@ class NotTrainedError(ConfigurationError):
     """Raised when classifying against a memory that has no prototypes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ClassificationResult:
-    """Winning label with the full distance breakdown in stored order."""
+    """Winning label and every distance: the memory's labels tuple, a read-only int64 array."""
 
     label: object
     distance: int
-    all_distances: tuple  # ((label, distance), ...) in stored order
+    labels: tuple
+    distances: np.ndarray
+
+    @property
+    def all_distances(self) -> tuple:
+        """((label, distance), ...) in stored order."""
+        return tuple(zip(self.labels, self.distances.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassificationResult):
+            return NotImplemented
+        return (self.label, self.distance, self.all_distances) == (
+                other.label, other.distance, other.all_distances)
 
 
 class AssociativeMemory:
@@ -37,7 +49,7 @@ class AssociativeMemory:
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
-        self._labels: list = []
+        self._labels: tuple = ()
         self._rows = np.empty((0, n_words(dim)), dtype=np.uint64)
 
     @property
@@ -58,7 +70,7 @@ class AssociativeMemory:
             raise ValueError(f"dimension mismatch: memory {self.dim}, vector {prototype.dim}")
         rows = np.vstack([self._rows, prototype.words])
         rows.setflags(write=False)
-        self._labels.append(label)
+        self._labels += (label,)
         self._rows = rows
 
     def prototype(self, label) -> Hypervector:
@@ -80,12 +92,9 @@ class AssociativeMemory:
     def classify_full(self, query: Hypervector) -> ClassificationResult:
         """Classification plus every per-label distance."""
         d = self.distances(query)
+        d.setflags(write=False)
         i = int(np.argmin(d))
-        return ClassificationResult(
-            label=self._labels[i],
-            distance=int(d[i]),
-            all_distances=tuple(zip(self._labels, (int(x) for x in d))),
-        )
+        return ClassificationResult(self._labels[i], int(d[i]), self._labels, d)
 
     def _require(self, label) -> int:
         try:
@@ -112,5 +121,5 @@ class AssociativeMemory:
         mem = cls(dim)
         rows[:, -1] &= _tail_mask(dim)
         rows.setflags(write=False)
-        mem._labels, mem._rows = labels, rows
+        mem._labels, mem._rows = tuple(labels), rows
         return mem

@@ -36,7 +36,10 @@ class BaselineClassifier:
         for label, texts in texts_by_label.items():
             if not texts:
                 raise ConfigurationError(f"label {label!r} has no training text")
-            counted.append(self.count_vector(*texts))
+            try:
+                counted.append(self.count_vector(*texts))
+            except TextTooShortError as exc:
+                raise TextTooShortError(f"training sample for {label!r}: {exc}") from None
         self.vocabulary = np.unique(np.concatenate([codes for codes, _ in counted]))
         self.units = np.zeros((len(self.labels), self.vocabulary.shape[0]))
         for row, (codes, counts) in zip(self.units, counted):

@@ -1,5 +1,5 @@
-"""Microbenchmark: the word-wise Hamming kernel against the per-bit
-reference loop.
+"""Microbenchmarks: the word-wise Hamming kernel against the per-bit
+reference loop, and one 100-char text encode split into its two hot layers.
 
 Run with:  python3 -m hdclab.bench
 """
@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from . import kernels
-from .algebra import RandomSource, random_hv
+from .algebra import Accumulator, RandomSource, random_hv
+from .encoder import DEFAULT_ALPHABET, EncoderConfig, TextEncoder
 
 
 def per_call_ns(fn, min_time_s: float = 0.05, samples: int = 3) -> float:
@@ -47,6 +50,20 @@ def bench_hamming(dim: int = 10000, seed: int = 42) -> dict:
     return out
 
 
+def bench_encode(length: int = 100, seed: int = 42) -> dict:
+    """A ``length``-char text at the defaults: encode, counting, threshold."""
+    enc = TextEncoder(EncoderConfig())
+    rng = RandomSource(seed)
+    text = "".join(DEFAULT_ALPHABET[i] for i in rng.generator.integers(0, 26, size=length))
+    table, syms = enc._table, enc.symbol_indices(text)
+    counts = np.zeros(enc.config.dim, dtype=np.int64)
+    acc = Accumulator.from_counts(counts.copy(), kernels.accumulate_ngrams(table, syms, counts))
+    return {"length": length,
+            "encode_ns": per_call_ns(lambda: enc.encode(text)),
+            "counting_ns": per_call_ns(lambda: kernels.accumulate_ngrams(table, syms, counts)),
+            "threshold_ns": per_call_ns(lambda: acc.threshold(rng))}
+
+
 def _fmt_ns(ns: float) -> str:
     if ns >= 1e6:
         return f"{ns / 1e6:9.2f} ms"
@@ -61,6 +78,10 @@ def main():
     print(f"  per-bit loop   {_fmt_ns(h['bitloop_ns'])}")
     print(f"  word-wise      {_fmt_ns(h['wordwise_ns'])}")
     print(f"  word-wise speedup over per-bit loop: {h['speedup_vs_bitloop']:.0f}x")
+    e = bench_encode()
+    print(f"text encode, {e['length']} chars, D=10000")
+    for part in ("encode", "counting", "threshold"):
+        print(f"  {part:<14} {_fmt_ns(e[part + '_ns'])}")
 
 
 if __name__ == "__main__":

@@ -104,9 +104,10 @@ class TextEncoder:
     is a packed XOR fold per window for short texts and one n-gram
     histogram contraction for long ones (see ``kernels.accumulate_ngrams``).
     Beyond the text's symbol indices, working memory is bounded independently
-    of its length: both methods work in blocks of ``kernels.NGRAM_CHUNK``
-    windows, and the contraction's histogram and intermediate depend only on
-    the alphabet size and n.
+    of its length: the stream works in blocks of ``kernels.STREAM_BLOCK``
+    (255) windows, 2.5 MB unpacked at D = 10000, the contraction's n-gram
+    histogram in blocks of ``kernels.NGRAM_CHUNK``, and the contraction's
+    histogram and intermediate depend only on the alphabet size and n.
     """
 
     def __init__(self, config: EncoderConfig, item_memory: ItemMemory | None = None):

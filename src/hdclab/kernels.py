@@ -20,9 +20,11 @@ calls stacked by column (fastest of 400 interleaved calls, one thread,
 ``accumulate_ngrams`` counts, per component, how many sliding n-gram
 vectors of a symbol stream have a 1, by one of two exact methods:
 
-* the block stream gathers and XOR-folds up to ``NGRAM_CHUNK`` windows as
-  words, unpacks the block once and sums it as uint16 (exact: a block has
-  fewer than 2**16 rows); its cost grows with the number of windows k;
+* the block stream gathers and XOR-folds up to ``STREAM_BLOCK`` (255)
+  windows as words, unpacks the block once and sums it as uint8 (exact: a
+  column of 255 rows sums to at most 255); its cost grows with the number
+  of windows k. At D = 10000 it took 0.12/0.82/5.5 ms at k = 98/600/4000,
+  against 0.20/1.20/16.0 ms for 4096-window blocks summed as uint16;
 * the histogram contraction counts each distinct n-gram once and contracts
   the ``nsym**n`` histogram with the +1/-1 sign tables of the window
   positions; its cost depends on ``nsym**n``, not on k, and float32 keeps it
@@ -30,18 +32,21 @@ vectors of a symbol stream have a 1, by one of two exact methods:
 
 ``_contracts`` picks the contraction for long texts only: at most 4 bins
 per window, ``nsym**(n-1) <= NGRAM_CHUNK / 4`` (so its float32
-intermediate over all dim components would be no larger than a uint8
-stream block), and k < 2**24. Neither method keeps a sign table between
-calls; the contraction unpacks the sign rows it needs per block.
+intermediate over all dim components would be no larger than a
+``(NGRAM_CHUNK, dim)`` uint8 block), and k < 2**24. Neither method keeps a
+sign table between calls; the contraction unpacks the sign rows it needs
+per block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Windows gathered per step of accumulate_ngrams; bounds each (chunk, dim)
-# uint8 temporary to about 41 MB at D = 10000.
+# Windows per block of ngram_histogram, and the size bound of _contracts.
 NGRAM_CHUNK = 4096
+# Windows per stream block: column sums are exact in uint8, and the unpacked
+# (255, dim) block is 2.5 MB at D = 10000 (4096 windows made 41 MB).
+STREAM_BLOCK = np.iinfo(np.uint8).max
 # Words of components contracted per block by the histogram contraction:
 # its (nsym**(n-1), 1024) float32 intermediate is at most 4 MB under the
 # dispatch rule (3 MB at the defaults, against 29 MB for all 10,000
@@ -95,12 +100,14 @@ def _contracts(nsym: int, n: int, k: int) -> bool:
 
     Contract only when the histogram has at most 4 bins per window, a
     ``(nsym**(n-1), dim)`` float32 intermediate would be no larger than a
-    ``(NGRAM_CHUNK, dim)`` uint8 stream block, and k < 2**24 keeps float32
-    exact. At the defaults (n = 3, 27 symbols, D = 10000) the measured
-    crossover was about 6.6 bins per window: the contraction took a flat
-    ~12 ms, the stream 12.5 ms at k = 3000 and 25 ms at k = 5000. Smaller
-    tables (n = 2, or 8 symbols at n = 4) crossed at about 2.5 bins, where
-    the contraction's fixed cost weighs more; 4 lies between.
+    ``(NGRAM_CHUNK, dim)`` uint8 block, and k < 2**24 keeps float32 exact.
+    At the defaults (n = 3, 27 symbols, D = 10000) the measured crossover
+    is about 6,000-7,000 windows, or about 3 bins per window: the
+    contraction took a flat 7.8-9.1 ms, the stream 6.8 ms at k = 4920 (the
+    4-bin edge), 7.9 ms at k = 6000 and 9.4 ms at k = 7000. Smaller tables,
+    where the contraction's fixed cost weighs more, now cross at about 1.5
+    bins or fewer: at 4 bins the stream took 0.23 ms against 0.64 ms (n = 2)
+    and 1.7 ms against 6.6 ms (8 symbols, n = 4).
     """
     # n may be as large as dim; with nsym >= 2, an exponent capped at 32
     # already fails both size bounds, so the cap changes no answer.
@@ -109,16 +116,16 @@ def _contracts(nsym: int, n: int, k: int) -> bool:
 
 
 def _count_stream(table, syms, counts):
-    """Block stream: XOR-fold up to NGRAM_CHUNK windows as words, unpack, sum."""
+    """Block stream: XOR-fold up to STREAM_BLOCK windows as words, unpack, sum."""
     n = table.shape[0]
     dim = counts.shape[0]
     k = syms.shape[0] - n + 1
-    for lo in range(0, k, NGRAM_CHUNK):
-        hi = min(lo + NGRAM_CHUNK, k)
+    for lo in range(0, k, STREAM_BLOCK):
+        hi = min(lo + STREAM_BLOCK, k)
         block = table[0][syms[lo:hi]]
         for j in range(1, n):
             block ^= table[j][syms[lo + j : hi + j]]
-        counts += _unpack(block, dim).sum(axis=0, dtype=np.uint16)
+        counts += _unpack(block, dim).sum(axis=0, dtype=np.uint8)
     return k
 
 

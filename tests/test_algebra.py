@@ -239,6 +239,29 @@ class TestAccumulator:
         with pytest.raises(ValueError):
             Accumulator(8).add(rand(9, 1))
 
+    @pytest.mark.parametrize("dim", [1, 63, 64, 65, 100, D_BIG])
+    @pytest.mark.parametrize("items", [1, 2, 3, 4])
+    def test_threshold_matches_majority_oracle(self, dim, items):
+        rng = RandomSource(10 * dim + items)
+        vecs = [random_hv(dim, rng.child(j)) for j in range(items)]
+        acc = Accumulator(dim)
+        for v in vecs:
+            acc.add(v)
+        bits = [v.to_bits().tolist() for v in vecs]
+        # Ties (even items only) take the seeded draws in index order.
+        ties = [i for i, c in enumerate(np.sum(bits, axis=0)) if 2 * c == items]
+        drawn = ref_majority(bits, tie_value=0)
+        for i, b in zip(ties, RandomSource(7).bits(len(ties)).tolist()):
+            drawn[i] = b
+        for got, want in ((acc.threshold(), ref_majority(bits, tie_value=1)),
+                          (acc.threshold(RandomSource(7)), drawn)):
+            assert got.to_bits().tolist() == want
+            assert not got.words.flags.writeable
+            tail = np.unpackbits(got.words.view(np.uint8), bitorder="little")[dim:]
+            assert not tail.any()
+        if items % 2 == 0 and dim >= 64:
+            assert ties  # the tie path ran
+
 
 class TestBundle:
     def test_single(self):

@@ -6,6 +6,7 @@ from hdclab import (
     NotTrainedError,
     RandomSource,
     bind,
+    complement,
     flip_noise,
     hamming,
     random_hv,
@@ -86,6 +87,20 @@ def test_classify_full_distances_check_out():
     assert res.distance == min(d for _, d in res.all_distances)
     for lb, d in res.all_distances:
         assert d == hamming(q, mem.prototype(lb))
+
+
+def test_classification_result_is_compact():
+    mem, _ = make_memory(512, ["p", "q", "r"], 11)
+    q = random_hv(512, RandomSource(12))
+    res, again = mem.classify_full(q), mem.classify_full(q)
+    assert res.labels is again.labels  # one tuple, shared with the memory
+    assert res.distances.dtype == np.int64 and not res.distances.flags.writeable
+    assert res.all_distances == tuple(zip(("p", "q", "r"), res.distances.tolist()))
+    assert all(type(d) is int for _, d in res.all_distances)
+    assert res == again and res != mem.classify_full(complement(q))
+    assert not hasattr(res, "__dict__")
+    with pytest.raises(AttributeError):
+        res.label = "x"
 
 
 def test_storage_order_invariance_without_ties():

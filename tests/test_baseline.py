@@ -93,7 +93,7 @@ def test_too_short_rejected():
         _clf(3).count_vector("ab")
     with pytest.raises(TextTooShortError):
         _clf(3).count_vector("abc", "ab")
-    with pytest.raises(TextTooShortError):
+    with pytest.raises(TextTooShortError, match="training sample for 'x'"):
         BaselineClassifier({"x": ["abc abc", "ab"]})
 
 

@@ -124,6 +124,10 @@ def _count_cases():
                 cases += [(dim, n, nsym, k) for k in ks]
     chunk = kernels.NGRAM_CHUNK
     cases += [(100, 3, 4, chunk + 1), (128, 2, 27, 2 * chunk), (10000, 3, 27, chunk + 7)]
+    # Stream block edges (STREAM_BLOCK = 255). With one symbol every window is
+    # the same vector, so a column reaches k: a uint8 block sum of 256 would wrap.
+    cases += [(dim, 3, nsym, k) for dim in (100, 10000) for nsym in (1, 27)
+              for k in (254, 255, 256, 510, 511)]
     return cases
 
 
