@@ -1,5 +1,7 @@
 """Microbenchmarks: the word-wise Hamming kernel against the per-bit
-reference loop, and one 100-char text encode split into its two hot layers.
+reference loop, one 100-char text encode split into its two hot layers, and
+training-sized encodes: 21 texts of 20k chars in one ``encode_each`` call
+against one ``encode`` call per text, and one such text alone.
 
 Run with:  python3 -m hdclab.bench
 """
@@ -50,18 +52,37 @@ def bench_hamming(dim: int = 10000, seed: int = 42) -> dict:
     return out
 
 
+def _random_text(length: int, rng: RandomSource) -> str:
+    """``length`` random letters, which normalization leaves as they are."""
+    return "".join(DEFAULT_ALPHABET[i] for i in rng.generator.integers(0, 26, size=length))
+
+
 def bench_encode(length: int = 100, seed: int = 42) -> dict:
     """A ``length``-char text at the defaults: encode, counting, threshold."""
     enc = TextEncoder(EncoderConfig())
     rng = RandomSource(seed)
-    text = "".join(DEFAULT_ALPHABET[i] for i in rng.generator.integers(0, 26, size=length))
-    table, syms = enc._table, enc.symbol_indices(text)
-    counts = np.zeros(enc.config.dim, dtype=np.int64)
-    acc = Accumulator.from_counts(counts.copy(), kernels.accumulate_ngrams(table, syms, counts))
+    text = _random_text(length, rng)
+    table, groups = enc._table, [[enc.symbol_indices(text)]]
+    counts = np.zeros((1, enc.config.dim), dtype=np.int64)
+    acc = Accumulator.from_counts(counts[0].copy(),
+                                  kernels.accumulate_ngrams(table, groups, counts))
     return {"length": length,
             "encode_ns": per_call_ns(lambda: enc.encode(text)),
-            "counting_ns": per_call_ns(lambda: kernels.accumulate_ngrams(table, syms, counts)),
+            "counting_ns": per_call_ns(lambda: kernels.accumulate_ngrams(table, groups, counts)),
             "threshold_ns": per_call_ns(lambda: acc.threshold(rng))}
+
+
+def bench_train(texts: int = 21, length: int = 20000, seed: int = 42) -> dict:
+    """``texts`` random ``length``-char texts at the defaults: one ``encode_each``
+    call, one ``encode`` call per text, and one text alone."""
+    enc = TextEncoder(EncoderConfig())
+    rng = RandomSource(seed)
+    docs = [_random_text(length, rng) for _ in range(texts)]
+    groups = [[doc] for doc in docs]
+    return {"texts": texts, "length": length,
+            "encode_each_ns": per_call_ns(lambda: enc.encode_each(groups)),
+            "encode_per_text_ns": per_call_ns(lambda: [enc.encode(doc) for doc in docs]),
+            "encode_one_ns": per_call_ns(lambda: enc.encode(docs[0]))}
 
 
 def _fmt_ns(ns: float) -> str:
@@ -82,6 +103,11 @@ def main():
     print(f"text encode, {e['length']} chars, D=10000")
     for part in ("encode", "counting", "threshold"):
         print(f"  {part:<14} {_fmt_ns(e[part + '_ns'])}")
+    t = bench_train()
+    print(f"train encode, {t['texts']} texts x {t['length']} chars, D=10000")
+    print(f"  encode_each    {_fmt_ns(t['encode_each_ns'])}  (one call)")
+    print(f"  {t['texts']} x encode    {_fmt_ns(t['encode_per_text_ns'])}")
+    print(f"  one text       {_fmt_ns(t['encode_one_ns'])}")
 
 
 if __name__ == "__main__":

@@ -15,4 +15,12 @@ class DataError(Exception):
 
 
 class TextTooShortError(DataError):
-    """Normalized text yields fewer symbols than one n-gram window."""
+    """Normalized text yields fewer symbols than one n-gram window.
+
+    ``group`` is the index of the text's group in a call that encodes
+    several groups at once, or None.
+    """
+
+    def __init__(self, message: str, group: int | None = None):
+        super().__init__(message)
+        self.group = group

@@ -18,24 +18,30 @@ calls stacked by column (fastest of 400 interleaved calls, one thread,
 2-vCPU Xeon VM).
 
 ``accumulate_ngrams`` counts, per component, how many sliding n-gram
-vectors of a symbol stream have a 1, by one of two exact methods:
+vectors have a 1, for groups of symbol streams in one call, by one of two
+exact methods per stream:
 
 * the block stream gathers and XOR-folds up to ``STREAM_BLOCK`` (255)
   windows as words, unpacks the block once and sums it as uint8 (exact: a
   column of 255 rows sums to at most 255); its cost grows with the number
   of windows k. At D = 10000 it took 0.12/0.82/5.5 ms at k = 98/600/4000,
   against 0.20/1.20/16.0 ms for 4096-window blocks summed as uint16;
-* the histogram contraction counts each distinct n-gram once and contracts
-  the ``nsym**n`` histogram with the +1/-1 sign tables of the window
-  positions; its cost depends on ``nsym**n``, not on k, and float32 keeps it
-  exact while k < 2**24.
+* the pair-sign contraction counts each distinct n-gram of a stream once,
+  as one float32 histogram row, and contracts up to ``CONTRACT_ROWS`` rows
+  at once against the sign tables of the window positions, one matmul per
+  block of components; its cost depends on ``nsym**n`` and the number of
+  rows, not on k, and float32 keeps it exact while each row's k < 2**24.
+  At the defaults, the 21 texts of 20k chars of the benchmark corpus took
+  75-95 ms in one call against 194-204 ms for 21 one-text contractions of
+  the (nsym**(n-1), nsym) @ (nsym, 1024) form it replaced, with OpenBLAS on
+  one thread as perfbench runs it, and 61-62 ms against 242-247 ms on two
+  (fastest of 15 calls, 2-vCPU Xeon VM).
 
 ``_contracts`` picks the contraction for long texts only: at most 4 bins
-per window, ``nsym**(n-1) <= NGRAM_CHUNK / 4`` (so its float32
-intermediate over all dim components would be no larger than a
-``(NGRAM_CHUNK, dim)`` uint8 block), and k < 2**24. Neither method keeps a
-sign table between calls; the contraction unpacks the sign rows it needs
-per block.
+per window, ``nsym**(n-1) <= NGRAM_CHUNK / 4`` (so a ``(nsym**(n-1), dim)``
+float32 table would be no larger than a ``(NGRAM_CHUNK, dim)`` uint8
+block), and k < 2**24. Neither method keeps a sign table between calls;
+the contraction unpacks the sign rows it needs per block.
 """
 
 from __future__ import annotations
@@ -47,12 +53,18 @@ NGRAM_CHUNK = 4096
 # Windows per stream block: column sums are exact in uint8, and the unpacked
 # (255, dim) block is 2.5 MB at D = 10000 (4096 windows made 41 MB).
 STREAM_BLOCK = np.iinfo(np.uint8).max
-# Words of components contracted per block by the histogram contraction:
-# its (nsym**(n-1), 1024) float32 intermediate is at most 4 MB under the
-# dispatch rule (3 MB at the defaults, against 29 MB for all 10,000
-# components at once). At D = 10000 the blocks took 14.6 ms per 20k-char
-# text against 14.9 ms for one block (medians of 30 alternating runs).
-CONTRACT_WORDS = 16
+# Float32 values one block's P and R may hold: 1 MiB, within one core's
+# 2 MiB L2. A block is as many whole words as fit: at the defaults 3 for the
+# 21 benchmark texts, 5 for one text. At 2/3/4 words, train_pipeline's
+# tracemalloc peak read 3.37/3.69/4.02 MiB and the 21-text call took
+# 76/74/73 ms on one OpenBLAS thread, 57/51/46 ms on two; one 20k-char text
+# took 7.9/7.6/8.1/9.0 ms at 3/5/8/14 words on one thread and
+# 9.5/8.4/8.0/8.0 ms on two (fastest of 12 interleaved calls).
+CONTRACT_FLOATS = 2**18
+# Texts per contraction pass: the 21 languages of the paper fit in one. More
+# rows are split into the fewest passes of equal size, so 84 texts make
+# four passes of 21 and the peak does not grow with the number of texts.
+CONTRACT_ROWS = 24
 
 
 def backend() -> str:
@@ -99,15 +111,18 @@ def _contracts(nsym: int, n: int, k: int) -> bool:
     """Dispatch rule of ``accumulate_ngrams``: True to contract, False to stream.
 
     Contract only when the histogram has at most 4 bins per window, a
-    ``(nsym**(n-1), dim)`` float32 intermediate would be no larger than a
+    ``(nsym**(n-1), dim)`` float32 table would be no larger than a
     ``(NGRAM_CHUNK, dim)`` uint8 block, and k < 2**24 keeps float32 exact.
     At the defaults (n = 3, 27 symbols, D = 10000) the measured crossover
-    is about 6,000-7,000 windows, or about 3 bins per window: the
-    contraction took a flat 7.8-9.1 ms, the stream 6.8 ms at k = 4920 (the
-    4-bin edge), 7.9 ms at k = 6000 and 9.4 ms at k = 7000. Smaller tables,
-    where the contraction's fixed cost weighs more, now cross at about 1.5
-    bins or fewer: at 4 bins the stream took 0.23 ms against 0.64 ms (n = 2)
-    and 1.7 ms against 6.6 ms (8 symbols, n = 4).
+    for a text contracted alone is about 5,500-6,000 windows, or about 3.5
+    bins per window: the contraction took a flat 7.3-8.2 ms, the stream
+    6.5 ms at k = 4920 (the 4-bin edge), 8.2-8.4 ms at k = 6000 and
+    9.4-9.7 ms at k = 7000. Smaller tables, where the contraction's fixed
+    cost weighs more, cross at about 1.5 bins or fewer: at 4 bins the
+    stream took 0.23-0.25 ms against 0.61-0.63 ms (n = 2) and 1.5 ms
+    against 3.8-4.0 ms (8 symbols, n = 4) (fastest of 40 interleaved calls,
+    two runs). A text contracted together
+    with others costs less; see the module docstring.
     """
     # n may be as large as dim; with nsym >= 2, an exponent capped at 32
     # already fails both size bounds, so the cap changes no answer.
@@ -129,12 +144,13 @@ def _count_stream(table, syms, counts):
     return k
 
 
-def _signs(words, dim):
-    """Float32 sign table ``1 - 2*bit`` (+1 or -1) of packed rows."""
-    s = _unpack(words, dim).astype(np.float32)
-    s *= -2
-    s += 1
-    return s
+# Float32 sign 1 - 2*bit of each bit of a byte, bit 0 first.
+_BYTE_SIGNS = 1 - 2 * _unpack(np.arange(256, dtype=np.uint8)[:, np.newaxis], 8).astype(np.float32)
+
+
+def _signs(words):
+    """Float32 sign table ``1 - 2*bit`` (+1 or -1) of packed rows, 64 values a word."""
+    return np.take(_BYTE_SIGNS, words.view(np.uint8), axis=0).reshape(words.shape[0], -1)
 
 
 def ngram_codes(syms, nsym, n):
@@ -160,48 +176,83 @@ def ngram_histogram(syms, nsym, n):
     return hist
 
 
-def _count_contraction(table, syms, counts):
-    """Histogram contraction: counts = (k - sum_w prod_j s_j[sym_{w+j}]) / 2.
+def _count_contraction(table, rows, counts):
+    """Pair-sign contraction: counts = (k - sum_a s_0[a] * (H[a, :] @ P)) / 2, per row.
 
     A window's XOR bit b satisfies 1 - 2b = prod_j (1 - 2 b_j), so summing
-    the sign products over windows gives k - 2*count. ``ngram_histogram``
-    counts the windows; the histogram is then contracted with the
-    sign table of each position, last position first, one block of
-    ``CONTRACT_WORDS`` words of components at a time. Every partial sum is
-    an integer of magnitude at most k, so float32 is exact for k < 2**24.
+    the sign products over windows gives k - 2*count. ``rows`` lists
+    ``(g, syms)``, one text per row, whose counts add to ``counts[g]``. Row
+    r's histogram ``H`` (float32, built from ``ngram_histogram``) is split by
+    the symbol a at window position 0; ``P[(b, c, ...), d]`` is the product
+    of the sign rows of positions 1..n-1 (a row of ones for n = 1). ``P`` is
+    built once per block of components and shared by every row, so each
+    block is one ``(rows*nsym, nsym**(n-1)) @ (nsym**(n-1), width)`` matmul
+    into ``R``. Every partial sum is an integer of magnitude at most the
+    row's k, so float32 is exact for k < 2**24.
     """
     n, nsym, nwords = table.shape
-    dim = counts.shape[0]
-    k = syms.shape[0] - n + 1
-    hist = ngram_histogram(syms, nsym, n).astype(np.float32).reshape(-1, nsym)
-    for w in range(0, nwords, CONTRACT_WORDS):
-        words = table[:, :, w : w + CONTRACT_WORDS]
+    dim = counts.shape[1]
+    targets = np.array([g for g, _ in rows], dtype=np.intp)
+    ks = np.array([syms.shape[0] - n + 1 for _, syms in rows], dtype=np.int64)
+    hist = np.empty((len(rows), nsym**n), dtype=np.float32)
+    for r, (_, syms) in enumerate(rows):
+        hist[r] = ngram_histogram(syms, nsym, n)
+    hist = hist.reshape(len(rows) * nsym, -1)
+    # Whole words per block: as many as keep P and R within CONTRACT_FLOATS.
+    step = max(1, CONTRACT_FLOATS // (hist.shape[1] + hist.shape[0]) // 64)
+    for w in range(0, nwords, step):
         lo = w * 64
-        width = min(dim - lo, CONTRACT_WORDS * 64)
-        v = hist @ _signs(words[n - 1], width)
-        for j in range(n - 2, -1, -1):
-            v = v.reshape(-1, nsym, width)
-            v *= _signs(words[j], width)
-            v = v.sum(axis=1)
-        counts[lo : lo + width] += (k - v[0].astype(np.int64)) // 2
-    return k
+        width = min(dim - lo, step * 64)
+        block = _contract_block(hist, ks, table[:, :, w : w + step])[:, :width]
+        np.add.at(counts[:, lo : lo + width], targets, block.astype(counts.dtype, copy=False))
 
 
-def accumulate_ngrams(table, syms, counts):
-    """Accumulate all sliding n-gram hypervectors of a symbol stream.
+def _contract_block(hist, ks, words):
+    """(rows, 64*words) int64 counts of one block of words; its P and R die with it.
+
+    P's sign rows come from the XOR of packed rows, since the product of
+    signs is the sign of the XOR of the bits.
+    """
+    n, nsym, nw = words.shape
+    pairs = np.zeros((1, nw), dtype=np.uint64)
+    for j in range(1, n):
+        pairs = (pairs[:, np.newaxis] ^ words[j]).reshape(-1, nw)
+    v = (hist @ _signs(pairs)).reshape(ks.shape[0], nsym, -1)
+    v *= _signs(words[0])
+    c = ks[:, np.newaxis] - v.sum(axis=1).astype(np.int64)
+    c //= 2
+    return c
+
+
+def accumulate_ngrams(table, groups, counts):
+    """Accumulate all sliding n-gram hypervectors of groups of symbol streams.
 
     ``table`` is the pre-rotated alphabet as packed words, shape (n, n_symbols,
     n_words) uint64; ``table[j][s]`` is the vector used when symbol ``s`` sits
-    at window position ``j``. Adds to ``counts`` (int64, dim) how many of the
-    k windows have a 1 in each component, and returns k. Long texts go
-    through the histogram contraction, short ones through the block stream
-    (see ``_contracts``); both give the same counts.
+    at window position ``j``. ``groups[g]`` lists the symbol streams whose
+    windows add to ``counts[g]``: per component, how many of the k windows
+    have a 1. ``counts`` is a (groups, dim) integer array whose type holds
+    each group's total. Returns the total k over every stream; no window
+    spans two streams. Long streams go through the pair-sign contraction,
+    ``CONTRACT_ROWS`` or fewer to a pass, short ones through the block
+    stream (see ``_contracts``); both give the same counts.
     """
     n, nsym, _ = table.shape
-    k = syms.shape[0] - n + 1
-    if _contracts(nsym, n, k):
-        return _count_contraction(table, syms, counts)
-    return _count_stream(table, syms, counts)
+    total, rows = 0, []
+    for g, streams in enumerate(groups):
+        for syms in streams:
+            k = syms.shape[0] - n + 1
+            total += k
+            if _contracts(nsym, n, k):
+                rows.append((g, syms))
+            else:
+                _count_stream(table, syms, counts[g])
+    if rows:
+        # The fewest passes of at most CONTRACT_ROWS rows, of equal size.
+        size = -(-len(rows) // -(-len(rows) // CONTRACT_ROWS))
+        for lo in range(0, len(rows), size):
+            _count_contraction(table, rows[lo : lo + size], counts)
+    return total
 
 
 def markov_sample(cum_rows, start, uniforms):

@@ -10,10 +10,12 @@ Binary container (all integers little-endian):
     class vectors, packed u64 words per class
 
 A sidecar JSON at <path>.json mirrors the metadata for human inspection.
-The alphabet is always ``DEFAULT_ALPHABET`` and the tie seed the item seed
-plus one (mod 2**64). Loading refuses any other, a flag other than 0 or 1
-and any bit set past dim, so loading and re-saving reproduces the file
-byte for byte.
+The alphabet is always ``DEFAULT_ALPHABET``, the tie seed the item seed
+plus one (mod 2**64) and the symbol vectors those the item seed draws.
+Loading refuses any other, a flag other than 0 or 1 and any bit set past
+dim, so loading and re-saving reproduces the file byte for byte. A loaded
+model shares its item memory and rotated table with every live encoder of
+the same (dim, n, item seed).
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import Hypervector, _tail_mask, n_words
+from .algebra import _tail_mask, n_words
 from .assocmem import AssociativeMemory
 from .encoder import DEFAULT_ALPHABET, EncoderConfig, TextEncoder
 from .errors import ConfigurationError, DataError
-from .itemmem import ItemMemory
 from .pipeline import TrainedModel
 
 MAGIC = b"HDCM"
@@ -139,10 +140,10 @@ def load_model(path) -> TrainedModel:
         config = EncoderConfig(dim=dim, n=n, item_seed=item_seed, deterministic_ties=bool(det))
         if any((rows[:, -1] & ~_tail_mask(dim)).any() for rows in (sym_rows, class_rows)):
             raise DataError(f"{path}: a vector has bits set past dim {dim}")
-        vectors = [Hypervector(dim, row.copy()) for row in sym_rows]
-        mem = ItemMemory(list(alphabet), vectors, dim)
-        encoder = TextEncoder(config, item_memory=mem)
+        encoder = TextEncoder(config)
         assoc = AssociativeMemory.from_rows(labels, class_rows, dim)
     except (ValueError, ConfigurationError) as exc:
         raise DataError(f"{path}: invalid model: {exc}") from None
+    if not np.array_equal(sym_rows, encoder.item_memory.words_matrix()):
+        raise DataError(f"{path}: symbol vectors are not those of item seed {item_seed}")
     return TrainedModel(encoder=encoder, memory=assoc)

@@ -43,21 +43,25 @@ def train_pipeline(corpus, config: EncoderConfig | None = None) -> TrainedModel:
 
     Labels are taken in ``corpus.labels`` (sorted) order, which fixes
     prototype row order; one with no training text is a ConfigurationError.
+    Every label is encoded in one ``encode_each`` call, so all long texts
+    share the contraction's passes.
     """
     if config is None:
         config = EncoderConfig()
     if not corpus.train:
         raise ConfigurationError("corpus has no training samples")
-    encoder = TextEncoder(config)
-    memory = AssociativeMemory(config.dim)
-    for label in corpus.labels:
-        texts = corpus.train[label]
-        if not texts:
+    labels = corpus.labels
+    for label in labels:
+        if not corpus.train[label]:
             raise ConfigurationError(f"label {label!r} has no training text")
-        try:
-            memory.add(label, encoder.encode(*texts))
-        except TextTooShortError as exc:
-            raise TextTooShortError(f"training sample for {label!r}: {exc}") from None
+    encoder = TextEncoder(config)
+    try:
+        prototypes = encoder.encode_each([corpus.train[label] for label in labels])
+    except TextTooShortError as exc:
+        raise TextTooShortError(f"training sample for {labels[exc.group]!r}: {exc}") from None
+    memory = AssociativeMemory(config.dim)
+    for label, prototype in zip(labels, prototypes):
+        memory.add(label, prototype)
     return TrainedModel(encoder=encoder, memory=memory)
 
 

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from hdclab import (
     kernels,
     permute,
 )
+from hdclab import encoder as encoder_module
 from hdclab.encoder import symbol_codes
 from _oracles import ref_encode_text, ref_encode_texts, ref_ngram
 
@@ -165,11 +168,59 @@ class TestEncodeText:
         assert kernels._contracts(27, 3, len(texts[2]) - 2)
         assert list(e.encode(*texts).to_bits()) == ref_encode_texts(texts, 3, seed_bits)
 
+    @pytest.mark.parametrize("deterministic", [False, True], ids=["random-ties", "ties-to-1"])
+    def test_encode_each_matches_encode(self, deterministic):
+        e = TextEncoder(EncoderConfig(dim=1000, item_seed=4, deterministic_ties=deterministic))
+        gen = RandomSource(5).generator
+        long = ["".join(DEFAULT_ALPHABET[i] for i in gen.integers(0, 26, size=6000))
+                for _ in range(3)]
+        assert kernels._contracts(27, 3, len(long[0]) - 2)
+        # Even window counts (ties) and odd ones; long and short texts in one group.
+        groups = [["the cat sat"], [long[0], "on the mat"], long[1:], ["abab"], ["ab ab", "bab"]]
+        got = e.encode_each(groups)
+        assert len(got) == len(groups)
+        for hv, texts in zip(got, groups):
+            assert hv == e.encode(*texts)
+        assert e.encode_each([groups[1]]) == [e.encode(*groups[1])]
+        assert e.encode_each([]) == []
+
+    def test_encode_each_names_the_failing_group(self, enc):
+        with pytest.raises(TextTooShortError) as exc:
+            enc.encode_each([["long enough"], ["also long enough", "ab"]])
+        assert exc.value.group == 1
+        with pytest.raises(ValueError, match="at least one text"):
+            enc.encode_each([["long enough"], []])
+
     def test_encode_needs_texts_each_one_window_long(self, enc):
         with pytest.raises(ValueError, match="at least one text"):
             enc.encode()
         with pytest.raises(TextTooShortError):
             enc.encode("long enough", "ab")
+
+
+class TestSeedTables:
+    def test_encoders_of_one_config_share_tables(self):
+        a = TextEncoder(EncoderConfig(dim=300, item_seed=21))
+        b = TextEncoder(EncoderConfig(dim=300, item_seed=21, deterministic_ties=True))
+        assert a._table is b._table and a.item_memory is b.item_memory
+        for other in (EncoderConfig(dim=301, item_seed=21),
+                      EncoderConfig(dim=300, n=2, item_seed=21),
+                      EncoderConfig(dim=300, item_seed=22)):
+            c = TextEncoder(other)
+            assert c._table is not a._table and c.item_memory is not a.item_memory
+
+    def test_tables_go_with_the_last_encoder(self):
+        key = (300, 3, 23)
+        a = TextEncoder(EncoderConfig(dim=300, item_seed=23))
+        b = TextEncoder(EncoderConfig(dim=300, item_seed=23))
+        want = a.encode("shared tables")
+        del a
+        gc.collect()
+        assert key in encoder_module._SEED_TABLES and b.encode("shared tables") == want
+        del b
+        gc.collect()
+        assert key not in encoder_module._SEED_TABLES
+        assert TextEncoder(EncoderConfig(dim=300, item_seed=23)).encode("shared tables") == want
 
 
 class TestSymbolCodes:

@@ -78,8 +78,8 @@ def _accumulate_inputs(dim, n, num_symbols, length, seed):
 
 def test_accumulate_ngrams_window_count():
     table, syms = _accumulate_inputs(dim=64, n=4, num_symbols=5, length=10, seed=6)
-    counts = np.zeros(64, dtype=np.int64)
-    assert kernels.accumulate_ngrams(table, syms, counts) == 7
+    counts = np.zeros((1, 64), dtype=np.int64)
+    assert kernels.accumulate_ngrams(table, [[syms]], counts) == 7
 
 
 @pytest.mark.parametrize("dim,n,length", [
@@ -88,9 +88,9 @@ def test_accumulate_ngrams_window_count():
 ])
 def test_accumulate_matches_explicit_sum(dim, n, length):
     table, syms = _accumulate_inputs(dim=dim, n=n, num_symbols=4, length=length, seed=7)
-    counts = np.zeros(dim, dtype=np.int64)
-    assert kernels.accumulate_ngrams(table, syms, counts) == length - n + 1
-    want = np.zeros(dim, dtype=np.int64)
+    counts = np.zeros((1, dim), dtype=np.int64)
+    assert kernels.accumulate_ngrams(table, [[syms]], counts) == length - n + 1
+    want = np.zeros((1, dim), dtype=np.int64)
     for i in range(length - n + 1):
         v = table[0][syms[i]]
         for j in range(1, n):
@@ -114,11 +114,12 @@ def _count_cases():
     """(dim, n, nsym, k): k on both sides of the nsym**n <= 4k boundary
     (two consecutive k, so one odd and one even), plus two-block streams."""
     cases = []
-    for dim in (100, 128, 10000):
+    for dim in (1, 63, 65, 100, 128, 10000):
         for n in (1, 2, 3, 4):
-            for nsym in (1, 4, 27):
-                if (dim, n, nsym) == (10000, 4, 27):
-                    continue  # the explicit sum over ~133k windows would unpack 1.3 GB
+            for nsym in (1, 4, 8, 27):
+                if (n, nsym) == (4, 27) and dim not in (100, 128):
+                    continue  # ~133k windows: 1.3 GB to unpack at D = 10000, and
+                    # covered at dims 100 and 128 elsewhere
                 edge = -(-nsym**n // 4)  # smallest k that contracts
                 ks = (edge - 1, edge) if edge > 1 else (1, 2)  # every k contracts
                 cases += [(dim, n, nsym, k) for k in ks]
@@ -137,13 +138,54 @@ def test_count_paths_match_explicit_sum(dim, n, nsym, k):
                                      length=k + n - 1, seed=dim + 10 * n + nsym)
     start = np.arange(dim, dtype=np.int64)  # counts are added to, not overwritten
     want = start + _explicit_counts(table, syms, dim)
-    stream, contraction, routed = start.copy(), start.copy(), start.copy()
+    stream, contraction, routed = start.copy(), start[np.newaxis].copy(), start[np.newaxis].copy()
     assert kernels._count_stream(table, syms, stream) == k
-    assert kernels._count_contraction(table, syms, contraction) == k
-    assert kernels.accumulate_ngrams(table, syms, routed) == k
+    kernels._count_contraction(table, [(0, syms)], contraction)
+    assert kernels.accumulate_ngrams(table, [[syms]], routed) == k
     assert np.array_equal(stream, want)
-    assert np.array_equal(contraction, stream)
-    assert np.array_equal(routed, want)
+    assert np.array_equal(contraction[0], stream)
+    assert np.array_equal(routed[0], want)
+
+
+def _group_cases():
+    """(dim, n, nsym, groups): one to five groups in one call, over 8 or 27 symbols."""
+    return [(dim, n, nsym, groups)
+            for dim in (1, 63, 65, 100, 10000) for n in (1, 2, 3, 4) for nsym in (8, 27)
+            if (n, nsym) != (4, 27)  # never contracts: 4 * 27**3 > NGRAM_CHUNK
+            for groups in (1, 2, 5)]
+
+
+@pytest.mark.parametrize("dim,n,nsym,groups", _group_cases())
+def test_many_group_calls_match_explicit_sums(monkeypatch, dim, n, nsym, groups):
+    # Window counts per text, by group: one contracted text; a contracted and
+    # a streamed one; two contracted ones (one group twice in a pass); one
+    # streamed; and three texts, streamed between two contracted ones.
+    edge = -(-nsym**n // 4)  # smallest k that contracts
+    lengths = [[edge], [edge + 1, edge - 1], [edge + 2, edge + 5], [1], [edge + 7, 2, edge + 3]]
+    lengths = lengths[:groups]
+    table, pool = _accumulate_inputs(dim=dim, n=n, num_symbols=nsym,
+                                     length=sum(map(sum, lengths)) + 64 * n,
+                                     seed=dim + 10 * n + nsym + 1000 * groups)
+    streams, lo = [], 0
+    for ks in lengths:
+        streams.append([pool[lo : lo + k + n - 1] for k in ks])
+        lo += sum(ks) + n
+    for ks, group in zip(lengths, streams):
+        assert [kernels._contracts(nsym, n, k) for k in ks] == [k >= edge for k in ks]
+    want = np.array([sum(_explicit_counts(table, syms, dim) for syms in group)
+                     for group in streams])
+    total = sum(map(sum, lengths))
+    start = np.arange(groups * dim, dtype=np.int64).reshape(groups, dim)
+    # Passes of CONTRACT_ROWS texts and of one or two; int64 counts and the
+    # narrowest type that holds each group's windows.
+    for rows in (kernels.CONTRACT_ROWS, 2, 1):
+        monkeypatch.setattr(kernels, "CONTRACT_ROWS", rows)
+        counts = start.copy()
+        assert kernels.accumulate_ngrams(table, streams, counts) == total
+        assert np.array_equal(counts, start + want)
+        narrow = np.zeros((groups, dim), dtype=np.min_scalar_type(max(map(sum, lengths))))
+        assert kernels.accumulate_ngrams(table, streams, narrow) == total
+        assert narrow.dtype != np.int64 and np.array_equal(narrow, want)
 
 
 def test_dispatch_rule():
@@ -179,8 +221,8 @@ def test_accumulate_ngrams_dispatches_on_length(monkeypatch, length, path):
 
     for name in ("_count_stream", "_count_contraction"):
         monkeypatch.setattr(kernels, name, spy(name))
-    counts = np.zeros(64, dtype=np.int64)
-    assert kernels.accumulate_ngrams(table, syms, counts) == length - 2
+    counts = np.zeros((1, 64), dtype=np.int64)
+    assert kernels.accumulate_ngrams(table, [[syms]], counts) == length - 2
     assert called == [path]
 
 

@@ -176,6 +176,24 @@ def test_bits_past_dim_are_data_errors(model, tmp_path, offset):
         load_model(p)
 
 
+def test_symbol_vectors_other_than_the_seeds_are_data_errors(model, tmp_path):
+    # Byte 68 starts the first symbol row; its bit 0 is component 0 of 'a'.
+    p = tmp_path / "sym.hdc"
+    save_model(model, p)
+    raw = p.read_bytes()
+    p.write_bytes(_edit(raw, 68, bytes([raw[68] ^ 0x01])))
+    with pytest.raises(DataError, match="sym.hdc: symbol vectors are not those of item seed 7"):
+        load_model(p)
+
+
+def test_loaded_model_shares_seed_tables_with_the_live_one(model, tmp_path):
+    p = tmp_path / "m.hdc"
+    save_model(model, p)
+    loaded = load_model(p)
+    assert loaded.encoder._table is model.encoder._table
+    assert loaded.encoder.item_memory is model.encoder.item_memory
+
+
 def test_oversized_encoder_table_is_data_error(tmp_path):
     # n = 9987 passes n <= dim at D = 10000, but its rotated table would be
     # about 323 MiB; the bound rejects it before the table is built.

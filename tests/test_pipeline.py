@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hdclab import (
     TextTooShortError,
     TrainedModel,
     evaluate,
+    synth_corpus,
     train_pipeline,
 )
 from hdclab.pipeline import encode_test_set, score_report
@@ -71,6 +74,10 @@ def test_short_training_sample_names_label():
     corpus = Corpus()
     corpus.add_train("xx", "ab")
     with pytest.raises(TextTooShortError, match="xx"):
+        train_pipeline(corpus, EncoderConfig(dim=500))
+    corpus = tiny_corpus()
+    corpus.add_train("bb", "zy")  # the second label's second text
+    with pytest.raises(TextTooShortError, match="training sample for 'bb': need at least 3"):
         train_pipeline(corpus, EncoderConfig(dim=500))
 
 
@@ -195,3 +202,30 @@ def test_confusion_matrix_sums(synth, trained):
     report = evaluate(trained, synth)
     total = sum(sum(row.values()) for row in report["confusion"].values())
     assert total == report["total"] == 630
+
+
+def _training_peak(corpus, config):
+    """tracemalloc peak, in bytes, of one train_pipeline call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        train_pipeline(corpus, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_memory_is_bounded_by_pass_not_by_texts():
+    # The benchmark corpus: 21 x 20k chars at D = 10000. An item seed no other
+    # test uses, so the seed tables are built, and counted, inside the call.
+    corpus = synth_corpus(seed=1, num_languages=21, train_chars=20000,
+                          test_sentences=30, sentence_chars=100)
+    config = EncoderConfig(dim=10000, item_seed=2016)
+    peak = _training_peak(corpus, config)
+    assert peak <= 4 * 2**20
+    # Four times as many long texts, each label's text cut in four (each
+    # part still contracts): the contraction passes stay as large.
+    quarters = {label: [text[i * 5000 : (i + 1) * 5000] for i in range(4)]
+                for label, (text,) in corpus.train.items()}
+    assert all(len(t) - 2 >= -(-27**3 // 4) for ts in quarters.values() for t in ts)
+    assert _training_peak(Corpus(train=quarters), config) <= peak
