@@ -246,18 +246,31 @@ class Accumulator:
         """
         if self._items == 0:
             raise ValueError("cannot threshold an empty accumulator")
-        # c > items // 2 is 2c > items for odd and even items alike. The bool
-        # buffer fills whole words, so the bits past dim pack as 0.
-        half = self._items // 2
-        bits = np.zeros(n_words(self.dim) * WORD_BITS, dtype=bool)
-        np.greater(self._counts, half, out=bits[: self.dim])
-        if self._items % 2 == 0:
-            ties = np.flatnonzero(self._counts == half)  # in index order
-            if ties.size:
-                bits[ties] = 1 if rng is None else rng.bits(ties.size)
-        words = np.packbits(bits, bitorder="little").view(np.uint64)
-        words.setflags(write=False)  # read-only and clean: Hypervector keeps it
-        return Hypervector(self.dim, words)
+        return Hypervector(self.dim, majority_words(self._counts, self._items, rng))
+
+
+def majority_words(counts, items: int, rng: RandomSource | None = None) -> np.ndarray:
+    """Read-only packed words of the majority of ``items`` vectors with these per-component counts.
+
+    ``counts`` may be of any integer type that holds ``items``; it is used
+    as it is, with no cast and no range check, so every value must lie in
+    [0, items]. A component is 1 where its count exceeds half of ``items``.
+    Exact ties (even ``items`` only) are drawn from ``rng`` in index order,
+    or resolve to 1 with ``rng=None``.
+    """
+    dim = counts.shape[0]
+    # c > items // 2 is 2c > items for odd and even items alike. The bool
+    # buffer fills whole words, so the bits past dim pack as 0.
+    half = items // 2
+    bits = np.zeros(n_words(dim) * WORD_BITS, dtype=bool)
+    np.greater(counts, half, out=bits[:dim])
+    if items % 2 == 0:
+        ties = np.flatnonzero(counts == half)  # in index order
+        if ties.size:
+            bits[ties] = 1 if rng is None else rng.bits(ties.size)
+    words = np.packbits(bits, bitorder="little").view(np.uint64)
+    words.setflags(write=False)  # read-only and clean: Hypervector keeps it
+    return words
 
 
 def bundle(vectors, rng: RandomSource | None = None) -> Hypervector:

@@ -47,13 +47,18 @@ class BaselineClassifier:
 
     def count_vector(self, *texts: str):
         """Sorted unique n-gram codes and counts over the texts; no window spans two."""
-        codes = []
+        streams = []
         for text in texts:
             syms = symbol_codes(normalize_text(text))
             if syms.shape[0] < self.n:
                 raise TextTooShortError(f"need at least {self.n} symbols, "
                                         f"got {syms.shape[0]}")
-            codes.append(kernels.ngram_codes(syms, len(DEFAULT_ALPHABET), self.n))
+            streams.append(syms)
+        return self._count(streams)
+
+    def _count(self, streams):
+        """Sorted unique n-gram codes and counts over symbol streams of n or more symbols."""
+        codes = [kernels.ngram_codes(syms, len(DEFAULT_ALPHABET), self.n) for syms in streams]
         return np.unique(np.concatenate(codes), return_counts=True)
 
     def similarities(self, text: str) -> np.ndarray:
@@ -61,7 +66,10 @@ class BaselineClassifier:
 
         N-grams outside the vocabulary count only toward the text's norm.
         """
-        codes, counts = self.count_vector(text)  # at least one window
+        return self._cosines(*self.count_vector(text))  # at least one window
+
+    def _cosines(self, codes, counts) -> np.ndarray:
+        """Cosine similarity of one text's n-gram counts to every profile."""
         idx = np.searchsorted(self.vocabulary, codes)
         seen = self.vocabulary.take(idx, mode="clip") == codes
         return self.units[:, idx[seen]] @ (counts[seen] / np.linalg.norm(counts))
@@ -83,9 +91,10 @@ def baseline_evaluate(clf: BaselineClassifier, corpus) -> dict:
     Negated cosine similarity serves as the distance: negation is exact and
     argmin takes the first minimum, so ties still go to the first label.
     """
-    sims, true_idx, skipped = encode_test_sentences(clf.labels, corpus, clf.similarities)
+    symbols, true_idx, skipped = encode_test_sentences(clf.labels, corpus, clf.n)
+    sims = np.vstack([clf._cosines(*clf._count([syms])) for syms in symbols])
     return {
         "classifier": "baseline",
         "n": clf.n,
-        **score_report(-np.vstack(sims), true_idx, clf.labels, skipped),
+        **score_report(-sims, true_idx, clf.labels, skipped),
     }

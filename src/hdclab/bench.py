@@ -1,7 +1,9 @@
 """Microbenchmarks: the word-wise Hamming kernel against the per-bit
-reference loop, one 100-char text encode split into its two hot layers, and
-training-sized encodes: 21 texts of 20k chars in one ``encode_each`` call
-against one ``encode`` call per text, and one such text alone.
+reference loop, one 100-char text encode split into its two hot layers,
+training-sized encodes (21 texts of 20k chars in one ``encode_each`` call
+against one ``encode`` call per text, and one such text alone), and a
+test-set encode (630 sentences of 100 chars in one batched call against one
+``encode`` call per sentence).
 
 Run with:  python3 -m hdclab.bench
 """
@@ -13,7 +15,7 @@ import time
 import numpy as np
 
 from . import kernels
-from .algebra import Accumulator, RandomSource, random_hv
+from .algebra import RandomSource, majority_words, random_hv
 from .encoder import DEFAULT_ALPHABET, EncoderConfig, TextEncoder
 
 
@@ -62,14 +64,16 @@ def bench_encode(length: int = 100, seed: int = 42) -> dict:
     enc = TextEncoder(EncoderConfig())
     rng = RandomSource(seed)
     text = _random_text(length, rng)
-    table, groups = enc._table, [[enc.symbol_indices(text)]]
-    counts = np.zeros((1, enc.config.dim), dtype=np.int64)
-    acc = Accumulator.from_counts(counts[0].copy(),
-                                  kernels.accumulate_ngrams(table, groups, counts))
+    table, groups = enc._table, [[enc.symbol_indices(text).astype(np.uint8)]]
+    k = length - enc.config.n + 1
+    # The narrow counts encode thresholds; the timed counting adds to a copy.
+    counts = np.zeros((1, enc.config.dim), dtype=np.min_scalar_type(k))
+    kernels.accumulate_ngrams(table, groups, counts)
+    scratch = counts.copy()
     return {"length": length,
             "encode_ns": per_call_ns(lambda: enc.encode(text)),
-            "counting_ns": per_call_ns(lambda: kernels.accumulate_ngrams(table, groups, counts)),
-            "threshold_ns": per_call_ns(lambda: acc.threshold(rng))}
+            "counting_ns": per_call_ns(lambda: kernels.accumulate_ngrams(table, groups, scratch)),
+            "threshold_ns": per_call_ns(lambda: majority_words(counts[0], k, rng))}
 
 
 def bench_train(texts: int = 21, length: int = 20000, seed: int = 42) -> dict:
@@ -83,6 +87,29 @@ def bench_train(texts: int = 21, length: int = 20000, seed: int = 42) -> dict:
             "encode_each_ns": per_call_ns(lambda: enc.encode_each(groups)),
             "encode_per_text_ns": per_call_ns(lambda: [enc.encode(doc) for doc in docs]),
             "encode_one_ns": per_call_ns(lambda: enc.encode(docs[0]))}
+
+
+def bench_test_set(sentences: int = 630, length: int = 100, seed: int = 42,
+                   rounds: int = 9) -> dict:
+    """``sentences`` random ``length``-char sentences at the defaults, as the
+    benchmark's test set: one batched ``encode_each`` call, which encodes
+    through ``encode_symbols`` as ``evaluate`` does, against one ``encode``
+    call per sentence. Each is a call of about 0.1 s, so the two alternate
+    and each keeps its fastest of ``rounds``, and a slow spell of the host
+    costs both alike."""
+    enc = TextEncoder(EncoderConfig())
+    rng = RandomSource(seed)
+    texts = [_random_text(length, rng) for _ in range(sentences)]
+    groups = [[text] for text in texts]
+    calls = {"batched_ns": lambda: enc.encode_each(groups),
+             "per_sentence_ns": lambda: [enc.encode(t) for t in texts]}
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(rounds):
+        for key, fn in calls.items():
+            t0 = time.perf_counter()
+            fn()
+            best[key] = min(best[key], (time.perf_counter() - t0) * 1e9)
+    return {"sentences": sentences, "length": length, **best}
 
 
 def _fmt_ns(ns: float) -> str:
@@ -108,6 +135,10 @@ def main():
     print(f"  encode_each    {_fmt_ns(t['encode_each_ns'])}  (one call)")
     print(f"  {t['texts']} x encode    {_fmt_ns(t['encode_per_text_ns'])}")
     print(f"  one text       {_fmt_ns(t['encode_one_ns'])}")
+    q = bench_test_set()
+    print(f"test-set encode, {q['sentences']} sentences x {q['length']} chars, D=10000")
+    print(f"  batched        {_fmt_ns(q['batched_ns'])}  (one call)")
+    print(f"  {q['sentences']} x encode   {_fmt_ns(q['per_sentence_ns'])}")
 
 
 if __name__ == "__main__":

@@ -182,13 +182,16 @@ def cmd_noise_curve(args) -> int:
 
 
 def cmd_synth_corpus(args) -> int:
-    corpus = synth_corpus(
-        num_languages=args.languages,
-        train_chars=args.train_chars,
-        test_sentences=args.test_sentences,
-        sentence_chars=args.sentence_chars,
-        seed=args.seed,
-    )
+    try:
+        corpus = synth_corpus(
+            num_languages=args.languages,
+            train_chars=args.train_chars,
+            test_sentences=args.test_sentences,
+            sentence_chars=args.sentence_chars,
+            seed=args.seed,
+        )
+    except ValueError as exc:  # over synth.MAX_LANGUAGES or synth.MAX_CORPUS_CHARS
+        raise ConfigurationError(str(exc)) from None
     write_corpus(corpus, args.out)
     print(
         f"wrote {args.languages} synthetic languages under {args.out} "

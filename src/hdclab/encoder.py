@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .algebra import Accumulator, Hypervector, RandomSource, bind, bundle, n_words, permute
+from .algebra import (Hypervector, RandomSource, bind, bundle, majority_words, n_words,
+                      permute)
 from .errors import ConfigurationError, DataError, TextTooShortError
 from .itemmem import ItemMemory
 
@@ -33,6 +34,14 @@ DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 # Largest pre-rotated table TextEncoder builds, n * symbols * words * 8 bytes:
 # about 660x the 101,736 B of the default trigram table at D = 10000.
 MAX_TABLE_BYTES = 64 * 2**20
+
+# Groups per counting call of TextEncoder.encode_symbols, so that the count
+# buffer is one chunk's (640 KB of uint8 for 64 short texts at D = 10000),
+# however many groups a call has. On the 630 sentences of the seed-1
+# benchmark corpus, evaluate took 113/110/109/109/109 ms at 16/32/64/128/all
+# groups per call, and its tracemalloc peak read 1.8/2.1/2.7/4.0/7.6 MiB
+# (fastest of 15 interleaved calls, one OpenBLAS thread, 2-vCPU Xeon VM).
+ENCODE_GROUPS = 64
 
 _FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 _NON_ALPHA = re.compile(r"[^a-z]+")
@@ -125,18 +134,22 @@ class TextEncoder:
     Pre-rotates the whole alphabet once per (dim, n, item seed), as packed
     words only, and shares that table and the item memory with every other
     live encoder of the same key (at the defaults 101,736 B of table and
-    33,912 B of item memory). Counting is a packed XOR fold per window for
-    short texts and one pair-sign contraction over all long texts of a call
-    (see ``kernels.accumulate_ngrams``), into counts of the narrowest
-    unsigned type that holds each group's window count. Beyond each text's
-    symbols, one byte each, working memory is bounded independently of how
-    long or how many the texts are: the stream works in blocks of
-    ``kernels.STREAM_BLOCK`` (255) windows, 2.5 MB unpacked at D = 10000,
+    33,912 B of item memory). ``encode``, ``encode_each`` and the test-set
+    path all end in ``encode_symbols``: groups of symbol streams are counted
+    ``ENCODE_GROUPS`` to a call, by a packed XOR fold with one carry-save
+    level for short texts and one pair-sign contraction over all long texts
+    of the call (see ``kernels.accumulate_ngrams``), into counts of the
+    narrowest unsigned type that holds the call's largest group, and each
+    count row is thresholded as it is by ``majority_words``. Beyond each
+    text's symbols, one byte each, and one row of words per group, working
+    memory is bounded independently of how long or how many the texts are:
+    the count buffer holds one chunk of groups, the stream works in blocks
+    of ``kernels.STREAM_BLOCK`` (255) windows, 2.5 MB unpacked at D = 10000,
     and the contraction in passes of at most ``kernels.CONTRACT_ROWS`` texts
     whose histograms take ``nsym**n`` float32 values each and whose blocks
     take at most ``kernels.CONTRACT_FLOATS`` (1 MiB). Training the 21 x
-    20k-char benchmark corpus at D = 10000 peaked at 3.69 MiB under
-    tracemalloc.
+    20k-char benchmark corpus at D = 10000 peaked at 3.56 MiB under
+    tracemalloc, and evaluating its 630 test sentences at 2.7 MiB.
     """
 
     def __init__(self, config: EncoderConfig):
@@ -176,35 +189,54 @@ class TextEncoder:
         return self.encode_each([texts])[0]
 
     def encode_each(self, groups) -> list[Hypervector]:
-        """``[encode(*texts) for texts in groups]``, bit for bit, counted in one kernel call.
+        """``[encode(*texts) for texts in groups]``, bit for bit, through ``encode_symbols``.
 
         A too-short text raises TextTooShortError whose ``group`` is its
         group's index.
         """
-        n = self.config.n
-        streams, windows, digests = [], [], []
-        for g, texts in enumerate(groups):
-            if not texts:
-                raise ValueError("encode needs at least one text")
-            content, k, group = hashlib.blake2b(digest_size=16), 0, []
-            for text in texts:
-                syms = self.symbol_indices(text)
-                if syms.shape[0] < n:
-                    raise TextTooShortError(
-                        f"need at least {n} symbols after normalization, got {syms.shape[0]}",
-                        group=g)
-                content.update(syms)
-                k += syms.shape[0] - n + 1
-                group.append(syms.astype(np.uint8))  # 27 symbols: one byte each
-            streams.append(group)
-            windows.append(k)
-            digests.append(content.digest())
-        # The narrowest unsigned type that holds every group's window count.
-        dtype = np.min_scalar_type(max(windows, default=0))
-        counts = np.zeros((len(streams), self.config.dim), dtype=dtype)
-        kernels.accumulate_ngrams(self._table, streams, counts)
-        return [Accumulator.from_counts(c, k).threshold(self._tie_rng(d))
-                for c, k, d in zip(counts, windows, digests)]
+        # 27 symbols: one byte each, so no text keeps an int64 array alive.
+        words = self.encode_symbols([[self.symbol_indices(text).astype(np.uint8)
+                                      for text in texts] for texts in groups])
+        return [Hypervector(self.config.dim, row) for row in words]
+
+    def encode_symbols(self, groups) -> np.ndarray:
+        """Read-only (groups, words) uint64 matrix: row g encodes the symbol streams ``groups[g]``.
+
+        A stream is an integer array of alphabet indices, as ``symbol_indices``
+        gives; row g is ``encode`` of the texts those streams came from, bit
+        for bit (the tie stream is keyed by their int64 values). Groups are
+        counted ``ENCODE_GROUPS`` to one ``kernels.accumulate_ngrams`` call,
+        into counts of the narrowest unsigned type that holds the chunk's
+        largest window count, and each count row is thresholded as it is by
+        ``majority_words``. A stream shorter than n raises
+        TextTooShortError whose ``group`` is g.
+        """
+        n, dim = self.config.n, self.config.dim
+        out = np.empty((len(groups), n_words(dim)), dtype=np.uint64)
+        for lo in range(0, len(groups), ENCODE_GROUPS):
+            chunk = groups[lo : lo + ENCODE_GROUPS]
+            streams, windows, digests = [], [], []
+            for g, group in enumerate(chunk, lo):
+                if not group:
+                    raise ValueError("encode needs at least one text")
+                content, k, narrow = hashlib.blake2b(digest_size=16), 0, []
+                for syms in group:
+                    if syms.shape[0] < n:
+                        raise TextTooShortError(
+                            f"need at least {n} symbols after normalization, got {syms.shape[0]}",
+                            group=g)
+                    content.update(syms.astype(np.int64, copy=False))
+                    k += syms.shape[0] - n + 1
+                    narrow.append(syms.astype(np.uint8, copy=False))
+                streams.append(narrow)
+                windows.append(k)
+                digests.append(content.digest())
+            counts = np.zeros((len(chunk), dim), dtype=np.min_scalar_type(max(windows)))
+            kernels.accumulate_ngrams(self._table, streams, counts)
+            for row, c, k, d in zip(out[lo:], counts, windows, digests):
+                row[:] = majority_words(c, k, self._tie_rng(d))
+        out.setflags(write=False)
+        return out
 
 
 def encode_record(fields, mem: ItemMemory, rng: RandomSource | None = None) -> Hypervector:

@@ -22,10 +22,13 @@ vectors have a 1, for groups of symbol streams in one call, by one of two
 exact methods per stream:
 
 * the block stream gathers and XOR-folds up to ``STREAM_BLOCK`` (255)
-  windows as words, unpacks the block once and sums it as uint8 (exact: a
-  column of 255 rows sums to at most 255); its cost grows with the number
-  of windows k. At D = 10000 it took 0.12/0.82/5.5 ms at k = 98/600/4000,
-  against 0.20/1.20/16.0 ms for 4096-window blocks summed as uint16;
+  windows as words, folds them once more by a 3:2 carry-save level into
+  about 2/3 as many rows of two weights, then unpacks those rows and sums
+  them as uint8 (exact: a column's block count is at most 255); its cost
+  grows with the number of windows k. At D = 10000 it took 0.11/0.63/4.1 ms
+  at k = 98/600/4000, against 0.13/0.79/5.2 ms for the same blocks unpacked
+  without the carry-save level (fastest of 5 repeats, three runs, one
+  OpenBLAS thread, 2-vCPU Xeon VM);
 * the pair-sign contraction counts each distinct n-gram of a stream once,
   as one float32 histogram row, and contracts up to ``CONTRACT_ROWS`` rows
   at once against the sign tables of the window positions, one matmul per
@@ -114,15 +117,15 @@ def _contracts(nsym: int, n: int, k: int) -> bool:
     ``(nsym**(n-1), dim)`` float32 table would be no larger than a
     ``(NGRAM_CHUNK, dim)`` uint8 block, and k < 2**24 keeps float32 exact.
     At the defaults (n = 3, 27 symbols, D = 10000) the measured crossover
-    for a text contracted alone is about 5,500-6,000 windows, or about 3.5
-    bins per window: the contraction took a flat 7.3-8.2 ms, the stream
-    6.5 ms at k = 4920 (the 4-bin edge), 8.2-8.4 ms at k = 6000 and
-    9.4-9.7 ms at k = 7000. Smaller tables, where the contraction's fixed
-    cost weighs more, cross at about 1.5 bins or fewer: at 4 bins the
-    stream took 0.23-0.25 ms against 0.61-0.63 ms (n = 2) and 1.5 ms
-    against 3.8-4.0 ms (8 symbols, n = 4) (fastest of 40 interleaved calls,
-    two runs). A text contracted together
-    with others costs less; see the module docstring.
+    for a text contracted alone is about 7,000 windows, or about 2.8 bins
+    per window, since the stream's carry-save level: the contraction took a
+    flat 7.3-8.2 ms, the stream 5.1-5.6 ms at k = 4920 (the 4-bin edge),
+    5.9-6.1 ms at k = 6000 and 7.1-7.8 ms at k = 7000. Smaller tables,
+    where the contraction's fixed cost weighs more, cross lower still: at 4
+    bins the stream took 0.17 ms against 0.54-0.56 ms (n = 2) and 1.1-1.2 ms
+    against 3.8-4.0 ms (8 symbols, n = 4) (fastest of 5 repeats, three
+    runs). A text contracted together with others costs less; see the
+    module docstring.
     """
     # n may be as large as dim; with nsym >= 2, an exponent capped at 32
     # already fails both size bounds, so the cap changes no answer.
@@ -131,7 +134,16 @@ def _contracts(nsym: int, n: int, k: int) -> bool:
 
 
 def _count_stream(table, syms, counts):
-    """Block stream: XOR-fold up to STREAM_BLOCK windows as words, unpack, sum."""
+    """Block stream: XOR-fold up to STREAM_BLOCK windows as words, one 3:2
+    carry-save level, unpack, sum.
+
+    A block of r windows is split at m = r // 3: rows a, b and c are its
+    first three runs of m rows. c takes their sum bits a ^ b ^ c in place,
+    and the carry bits (a & b) | ((a ^ b) & c) go to a new (m, words) array,
+    so a column's count is the sum of rows 2m.. plus twice the sum of the
+    carry rows, and about 2/3 as many rows are unpacked. Both sums are exact
+    in uint8, and so is their total: it is the block's count, at most 255.
+    """
     n = table.shape[0]
     dim = counts.shape[0]
     k = syms.shape[0] - n + 1
@@ -140,7 +152,17 @@ def _count_stream(table, syms, counts):
         block = table[0][syms[lo:hi]]
         for j in range(1, n):
             block ^= table[j][syms[lo + j : hi + j]]
-        counts += _unpack(block, dim).sum(axis=0, dtype=np.uint8)
+        m = (hi - lo) // 3
+        a, b, c = block[:m], block[m : 2 * m], block[2 * m : 3 * m]
+        half = a ^ b
+        carry = a & b
+        carry |= half & c
+        c ^= half
+        total = _unpack(block[2 * m :], dim).sum(axis=0, dtype=np.uint8)
+        twice = _unpack(carry, dim).sum(axis=0, dtype=np.uint8)
+        twice <<= 1
+        total += twice
+        counts += total
     return k
 
 

@@ -2,9 +2,12 @@
 
 A trained model is an encoder and one prototype hypervector per language:
 the majority over the n-gram windows of all its training texts, as the paper
-trains one accumulator per language. Evaluation scores the encoded test set
-as one distance matrix; sentences shorter than one n-gram are counted as
-skipped rather than failing the run.
+trains one accumulator per language. The test set has one front end,
+``encode_test_sentences``: each sentence is normalized and coded once, and
+those shorter than one n-gram are counted as skipped rather than failing the
+run. Evaluation encodes the rest in one batched ``encode_symbols`` call and
+scores the packed words as one distance matrix; the n-gram baseline counts
+the same symbols.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import Hypervector
 from .assocmem import AssociativeMemory, ClassificationResult
-from .encoder import EncoderConfig, TextEncoder
+from .encoder import EncoderConfig, TextEncoder, normalize_text, symbol_codes
 from .errors import ConfigurationError, DataError, TextTooShortError
 from .faultlab import distance_matrix, pairwise_from_dmat
 
@@ -65,34 +69,42 @@ def train_pipeline(corpus, config: EncoderConfig | None = None) -> TrainedModel:
     return TrainedModel(encoder=encoder, memory=memory)
 
 
-def encode_test_sentences(labels, corpus, encode):
-    """Apply encode to every test sentence, in corpus order.
+def encode_test_sentences(labels, corpus, n: int):
+    """Normalize and code every test sentence once, in corpus order.
 
-    Returns (vectors, true_idx, skipped): what encode returned per usable
-    sentence, the int64 index into labels of each one's true label, and the
-    count of sentences too short to encode. A test label missing from labels
-    raises ConfigurationError; a test set with no usable sentence, DataError.
+    Returns (symbols, true_idx, skipped): the uint8 alphabet indices of
+    each sentence of at least n symbols, the int64 index into labels of
+    each one's true label, and the count of sentences too short for one
+    n-gram. A test label missing from labels raises ConfigurationError; a
+    test set with no usable sentence, DataError.
     """
     label_index = {label: i for i, label in enumerate(labels)}
     for label in corpus.test:
         if label not in label_index:
             raise ConfigurationError(f"test label {label!r} not in the model")
-    vectors, true_idx, skipped = [], [], 0
+    symbols, true_idx, skipped = [], [], 0
     for label, sentence in corpus.test_items():
-        try:
-            vectors.append(encode(sentence))
-        except TextTooShortError:
+        syms = symbol_codes(normalize_text(sentence))
+        if syms.shape[0] < n:
             skipped += 1
             continue
+        symbols.append(syms.astype(np.uint8))  # 27 symbols: one byte each
         true_idx.append(label_index[label])
-    if not vectors:
+    if not symbols:
         raise DataError("no usable test sentences")
-    return vectors, np.array(true_idx, dtype=np.int64), skipped
+    return symbols, np.array(true_idx, dtype=np.int64), skipped
+
+
+def _encode_test_words(model: TrainedModel, corpus):
+    """(words, true_idx, skipped): the (queries, words) matrix of the usable test sentences."""
+    symbols, true_idx, skipped = encode_test_sentences(model.labels, corpus, model.config.n)
+    return model.encoder.encode_symbols([[syms] for syms in symbols]), true_idx, skipped
 
 
 def encode_test_set(model: TrainedModel, corpus):
-    """(queries, true_idx, skipped): each test sentence encoded once as a Hypervector."""
-    return encode_test_sentences(model.labels, corpus, model.encoder.encode)
+    """(queries, true_idx, skipped): each usable test sentence encoded once as a Hypervector."""
+    words, true_idx, skipped = _encode_test_words(model, corpus)
+    return [Hypervector(model.config.dim, row) for row in words], true_idx, skipped
 
 
 def score_report(dmat: np.ndarray, true_idx: np.ndarray, labels, skipped: int) -> dict:
@@ -141,8 +153,7 @@ def evaluate(model: TrainedModel, corpus, mode: str = "multiclass") -> dict:
     the 210 (for 21 languages) two-class accuracies.
     """
     check_mode(model, mode)
-    queries, true_idx, skipped = encode_test_set(model, corpus)
-    query_words = np.concatenate([q.words for q in queries]).reshape(len(queries), -1)
+    query_words, true_idx, skipped = _encode_test_words(model, corpus)
     dmat = distance_matrix(model.memory.rows(), query_words)
     report = {
         "classifier": "hd",

@@ -18,6 +18,15 @@ from .encoder import DEFAULT_ALPHABET
 # Softmax temperature of the chains' logits: low enough that the chains are far apart.
 TEMPERATURE = 0.7
 
+# Most languages synth_corpus makes: two-digit labels keep lexical order
+# equal to language order.
+MAX_LANGUAGES = 100
+# Most characters synth_corpus draws, over every text and sentence: room for
+# the paper's 21 x 1M training chars and 21,000 test sentences of 100 chars.
+# Drawing 4 x 210k chars peaked at 36 bytes per character under tracemalloc
+# (a float64 uniform, an int64 state and the text), so about 1.2 GB here.
+MAX_CORPUS_CHARS = 2**25
+
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -73,6 +82,12 @@ def synth_corpus(num_languages: int = 21, train_chars: int = 20000,
         raise ValueError("need at least two languages to classify")
     if train_chars < 3 or sentence_chars < 3:
         raise ValueError("texts must be at least one trigram long")
+    # Both bounds hold before anything is drawn.
+    if num_languages > MAX_LANGUAGES:
+        raise ValueError(f"{num_languages} languages is over {MAX_LANGUAGES}")
+    chars = num_languages * (train_chars + test_sentences * sentence_chars)
+    if chars > MAX_CORPUS_CHARS:
+        raise ValueError(f"a corpus of {chars} characters is over {MAX_CORPUS_CHARS}")
     symbols = np.array(list(DEFAULT_ALPHABET))
     root = RandomSource(seed)
     labels = [f"lang{li:02d}" for li in range(num_languages)]

@@ -4,12 +4,15 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import hdclab
+from hdclab import synth
 from hdclab.cli import main
+from hdclab.synth import MAX_CORPUS_CHARS, MAX_LANGUAGES
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +237,40 @@ def test_bad_number_exits_2_without_traceback(workspace, tmp_path, args):
     args = [{"MODEL": str(model), "CORPUS": str(corpus)}.get(a, a) for a in args]
     _assert_one_error_line(_run_cli(args, tmp_path), 2)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["--languages", str(MAX_LANGUAGES + 1), "--train-chars", "3", "--test-sentences", "0"],
+    ["--languages", "200000", "--train-chars", "3", "--test-sentences", "0"],
+    ["--train-chars", "1000000000000000"],
+    ["--test-sentences", "1000000000"],
+    ["--sentence-chars", "1000000000"],
+    # Two characters over the bound, every option in range on its own.
+    ["--languages", "2", "--train-chars", str(MAX_CORPUS_CHARS // 2 + 1), "--test-sentences", "0"],
+], ids=lambda args: " ".join(args[:2]))
+def test_synth_corpus_over_a_bound_exits_2_before_drawing(monkeypatch, tmp_path, capsys, args):
+    def refuse(*_):
+        raise AssertionError("drew before checking the bounds")
+
+    monkeypatch.setattr(synth, "RandomSource", refuse)
+    monkeypatch.setattr(synth, "MarkovLanguage", refuse)
+    out = tmp_path / "corpus"
+    tracemalloc.start()
+    try:
+        code = main(["synth-corpus", "--out", str(out), *args])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "is over" in capsys.readouterr().err
+    assert not out.exists() and peak < 2**20
+
+
+def test_synth_corpus_at_the_language_bound(tmp_path):
+    out = tmp_path / "corpus"
+    assert main(["synth-corpus", "--out", str(out), "--languages", str(MAX_LANGUAGES),
+                 "--train-chars", "3", "--test-sentences", "0"]) == 0
+    assert len(list((out / "train").iterdir())) == MAX_LANGUAGES
 
 
 @pytest.fixture(scope="module")

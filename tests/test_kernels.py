@@ -129,7 +129,12 @@ def _count_cases():
     # the same vector, so a column reaches k: a uint8 block sum of 256 would wrap.
     cases += [(dim, 3, nsym, k) for dim in (100, 10000) for nsym in (1, 27)
               for k in (254, 255, 256, 510, 511)]
-    return cases
+    # The carry-save level: blocks of fewer than three windows have no carry
+    # rows, 3-7 windows one or two carry rows and a remainder, 253 the most
+    # carry rows below a full block. (One symbol at k = 1 and 2 is above.)
+    carry = [(dim, 3, nsym, k) for dim in (100, 10000) for nsym in (1, 27)
+             for k in (1, 2, 3, 4, 5, 6, 7, 253)]
+    return cases + [case for case in carry if case not in cases]
 
 
 @pytest.mark.parametrize("dim,n,nsym,k", _count_cases())

@@ -8,7 +8,6 @@ from _oracles import ref_encode_texts
 
 from hdclab import (
     DEFAULT_ALPHABET,
-    Accumulator,
     ConfigurationError,
     Corpus,
     DataError,
@@ -20,6 +19,8 @@ from hdclab import (
     synth_corpus,
     train_pipeline,
 )
+from hdclab import encoder as encoder_module
+from hdclab.algebra import majority_words
 from hdclab.pipeline import encode_test_set, score_report
 
 
@@ -85,18 +86,18 @@ def test_training_is_single_pass(monkeypatch):
     corpus = tiny_corpus()
     corpus.add_train("aa", "cab bac cab")
     read, thresholds = [], []
-    symbol_indices, threshold = TextEncoder.symbol_indices, Accumulator.threshold
+    symbol_indices = TextEncoder.symbol_indices
 
     def counting_symbol_indices(self, text):
         read.append(text)
         return symbol_indices(self, text)
 
-    def counting_threshold(self, rng=None):
-        thresholds.append(self.items_added)
-        return threshold(self, rng)
+    def counting_majority(counts, items, rng=None):
+        thresholds.append(items)
+        return majority_words(counts, items, rng)
 
     monkeypatch.setattr(TextEncoder, "symbol_indices", counting_symbol_indices)
-    monkeypatch.setattr(Accumulator, "threshold", counting_threshold)
+    monkeypatch.setattr(encoder_module, "majority_words", counting_majority)
     train_pipeline(corpus, EncoderConfig(dim=1000))
     assert read == [text for _, text in corpus.train_items()]
     # One majority per label, over the windows of all its texts.
@@ -228,4 +229,74 @@ def test_training_memory_is_bounded_by_pass_not_by_texts():
     quarters = {label: [text[i * 5000 : (i + 1) * 5000] for i in range(4)]
                 for label, (text,) in corpus.train.items()}
     assert all(len(t) - 2 >= -(-27**3 // 4) for ts in quarters.values() for t in ts)
-    assert _training_peak(Corpus(train=quarters), config) <= peak
+    # Each extra text adds only its own Python objects (its symbol array's
+    # header and its contraction row's entry), about 180 B here: 256 B each.
+    extra_texts = sum(map(len, quarters.values())) - len(corpus.train)
+    assert _training_peak(Corpus(train=quarters), config) <= peak + 256 * extra_texts
+
+
+# Test-set positions of too-short sentences: the first, both sides of the
+# first ENCODE_GROUPS edge, and the last.
+SHORT_AT = {0: "ab", 63: "x", 64: "", 129: "q!"}
+
+
+def _chunk_edge_corpus():
+    """Two languages and 130 test sentences of 20-79 chars, four of them too short."""
+    base = synth_corpus(num_languages=2, train_chars=3000, test_sentences=65,
+                        sentence_chars=80, seed=11)
+    corpus = Corpus(train=base.train)
+    for i, (label, sentence) in enumerate(base.test_items()):
+        corpus.add_test(label, SHORT_AT.get(i, sentence[: 20 + i % 60]))
+    return corpus
+
+
+@pytest.mark.parametrize("deterministic", [False, True], ids=["random-ties", "ties-to-1"])
+def test_batched_test_set_matches_one_encode_per_sentence(deterministic):
+    corpus = _chunk_edge_corpus()
+    assert encoder_module.ENCODE_GROUPS == 64
+    model = train_pipeline(corpus, EncoderConfig(dim=1000, deterministic_ties=deterministic))
+    queries, true_idx, skipped = encode_test_set(model, corpus)
+    usable = [(label, s) for i, (label, s) in enumerate(corpus.test_items()) if i not in SHORT_AT]
+    assert skipped == len(SHORT_AT) and len(queries) == len(usable) == 126
+    assert queries == [model.encoder.encode(s) for _, s in usable]
+    assert true_idx.tolist() == [model.labels.index(label) for label, _ in usable]
+
+
+def test_evaluate_report_matches_per_sentence_classification():
+    corpus = _chunk_edge_corpus()
+    model = train_pipeline(corpus, EncoderConfig(dim=1000))
+    report = evaluate(model, corpus)
+    confusion: dict = {}
+    for i, (label, sentence) in enumerate(corpus.test_items()):
+        if i not in SHORT_AT:
+            row = confusion.setdefault(label, {})
+            predicted = model.classify_text(sentence).label
+            row[predicted] = row.get(predicted, 0) + 1
+    assert report["skipped_short"] == len(SHORT_AT)
+    assert report["total"] == 126
+    assert report["confusion"] == confusion
+
+
+def _evaluate_peak(model, corpus):
+    """tracemalloc peak, in bytes, of one evaluate call."""
+    evaluate(model, corpus)  # warm up whatever the first call builds
+    gc.collect()
+    tracemalloc.start()
+    try:
+        evaluate(model, corpus)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_memory_does_not_hold_a_count_row_per_sentence():
+    # 630 and 2,520 sentences of 100 chars at D = 10000.
+    base = synth_corpus(seed=1, num_languages=21, train_chars=2000,
+                        test_sentences=120, sentence_chars=100)
+    model = train_pipeline(base, EncoderConfig(dim=10000))
+    one = Corpus(train=base.train, test={label: s[:30] for label, s in base.test.items()})
+    extra = 3 * 630
+    # Per sentence, the query matrix row and the scoring kernel's XOR row
+    # (1,256 B each at D = 10000) and a few small arrays: 2.4 KB measured.
+    # One uint8 count row per sentence would add 10,000 B more.
+    assert _evaluate_peak(model, base) <= _evaluate_peak(model, one) + 4096 * extra

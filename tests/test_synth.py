@@ -68,3 +68,7 @@ def test_bad_args():
         synth_corpus(num_languages=2, train_chars=2)
     with pytest.raises(ValueError):
         synth_corpus(num_languages=2, sentence_chars=2)
+    with pytest.raises(ValueError, match="101 languages is over 100"):
+        synth_corpus(num_languages=101, train_chars=3, test_sentences=0)
+    with pytest.raises(ValueError, match="characters is over"):
+        synth_corpus(num_languages=2, train_chars=2**24, test_sentences=1, sentence_chars=3)
