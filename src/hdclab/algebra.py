@@ -208,18 +208,6 @@ class Accumulator:
         self._counts = np.zeros(dim, dtype=np.int64)
         self._items = 0
 
-    @classmethod
-    def from_counts(cls, counts, items_added: int) -> "Accumulator":
-        counts = np.ascontiguousarray(counts, dtype=np.int64)
-        acc = cls(counts.shape[0])
-        if items_added < 0:
-            raise ValueError("items_added must be non-negative")
-        if counts.min() < 0 or counts.max() > items_added:
-            raise ValueError("counts must lie in [0, items_added]")
-        acc._counts = counts
-        acc._items = int(items_added)
-        return acc
-
     @property
     def counts(self) -> np.ndarray:
         return self._counts

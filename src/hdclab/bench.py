@@ -89,27 +89,18 @@ def bench_train(texts: int = 21, length: int = 20000, seed: int = 42) -> dict:
             "encode_one_ns": per_call_ns(lambda: enc.encode(docs[0]))}
 
 
-def bench_test_set(sentences: int = 630, length: int = 100, seed: int = 42,
-                   rounds: int = 9) -> dict:
+def bench_test_set(sentences: int = 630, length: int = 100, seed: int = 42) -> dict:
     """``sentences`` random ``length``-char sentences at the defaults, as the
     benchmark's test set: one batched ``encode_each`` call, which encodes
     through ``encode_symbols`` as ``evaluate`` does, against one ``encode``
-    call per sentence. Each is a call of about 0.1 s, so the two alternate
-    and each keeps its fastest of ``rounds``, and a slow spell of the host
-    costs both alike."""
+    call per sentence."""
     enc = TextEncoder(EncoderConfig())
     rng = RandomSource(seed)
     texts = [_random_text(length, rng) for _ in range(sentences)]
     groups = [[text] for text in texts]
-    calls = {"batched_ns": lambda: enc.encode_each(groups),
-             "per_sentence_ns": lambda: [enc.encode(t) for t in texts]}
-    best = dict.fromkeys(calls, float("inf"))
-    for _ in range(rounds):
-        for key, fn in calls.items():
-            t0 = time.perf_counter()
-            fn()
-            best[key] = min(best[key], (time.perf_counter() - t0) * 1e9)
-    return {"sentences": sentences, "length": length, **best}
+    return {"sentences": sentences, "length": length,
+            "batched_ns": per_call_ns(lambda: enc.encode_each(groups)),
+            "per_sentence_ns": per_call_ns(lambda: [enc.encode(t) for t in texts])}
 
 
 def _fmt_ns(ns: float) -> str:

@@ -127,6 +127,43 @@ class _SeedTables:
 # and dropped with the last one.
 _SEED_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
+# Bit 7 of a _JoinedGroup byte: the first symbol of a stream after the first.
+_START = 0x80
+
+
+class _JoinedGroup:
+    """One group's symbol streams, each at least one symbol long, in one uint8 buffer.
+
+    Symbols are below 32, so bit 7 is free: it marks the first symbol of
+    every stream after the first. No per-stream array or offset is kept, so
+    a group holds its symbols, one byte each, and nothing more however many
+    texts they came from. Iterating yields each stream as a fresh uint8
+    array, which lives only as long as its reader keeps it.
+    """
+
+    __slots__ = ("_syms", "_len")
+
+    def __init__(self, streams):
+        self._len = len(streams)
+        self._syms = np.concatenate(streams, dtype=np.uint8, casting="unsafe")
+        start = 0
+        for syms in streams[:-1]:
+            start += syms.shape[0]
+            self._syms[start] |= _START
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        starts = np.flatnonzero(self._syms >= _START).tolist()
+        for lo, hi in zip([0, *starts], [*starts, self._syms.shape[0]]):
+            yield self._syms[lo:hi] & (_START - 1)
+
+
+def _too_short(syms, n: int, g: int) -> TextTooShortError:
+    return TextTooShortError(
+        f"need at least {n} symbols after normalization, got {syms.shape[0]}", group=g)
+
 
 class TextEncoder:
     """Streams normalized text into text hypervectors.
@@ -140,14 +177,16 @@ class TextEncoder:
     level for short texts and one pair-sign contraction over all long texts
     of the call (see ``kernels.accumulate_ngrams``), into counts of the
     narrowest unsigned type that holds the call's largest group, and each
-    count row is thresholded as it is by ``majority_words``. Beyond each
-    text's symbols, one byte each, and one row of words per group, working
-    memory is bounded independently of how long or how many the texts are:
-    the count buffer holds one chunk of groups, the stream works in blocks
-    of ``kernels.STREAM_BLOCK`` (255) windows, 2.5 MB unpacked at D = 10000,
-    and the contraction in passes of at most ``kernels.CONTRACT_ROWS`` texts
-    whose histograms take ``nsym**n`` float32 values each and whose blocks
-    take at most ``kernels.CONTRACT_FLOATS`` (1 MiB). Training the 21 x
+    count row is thresholded as it is by ``majority_words``. ``encode_each``
+    reads the texts of a group of several into one ``_JoinedGroup``, so
+    beyond the texts' symbols, one byte each, and one row of words per
+    group, nothing is kept per text, and working memory is bounded independently of how
+    long or how many the texts are: the count buffer holds one chunk of
+    groups, the stream works in blocks of ``kernels.STREAM_BLOCK`` (255)
+    windows, 2.5 MB unpacked at D = 10000, and the contraction in passes of
+    at most ``kernels.CONTRACT_ROWS`` histogram rows, one per group of long
+    texts, of ``nsym**n`` float32 values each, whose blocks take at most
+    ``kernels.CONTRACT_FLOATS`` (1 MiB). Training the 21 x
     20k-char benchmark corpus at D = 10000 peaked at 3.56 MiB under
     tracemalloc, and evaluating its 630 test sentences at 2.7 MiB.
     """
@@ -191,52 +230,61 @@ class TextEncoder:
     def encode_each(self, groups) -> list[Hypervector]:
         """``[encode(*texts) for texts in groups]``, bit for bit, through ``encode_symbols``.
 
-        A too-short text raises TextTooShortError whose ``group`` is its
-        group's index.
+        A group of several texts is read into one ``_JoinedGroup``, one of a
+        single text into a list of its uint8 symbols. A too-short text raises
+        TextTooShortError whose ``group`` is its group's index.
         """
-        # 27 symbols: one byte each, so no text keeps an int64 array alive.
-        words = self.encode_symbols([[self.symbol_indices(text).astype(np.uint8)
-                                      for text in texts] for texts in groups])
+        words = self.encode_symbols([self._read(g, texts) for g, texts in enumerate(groups)])
         return [Hypervector(self.config.dim, row) for row in words]
+
+    def _read(self, g: int, texts):
+        if not texts:
+            raise ValueError("encode needs at least one text")
+        streams = [self.symbol_indices(text) for text in texts]
+        for syms in streams:
+            if syms.shape[0] < self.config.n:
+                raise _too_short(syms, self.config.n, g)
+        if len(streams) == 1:  # nothing to join
+            return [streams[0].astype(np.uint8)]
+        return _JoinedGroup(streams)
 
     def encode_symbols(self, groups) -> np.ndarray:
         """Read-only (groups, words) uint64 matrix: row g encodes the symbol streams ``groups[g]``.
 
-        A stream is an integer array of alphabet indices, as ``symbol_indices``
-        gives; row g is ``encode`` of the texts those streams came from, bit
-        for bit (the tie stream is keyed by their int64 values). Groups are
-        counted ``ENCODE_GROUPS`` to one ``kernels.accumulate_ngrams`` call,
-        into counts of the narrowest unsigned type that holds the chunk's
-        largest window count, and each count row is thresholded as it is by
-        ``majority_words``. A stream shorter than n raises
-        TextTooShortError whose ``group`` is g.
+        A group is a sequence of streams that may be read more than once; a
+        stream is an integer array of alphabet indices, as
+        ``symbol_indices`` gives. Row g is ``encode`` of the texts those
+        streams came from, bit for bit (the tie stream is keyed by their
+        int64 values). Groups are counted ``ENCODE_GROUPS`` to one
+        ``kernels.accumulate_ngrams`` call, into counts of the narrowest
+        unsigned type that holds the chunk's largest window count, and each
+        count row is thresholded as it is by ``majority_words``. A stream
+        shorter than n raises TextTooShortError whose ``group`` is g.
         """
-        n, dim = self.config.n, self.config.dim
-        out = np.empty((len(groups), n_words(dim)), dtype=np.uint64)
+        out = np.empty((len(groups), n_words(self.config.dim)), dtype=np.uint64)
         for lo in range(0, len(groups), ENCODE_GROUPS):
             chunk = groups[lo : lo + ENCODE_GROUPS]
-            streams, windows, digests = [], [], []
-            for g, group in enumerate(chunk, lo):
-                if not group:
-                    raise ValueError("encode needs at least one text")
-                content, k, narrow = hashlib.blake2b(digest_size=16), 0, []
-                for syms in group:
-                    if syms.shape[0] < n:
-                        raise TextTooShortError(
-                            f"need at least {n} symbols after normalization, got {syms.shape[0]}",
-                            group=g)
-                    content.update(syms.astype(np.int64, copy=False))
-                    k += syms.shape[0] - n + 1
-                    narrow.append(syms.astype(np.uint8, copy=False))
-                streams.append(narrow)
-                windows.append(k)
-                digests.append(content.digest())
-            counts = np.zeros((len(chunk), dim), dtype=np.min_scalar_type(max(windows)))
-            kernels.accumulate_ngrams(self._table, streams, counts)
+            windows, digests = zip(*(self._key(g, group) for g, group in enumerate(chunk, lo)))
+            counts = np.zeros((len(chunk), self.config.dim),
+                              dtype=np.min_scalar_type(max(windows)))
+            kernels.accumulate_ngrams(self._table, chunk, counts)
             for row, c, k, d in zip(out[lo:], counts, windows, digests):
                 row[:] = majority_words(c, k, self._tie_rng(d))
         out.setflags(write=False)
         return out
+
+    def _key(self, g: int, group):
+        """(k, digest) of group g: its window count and its tie key, one blake2b over its symbols."""
+        if not len(group):
+            raise ValueError("encode needs at least one text")
+        n = self.config.n
+        content, k = hashlib.blake2b(digest_size=16), 0
+        for syms in group:
+            if syms.shape[0] < n:
+                raise _too_short(syms, n, g)
+            content.update(syms.astype(np.int64, copy=False))
+            k += syms.shape[0] - n + 1
+        return k, content.digest()
 
 
 def encode_record(fields, mem: ItemMemory, rng: RandomSource | None = None) -> Hypervector:

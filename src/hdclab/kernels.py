@@ -30,7 +30,8 @@ exact methods per stream:
   without the carry-save level (fastest of 5 repeats, three runs, one
   OpenBLAS thread, 2-vCPU Xeon VM);
 * the pair-sign contraction counts each distinct n-gram of a stream once,
-  as one float32 histogram row, and contracts up to ``CONTRACT_ROWS`` rows
+  into one float32 histogram row per group (the long streams of a group
+  share their row), and contracts up to ``CONTRACT_ROWS`` rows
   at once against the sign tables of the window positions, one matmul per
   block of components; its cost depends on ``nsym**n`` and the number of
   rows, not on k, and float32 keeps it exact while each row's k < 2**24.
@@ -64,9 +65,10 @@ STREAM_BLOCK = np.iinfo(np.uint8).max
 # took 7.9/7.6/8.1/9.0 ms at 3/5/8/14 words on one thread and
 # 9.5/8.4/8.0/8.0 ms on two (fastest of 12 interleaved calls).
 CONTRACT_FLOATS = 2**18
-# Texts per contraction pass: the 21 languages of the paper fit in one. More
-# rows are split into the fewest passes of equal size, so 84 texts make
-# four passes of 21 and the peak does not grow with the number of texts.
+# Histogram rows per contraction pass: the 21 languages of the paper fit in
+# one. More rows are split into the fewest passes of equal size, so 84
+# one-text groups make four passes of 21 and the peak does not grow with the
+# number of texts; 84 texts in 21 groups are 21 rows and one pass.
 CONTRACT_ROWS = 24
 
 
@@ -185,28 +187,51 @@ def ngram_codes(syms, nsym, n):
     return code
 
 
-def ngram_histogram(syms, nsym, n):
-    """int64 count of each sliding n-gram by ``ngram_codes`` code, in NGRAM_CHUNK blocks.
+def ngram_histogram(syms, nsym, n, hist=None):
+    """int64 count of each sliding n-gram by ``ngram_codes`` code, in NGRAM_CHUNK blocks,
+    added into ``hist`` when given (a zeroed histogram otherwise) and returned.
 
     ``np.add.at`` costs per window, not per bin (a per-block bincount took
     37 ms at 27**5 bins, add.at 40 us).
     """
     k = syms.shape[0] - n + 1
-    hist = np.zeros(nsym**n, dtype=np.int64)
+    if hist is None:
+        hist = np.zeros(nsym**n, dtype=np.int64)
     for lo in range(0, k, NGRAM_CHUNK):
         np.add.at(hist, ngram_codes(syms[lo : lo + NGRAM_CHUNK + n - 1], nsym, n), 1)
     return hist
 
 
-def _count_contraction(table, rows, counts):
+def _histograms(groups, rows, nsym, n):
+    """(hist, ks, targets) of contraction rows: each row's float32 n-gram
+    histogram, its window count and the count row it adds to.
+
+    Row ``(g, None)`` is every stream of ``groups[g]``; row ``(g, i)`` is its
+    stream i alone. Each stream is read only while it is histogrammed.
+    """
+    hist = np.empty((len(rows), nsym**n), dtype=np.float32)
+    ks = np.zeros(len(rows), dtype=np.int64)
+    targets = np.array([g for g, _ in rows], dtype=np.intp)
+    for r, (g, i) in enumerate(rows):
+        row = np.zeros(nsym**n, dtype=np.int64)
+        for j, syms in enumerate(groups[g]):
+            if i is None or i == j:
+                ks[r] += syms.shape[0] - n + 1
+                ngram_histogram(syms, nsym, n, row)
+        hist[r] = row
+    return hist, ks, targets
+
+
+def _count_contraction(table, groups, rows, counts):
     """Pair-sign contraction: counts = (k - sum_a s_0[a] * (H[a, :] @ P)) / 2, per row.
 
     A window's XOR bit b satisfies 1 - 2b = prod_j (1 - 2 b_j), so summing
     the sign products over windows gives k - 2*count. ``rows`` lists
-    ``(g, syms)``, one text per row, whose counts add to ``counts[g]``. Row
-    r's histogram ``H`` (float32, built from ``ngram_histogram``) is split by
-    the symbol a at window position 0; ``P[(b, c, ...), d]`` is the product
-    of the sign rows of positions 1..n-1 (a row of ones for n = 1). ``P`` is
+    ``(g, i)``: the streams of ``groups[g]`` whose windows add to
+    ``counts[g]``, all of them for i None, else stream i (see
+    ``_histograms``). Row r's histogram ``H`` (float32) is split by the
+    symbol a at window position 0; ``P[(b, c, ...), d]`` is the product of
+    the sign rows of positions 1..n-1 (a row of ones for n = 1). ``P`` is
     built once per block of components and shared by every row, so each
     block is one ``(rows*nsym, nsym**(n-1)) @ (nsym**(n-1), width)`` matmul
     into ``R``. Every partial sum is an integer of magnitude at most the
@@ -214,11 +239,7 @@ def _count_contraction(table, rows, counts):
     """
     n, nsym, nwords = table.shape
     dim = counts.shape[1]
-    targets = np.array([g for g, _ in rows], dtype=np.intp)
-    ks = np.array([syms.shape[0] - n + 1 for _, syms in rows], dtype=np.int64)
-    hist = np.empty((len(rows), nsym**n), dtype=np.float32)
-    for r, (_, syms) in enumerate(rows):
-        hist[r] = ngram_histogram(syms, nsym, n)
+    hist, ks, targets = _histograms(groups, rows, nsym, n)
     hist = hist.reshape(len(rows) * nsym, -1)
     # Whole words per block: as many as keep P and R within CONTRACT_FLOATS.
     step = max(1, CONTRACT_FLOATS // (hist.shape[1] + hist.shape[0]) // 64)
@@ -246,34 +267,56 @@ def _contract_block(hist, ks, words):
     return c
 
 
+def _dispatch(table, g, streams, counts):
+    """Stream the short streams of group g into ``counts[g]``; return its
+    window count and its contraction rows.
+
+    A group whose every stream contracts is one row, ``(g, None)``, while
+    its windows total below 2**24, so float32 stays exact; otherwise each
+    contracted stream i is a row ``(g, i)`` of its own.
+    """
+    n, nsym, _ = table.shape
+    total, row_k, contracted = 0, 0, []
+    for i, syms in enumerate(streams):
+        k = syms.shape[0] - n + 1
+        total += k
+        if _contracts(nsym, n, k):
+            contracted.append(i)
+            row_k += k
+        else:
+            _count_stream(table, syms, counts[g])
+    if contracted and len(contracted) == len(streams) and row_k < 2**24:
+        return total, [(g, None)]
+    return total, [(g, i) for i in contracted]
+
+
 def accumulate_ngrams(table, groups, counts):
     """Accumulate all sliding n-gram hypervectors of groups of symbol streams.
 
     ``table`` is the pre-rotated alphabet as packed words, shape (n, n_symbols,
     n_words) uint64; ``table[j][s]`` is the vector used when symbol ``s`` sits
-    at window position ``j``. ``groups[g]`` lists the symbol streams whose
-    windows add to ``counts[g]``: per component, how many of the k windows
-    have a 1. ``counts`` is a (groups, dim) integer array whose type holds
-    each group's total. Returns the total k over every stream; no window
-    spans two streams. Long streams go through the pair-sign contraction,
-    ``CONTRACT_ROWS`` or fewer to a pass, short ones through the block
-    stream (see ``_contracts``); both give the same counts.
+    at window position ``j``. ``groups[g]`` is a sequence of the symbol
+    streams whose windows add to ``counts[g]``: per component, how many of
+    the k windows have a 1. It is read once to dispatch and once more if any
+    of its streams contracts. ``counts`` is a (groups, dim) integer array
+    whose type holds each group's total. Returns the total k over every
+    stream; no window spans two streams. Long streams go through the
+    pair-sign contraction, the long streams of one group as one histogram
+    row, ``CONTRACT_ROWS`` or fewer rows to a pass; short ones go through the
+    block stream (see ``_contracts`` and ``_dispatch``). Both give the same
+    counts. No stream is kept past its reading: a contraction row is a
+    group index and at most one stream index.
     """
-    n, nsym, _ = table.shape
     total, rows = 0, []
     for g, streams in enumerate(groups):
-        for syms in streams:
-            k = syms.shape[0] - n + 1
-            total += k
-            if _contracts(nsym, n, k):
-                rows.append((g, syms))
-            else:
-                _count_stream(table, syms, counts[g])
+        k, group_rows = _dispatch(table, g, streams, counts)
+        total += k
+        rows += group_rows
     if rows:
         # The fewest passes of at most CONTRACT_ROWS rows, of equal size.
         size = -(-len(rows) // -(-len(rows) // CONTRACT_ROWS))
         for lo in range(0, len(rows), size):
-            _count_contraction(table, rows[lo : lo + size], counts)
+            _count_contraction(table, groups, rows[lo : lo + size], counts)
     return total
 
 

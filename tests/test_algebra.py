@@ -216,7 +216,10 @@ class TestAccumulator:
         assert acc.threshold() == a
 
     def test_strict_majority_hand_example(self):
-        acc = Accumulator.from_counts(np.array([3, 0, 2, 1]), 3)
+        acc = Accumulator(4)
+        for bits in ("1011", "1010", "1000"):  # counts 3, 0, 2, 1 of 3
+            acc.add(hv_from_string(bits))
+        assert acc.counts.tolist() == [3, 0, 2, 1]
         assert hv_to_string(acc.threshold()) == "1010"
 
     def test_empty_accumulator_rejected(self):
@@ -224,7 +227,10 @@ class TestAccumulator:
             Accumulator(8).threshold()
 
     def test_tie_handling(self):
-        acc = Accumulator.from_counts(np.array([1, 0, 2, 1]), 2)
+        acc = Accumulator(4)
+        for bits in ("1011", "0010"):  # counts 1, 0, 2, 1 of 2
+            acc.add(hv_from_string(bits))
+        assert acc.counts.tolist() == [1, 0, 2, 1]
         assert hv_to_string(acc.threshold()) == "1011"  # deterministic ties -> 1
         seen = set()
         for s in range(20):

@@ -197,6 +197,44 @@ class TestEncodeText:
         with pytest.raises(TextTooShortError):
             enc.encode("long enough", "ab")
 
+    def test_long_texts_of_one_group_are_one_contraction_row(self, monkeypatch):
+        e = TextEncoder(EncoderConfig(dim=100, item_seed=7, deterministic_ties=True))
+        seed_bits = {ch: list(e.item_memory.lookup(ch).to_bits()) for ch in DEFAULT_ALPHABET}
+        texts = [" ".join(["ab"] * 2000), " ".join(["bca"] * 1500)]
+        assert all(kernels._contracts(27, 3, len(t) - 2) for t in texts)
+        rows = []
+        contraction = kernels._count_contraction
+
+        def spy(table, groups, group_rows, counts):
+            rows.append(group_rows)
+            return contraction(table, groups, group_rows, counts)
+
+        monkeypatch.setattr(kernels, "_count_contraction", spy)
+        assert list(e.encode(*texts).to_bits()) == ref_encode_texts(texts, 3, seed_bits)
+        assert rows == [[(0, None)]]
+        # A streamed text in the group: each long text is a row of its own.
+        rows.clear()
+        mixed = [texts[0], "the cat sat", texts[1]]
+        assert list(e.encode(*mixed).to_bits()) == ref_encode_texts(mixed, 3, seed_bits)
+        assert rows == [[(0, 0), (0, 2)]]
+
+
+class TestJoinedGroup:
+    def test_reads_back_each_stream(self):
+        streams = [np.array([26, 0, 5]), np.array([3]), np.array([0, 0]), np.array([26] * 300)]
+        group = encoder_module._JoinedGroup(streams)
+        assert len(group) == 4
+        for _ in range(2):  # read more than once
+            got = list(group)
+            assert [g.dtype for g in got] == [np.dtype(np.uint8)] * 4
+            assert [g.tolist() for g in got] == [s.tolist() for s in streams]
+        assert [g.tolist() for g in encoder_module._JoinedGroup(streams[3:])] == [[26] * 300]
+
+    def test_keeps_one_byte_per_symbol_and_no_per_stream_array(self):
+        group = encoder_module._JoinedGroup([np.arange(27)] * 5)
+        assert group.__slots__ == ("_syms", "_len")
+        assert group._syms.dtype == np.uint8 and group._syms.shape == (135,)
+
 
 class TestSeedTables:
     def test_encoders_of_one_config_share_tables(self):

@@ -145,7 +145,7 @@ def test_count_paths_match_explicit_sum(dim, n, nsym, k):
     want = start + _explicit_counts(table, syms, dim)
     stream, contraction, routed = start.copy(), start[np.newaxis].copy(), start[np.newaxis].copy()
     assert kernels._count_stream(table, syms, stream) == k
-    kernels._count_contraction(table, [(0, syms)], contraction)
+    kernels._count_contraction(table, [[syms]], [(0, None)], contraction)
     assert kernels.accumulate_ngrams(table, [[syms]], routed) == k
     assert np.array_equal(stream, want)
     assert np.array_equal(contraction[0], stream)
@@ -163,8 +163,9 @@ def _group_cases():
 @pytest.mark.parametrize("dim,n,nsym,groups", _group_cases())
 def test_many_group_calls_match_explicit_sums(monkeypatch, dim, n, nsym, groups):
     # Window counts per text, by group: one contracted text; a contracted and
-    # a streamed one; two contracted ones (one group twice in a pass); one
-    # streamed; and three texts, streamed between two contracted ones.
+    # a streamed one; two contracted ones (one histogram row); one streamed;
+    # and three texts, streamed between two contracted ones (one group twice
+    # in a pass).
     edge = -(-nsym**n // 4)  # smallest k that contracts
     lengths = [[edge], [edge + 1, edge - 1], [edge + 2, edge + 5], [1], [edge + 7, 2, edge + 3]]
     lengths = lengths[:groups]
@@ -191,6 +192,19 @@ def test_many_group_calls_match_explicit_sums(monkeypatch, dim, n, nsym, groups)
         narrow = np.zeros((groups, dim), dtype=np.min_scalar_type(max(map(sum, lengths))))
         assert kernels.accumulate_ngrams(table, streams, narrow) == total
         assert narrow.dtype != np.int64 and np.array_equal(narrow, want)
+
+
+def test_group_row_keeps_float32_exact():
+    # A group whose streams all contract is one histogram row while its
+    # windows total below 2**24; at 2**24 each stream is a row of its own.
+    table = np.zeros((3, 27, 1), dtype=np.uint64)
+    half = np.empty(2**23 + 2, dtype=np.uint8)  # 2**23 windows; never read
+    assert kernels._dispatch(table, 4, [half[1:], half], None) == (2**24 - 1, [(4, None)])
+    assert kernels._dispatch(table, 4, [half, half], None) == (2**24, [(4, 0), (4, 1)])
+    short = np.zeros(5, dtype=np.uint8)  # streams
+    counts = np.zeros((5, 64), dtype=np.int64)
+    assert kernels._dispatch(table, 4, [half, short], counts) == (2**23 + 3, [(4, 0)])
+    assert kernels._dispatch(table, 4, [], counts) == (0, [])
 
 
 def test_dispatch_rule():

@@ -229,10 +229,7 @@ def test_training_memory_is_bounded_by_pass_not_by_texts():
     quarters = {label: [text[i * 5000 : (i + 1) * 5000] for i in range(4)]
                 for label, (text,) in corpus.train.items()}
     assert all(len(t) - 2 >= -(-27**3 // 4) for ts in quarters.values() for t in ts)
-    # Each extra text adds only its own Python objects (its symbol array's
-    # header and its contraction row's entry), about 180 B here: 256 B each.
-    extra_texts = sum(map(len, quarters.values())) - len(corpus.train)
-    assert _training_peak(Corpus(train=quarters), config) <= peak + 256 * extra_texts
+    assert _training_peak(Corpus(train=quarters), config) <= peak
 
 
 # Test-set positions of too-short sentences: the first, both sides of the
