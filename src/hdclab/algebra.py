@@ -41,15 +41,18 @@ def unpack_bits(words, dim: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), count=dim, bitorder="little")
 
 
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
 def _tail_mask(dim: int) -> np.uint64:
     rem = dim % WORD_BITS
     if rem == 0:
-        return np.uint64(0xFFFFFFFFFFFFFFFF)
+        return _ALL_ONES
     return np.uint64((1 << rem) - 1)
 
 
 def _ones_words(dim: int) -> np.ndarray:
-    words = np.full(n_words(dim), 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    words = np.full(n_words(dim), _ALL_ONES, dtype=np.uint64)
     words[-1] = _tail_mask(dim)
     return words
 
@@ -83,6 +86,10 @@ class RandomSource:
     def bits(self, count: int) -> np.ndarray:
         """``count`` independent fair bits as a uint8 array."""
         return self._gen.integers(0, 2, size=count, dtype=np.uint8)
+
+    def words(self, count: int) -> np.ndarray:
+        """``count`` uniformly random uint64 words: 64 fair bits each."""
+        return self._gen.integers(0, 2**64, size=count, dtype=np.uint64)
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, key={self.key})"
@@ -228,36 +235,50 @@ class Accumulator:
     def threshold(self, rng: RandomSource | None = None) -> Hypervector:
         """Majority vote: 1 where counts exceed half the additions.
 
-        Exact ties (even counts only) are drawn from ``rng``; with
-        ``rng=None`` ties resolve to 1, which keeps regression runs
-        bit-exact across platforms.
+        Exact ties (even counts only) at component i take bit i of
+        ``n_words(dim)`` random words drawn from ``rng``; with ``rng=None``
+        ties resolve to 1, which keeps regression runs bit-exact across
+        platforms.
         """
         if self._items == 0:
             raise ValueError("cannot threshold an empty accumulator")
-        return Hypervector(self.dim, majority_words(self._counts, self._items, rng))
+        ties = None if rng is None else rng.words(n_words(self.dim))[None]
+        words = majority_words(self._counts[None], [self._items], ties)
+        return Hypervector(self.dim, words[0])
 
 
-def majority_words(counts, items: int, rng: RandomSource | None = None) -> np.ndarray:
-    """Read-only packed words of the majority of ``items`` vectors with these per-component counts.
+def _packed_rows(bits) -> np.ndarray:
+    """(rows, words) uint64 of a (rows, dim) bool matrix; the bits past dim are 0."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out = np.zeros((bits.shape[0], n_words(bits.shape[1]) * 8), dtype=np.uint8)
+    out[:, : packed.shape[1]] = packed
+    return out.view(np.uint64)
 
-    ``counts`` may be of any integer type that holds ``items``; it is used
-    as it is, with no cast and no range check, so every value must lie in
-    [0, items]. A component is 1 where its count exceeds half of ``items``.
-    Exact ties (even ``items`` only) are drawn from ``rng`` in index order,
-    or resolve to 1 with ``rng=None``.
+
+def majority_words(counts, items, ties=None) -> np.ndarray:
+    """Read-only (rows, words) packed majorities of a (rows, dim) count matrix.
+
+    Row r of ``counts`` holds, per component, how many of ``items[r]``
+    vectors had a 1 there. ``counts`` may be of any integer type that holds
+    the largest of ``items``; it is used as it is, with no cast and no range
+    check, so every value must lie in [0, items[r]]. A component is 1 where
+    its count exceeds half of its row's items. An exact tie (even items
+    only) at component i of row r takes bit i of ``ties[r]``, a (rows,
+    words) uint64 matrix in the packed bit order, or is 1 with
+    ``ties=None``. Two packs and no per-row step:
+    ``packbits(counts > half) | (packbits(counts == half) & even rows & ties)``.
     """
-    dim = counts.shape[0]
-    # c > items // 2 is 2c > items for odd and even items alike. The bool
-    # buffer fills whole words, so the bits past dim pack as 0.
-    half = items // 2
-    bits = np.zeros(n_words(dim) * WORD_BITS, dtype=bool)
-    np.greater(counts, half, out=bits[:dim])
-    if items % 2 == 0:
-        ties = np.flatnonzero(counts == half)  # in index order
-        if ties.size:
-            bits[ties] = 1 if rng is None else rng.bits(ties.size)
-    words = np.packbits(bits, bitorder="little").view(np.uint64)
-    words.setflags(write=False)  # read-only and clean: Hypervector keeps it
+    rows, dim = counts.shape
+    items = np.asarray(items, dtype=np.int64)
+    # c > items // 2 is 2c > items for odd and even items alike.
+    half = (items // 2).astype(counts.dtype)[:, None]
+    words = _packed_rows(np.greater(counts, half))
+    tied = _packed_rows(np.equal(counts, half))
+    tied &= np.where(items % 2 == 0, _ALL_ONES, np.uint64(0))[:, None]
+    if ties is not None:
+        tied &= ties
+    words |= tied
+    words.setflags(write=False)  # read-only and clean: Hypervector keeps its rows
     return words
 
 

@@ -1,5 +1,6 @@
 """Microbenchmarks: the word-wise Hamming kernel against the per-bit
-reference loop, one 100-char text encode split into its two hot layers,
+reference loop, one 100-char text encode with its counting and its share of
+a chunk's majority threshold,
 training-sized encodes (21 texts of 20k chars in one ``encode_each`` call
 against one ``encode`` call per text, and one such text alone), and a
 test-set encode (630 sentences of 100 chars in one batched call against one
@@ -15,8 +16,8 @@ import time
 import numpy as np
 
 from . import kernels
-from .algebra import RandomSource, majority_words, random_hv
-from .encoder import DEFAULT_ALPHABET, EncoderConfig, TextEncoder
+from .algebra import RandomSource, majority_words, n_words, random_hv
+from .encoder import DEFAULT_ALPHABET, ENCODE_GROUPS, EncoderConfig, TextEncoder
 
 
 def per_call_ns(fn, min_time_s: float = 0.05, samples: int = 3) -> float:
@@ -60,7 +61,9 @@ def _random_text(length: int, rng: RandomSource) -> str:
 
 
 def bench_encode(length: int = 100, seed: int = 42) -> dict:
-    """A ``length``-char text at the defaults: encode, counting, threshold."""
+    """A ``length``-char text at the defaults: encode, counting, and the
+    threshold of one ``ENCODE_GROUPS`` chunk of such texts with their tie
+    words, as ``encode_symbols`` thresholds it, per text."""
     enc = TextEncoder(EncoderConfig())
     rng = RandomSource(seed)
     text = _random_text(length, rng)
@@ -70,10 +73,14 @@ def bench_encode(length: int = 100, seed: int = 42) -> dict:
     counts = np.zeros((1, enc.config.dim), dtype=np.min_scalar_type(k))
     kernels.accumulate_ngrams(table, groups, counts)
     scratch = counts.copy()
+    chunk = np.repeat(counts, ENCODE_GROUPS, axis=0)
+    items = [k] * ENCODE_GROUPS
+    ties = rng.words(ENCODE_GROUPS * n_words(enc.config.dim)).reshape(ENCODE_GROUPS, -1)
     return {"length": length,
             "encode_ns": per_call_ns(lambda: enc.encode(text)),
             "counting_ns": per_call_ns(lambda: kernels.accumulate_ngrams(table, groups, scratch)),
-            "threshold_ns": per_call_ns(lambda: majority_words(counts[0], k, rng))}
+            "threshold_ns": per_call_ns(lambda: majority_words(chunk, items, ties))
+            / ENCODE_GROUPS}
 
 
 def bench_train(texts: int = 21, length: int = 20000, seed: int = 42) -> dict:
@@ -121,6 +128,7 @@ def main():
     print(f"text encode, {e['length']} chars, D=10000")
     for part in ("encode", "counting", "threshold"):
         print(f"  {part:<14} {_fmt_ns(e[part + '_ns'])}")
+    print(f"  (threshold: one text's share of a {ENCODE_GROUPS}-text chunk with its tie words)")
     t = bench_train()
     print(f"train encode, {t['texts']} texts x {t['length']} chars, D=10000")
     print(f"  encode_each    {_fmt_ns(t['encode_each_ns'])}  (one call)")

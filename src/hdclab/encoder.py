@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .algebra import (Hypervector, RandomSource, bind, bundle, majority_words, n_words,
-                      permute)
+from .algebra import Hypervector, RandomSource, bind, bundle, majority_words, n_words, permute
 from .errors import ConfigurationError, DataError, TextTooShortError
 from .itemmem import ItemMemory
 
@@ -35,12 +34,17 @@ DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 # about 660x the 101,736 B of the default trigram table at D = 10000.
 MAX_TABLE_BYTES = 64 * 2**20
 
-# Groups per counting call of TextEncoder.encode_symbols, so that the count
-# buffer is one chunk's (640 KB of uint8 for 64 short texts at D = 10000),
-# however many groups a call has. On the 630 sentences of the seed-1
-# benchmark corpus, evaluate took 113/110/109/109/109 ms at 16/32/64/128/all
-# groups per call, and its tracemalloc peak read 1.8/2.1/2.7/4.0/7.6 MiB
-# (fastest of 15 interleaved calls, one OpenBLAS thread, 2-vCPU Xeon VM).
+# Version of the random tie rule (see TextEncoder), recorded in the model
+# sidecar JSON; it changes whenever the same text starts taking other tie bits.
+TIE_SCHEME = 2
+
+# Groups per counting and threshold call of TextEncoder.encode_symbols, so
+# that the count buffer is one chunk's (640 KB of uint8 for 64 short texts
+# at D = 10000), however many groups a call has. On the 630 sentences of the
+# seed-1 benchmark corpus, evaluate took 78/78/80/79/83 ms at
+# 16/32/64/128/all groups per call, and its tracemalloc peak read
+# 1.8/1.9/2.5/4.1/16.1 MiB (fastest of 25 interleaved calls, one OpenBLAS
+# thread, 2-vCPU Xeon VM).
 ENCODE_GROUPS = 64
 
 _FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
@@ -95,7 +99,11 @@ class EncoderConfig:
 
     @property
     def tie_seed(self) -> int:
-        """Root seed of the tie-breaking streams: the item seed plus one, mod 2**64."""
+        """Key of the tie vectors: the item seed plus one, mod 2**64.
+
+        Its 8 little-endian bytes are the first input of every text's
+        ``hashlib.shake_128`` tie vector (see ``TextEncoder``).
+        """
         return (int(self.item_seed) + 1) % 2**64
 
 
@@ -177,18 +185,30 @@ class TextEncoder:
     level for short texts and one pair-sign contraction over all long texts
     of the call (see ``kernels.accumulate_ngrams``), into counts of the
     narrowest unsigned type that holds the call's largest group, and each
-    count row is thresholded as it is by ``majority_words``. ``encode_each``
-    reads the texts of a group of several into one ``_JoinedGroup``, so
-    beyond the texts' symbols, one byte each, and one row of words per
-    group, nothing is kept per text, and working memory is bounded independently of how
-    long or how many the texts are: the count buffer holds one chunk of
-    groups, the stream works in blocks of ``kernels.STREAM_BLOCK`` (255)
-    windows, 2.5 MB unpacked at D = 10000, and the contraction in passes of
-    at most ``kernels.CONTRACT_ROWS`` histogram rows, one per group of long
-    texts, of ``nsym**n`` float32 values each, whose blocks take at most
-    ``kernels.CONTRACT_FLOATS`` (1 MiB). Training the 21 x
-    20k-char benchmark corpus at D = 10000 peaked at 3.56 MiB under
-    tracemalloc, and evaluating its 630 test sentences at 2.7 MiB.
+    call's count matrix is thresholded as it is by one ``majority_words``.
+
+    Tie rule (``TIE_SCHEME`` 2): an exact tie at component i (an even window
+    count k, half of whose windows have a 1 there) takes bit i of the text's
+    tie vector. That vector is ``hashlib.shake_128`` of the 8-byte
+    little-endian ``EncoderConfig.tie_seed`` and then the symbols of each
+    text of the group, one byte each, in order, read as ``8 * n_words(dim)``
+    bytes of little-endian words: one extra random vote per component, keyed
+    by content alone, so given texts encode identically whatever else is
+    encoded and in whatever order. Hashing and reading it cost about 5.4 us
+    per text at D = 10000. With ``deterministic_ties`` every tie is 1.
+
+    ``encode_each`` reads the texts of a group of several into one
+    ``_JoinedGroup``, so beyond the texts' symbols, one byte each, and one
+    row of words per group, nothing is kept per text, and working memory is
+    bounded independently of how long or how many the texts are: the count
+    buffer holds one chunk of groups, the stream works in blocks of
+    ``kernels.STREAM_BLOCK`` (255) windows, 2.5 MB unpacked at D = 10000,
+    and the contraction in passes of at most ``kernels.CONTRACT_ROWS``
+    histogram rows, one per group of long texts, of ``nsym**n`` float32
+    values each, whose blocks take at most ``kernels.CONTRACT_FLOATS``
+    (1 MiB). Training the 21 x 20k-char benchmark corpus at D = 10000
+    peaked at 3.56 MiB under tracemalloc, and evaluating its 630 test
+    sentences at 2.5 MiB.
     """
 
     def __init__(self, config: EncoderConfig):
@@ -204,26 +224,19 @@ class TextEncoder:
         self._seeds = seeds  # keeps the shared entry alive
         self.item_memory = seeds.item_memory
         self._table = seeds.table
-        self._tie_root = RandomSource(config.tie_seed)
+        self._tie_key = hashlib.shake_128(config.tie_seed.to_bytes(8, "little"))
 
     def symbol_indices(self, text: str) -> np.ndarray:
         """Normalize text and map it to int64 alphabet indices."""
         return symbol_codes(normalize_text(text))
 
-    def _tie_rng(self, digest: bytes) -> RandomSource | None:
-        # Keyed by content so given texts encode identically regardless of
-        # processing order or parallelism.
-        if self.config.deterministic_ties:
-            return None
-        return self._tie_root.child(int.from_bytes(digest[:8], "little"),
-                                    int.from_bytes(digest[8:], "little"))
-
     def encode(self, *texts: str) -> Hypervector:
         """Count the sliding n-grams of every normalized text and threshold once at k/2.
 
         n symbols are one window: permute(l_0, n-1) XOR ... XOR l_{n-1}. No
-        window spans two texts; k is the windows of all texts. Ties are drawn
-        from a stream keyed by one blake2b over each text's symbols in order.
+        window spans two texts; k is the windows of all texts. A tied
+        component i (even k only) takes bit i of the texts' tie vector (see
+        ``TextEncoder``), or 1 with ``deterministic_ties``.
         """
         return self.encode_each([texts])[0]
 
@@ -254,37 +267,41 @@ class TextEncoder:
         A group is a sequence of streams that may be read more than once; a
         stream is an integer array of alphabet indices, as
         ``symbol_indices`` gives. Row g is ``encode`` of the texts those
-        streams came from, bit for bit (the tie stream is keyed by their
-        int64 values). Groups are counted ``ENCODE_GROUPS`` to one
-        ``kernels.accumulate_ngrams`` call, into counts of the narrowest
-        unsigned type that holds the chunk's largest window count, and each
-        count row is thresholded as it is by ``majority_words``. A stream
+        streams came from, bit for bit. Groups are counted
+        ``ENCODE_GROUPS`` to one ``kernels.accumulate_ngrams`` call, into
+        counts of the narrowest unsigned type that holds the chunk's largest
+        window count, and each chunk is thresholded as one matrix by one
+        ``majority_words`` call with the chunk's tie vectors. A stream
         shorter than n raises TextTooShortError whose ``group`` is g.
         """
-        out = np.empty((len(groups), n_words(self.config.dim)), dtype=np.uint64)
+        nw = n_words(self.config.dim)
+        out = np.empty((len(groups), nw), dtype=np.uint64)
         for lo in range(0, len(groups), ENCODE_GROUPS):
             chunk = groups[lo : lo + ENCODE_GROUPS]
-            windows, digests = zip(*(self._key(g, group) for g, group in enumerate(chunk, lo)))
+            windows, keys = zip(*(self._key(g, group) for g, group in enumerate(chunk, lo)))
             counts = np.zeros((len(chunk), self.config.dim),
                               dtype=np.min_scalar_type(max(windows)))
             kernels.accumulate_ngrams(self._table, chunk, counts)
-            for row, c, k, d in zip(out[lo:], counts, windows, digests):
-                row[:] = majority_words(c, k, self._tie_rng(d))
+            ties = None
+            if not self.config.deterministic_ties:
+                ties = np.frombuffer(b"".join(key.digest(8 * nw) for key in keys),
+                                     dtype="<u8").reshape(len(chunk), nw)
+            out[lo : lo + len(chunk)] = majority_words(counts, windows, ties)
         out.setflags(write=False)
         return out
 
     def _key(self, g: int, group):
-        """(k, digest) of group g: its window count and its tie key, one blake2b over its symbols."""
+        """(k, key) of group g: its window count and its unread tie hash over its symbols."""
         if not len(group):
             raise ValueError("encode needs at least one text")
         n = self.config.n
-        content, k = hashlib.blake2b(digest_size=16), 0
+        key, k = self._tie_key.copy(), 0
         for syms in group:
             if syms.shape[0] < n:
                 raise _too_short(syms, n, g)
-            content.update(syms.astype(np.int64, copy=False))
+            key.update(syms.astype(np.uint8, copy=False))
             k += syms.shape[0] - n + 1
-        return k, content.digest()
+        return k, key
 
 
 def encode_record(fields, mem: ItemMemory, rng: RandomSource | None = None) -> Hypervector:

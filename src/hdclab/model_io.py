@@ -9,7 +9,10 @@ Binary container (all integers little-endian):
     u32 class count    | per class: u32 label byte length + label UTF-8
     class vectors, packed u64 words per class
 
-A sidecar JSON at <path>.json mirrors the metadata for human inspection.
+A sidecar JSON at <path>.json mirrors the metadata for human inspection,
+with the random tie rule the prototypes were trained under as
+``tie_scheme`` (``encoder.TIE_SCHEME``). The binary file does not record
+it; loading reads neither it nor the sidecar.
 The alphabet is always ``DEFAULT_ALPHABET``, the tie seed the item seed
 plus one (mod 2**64) and the symbol vectors those the item seed draws.
 Loading refuses any other, a flag other than 0 or 1 and any bit set past
@@ -28,7 +31,7 @@ import numpy as np
 
 from .algebra import _tail_mask, n_words
 from .assocmem import AssociativeMemory
-from .encoder import DEFAULT_ALPHABET, EncoderConfig, TextEncoder
+from .encoder import DEFAULT_ALPHABET, TIE_SCHEME, EncoderConfig, TextEncoder
 from .errors import ConfigurationError, DataError
 from .pipeline import TrainedModel
 
@@ -69,6 +72,7 @@ def save_model(model: TrainedModel, path) -> None:
         "item_seed": cfg.item_seed,
         "tie_seed": cfg.tie_seed,
         "deterministic_ties": cfg.deterministic_ties,
+        "tie_scheme": TIE_SCHEME,
         "labels": [str(lb) for lb in model.labels],
     }
     Path(str(path) + ".json").write_text(

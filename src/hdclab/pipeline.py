@@ -70,7 +70,7 @@ def train_pipeline(corpus, config: EncoderConfig | None = None) -> TrainedModel:
 
 
 def encode_test_sentences(labels, corpus, n: int):
-    """Normalize and code every test sentence once, in corpus order.
+    """Normalize every test sentence once and code them all in one call, in corpus order.
 
     Returns (symbols, true_idx, skipped): the uint8 alphabet indices of
     each sentence of at least n symbols, the int64 index into labels of
@@ -82,14 +82,18 @@ def encode_test_sentences(labels, corpus, n: int):
     for label in corpus.test:
         if label not in label_index:
             raise ConfigurationError(f"test label {label!r} not in the model")
-    symbols, true_idx, skipped = [], [], 0
-    for label, sentence in corpus.test_items():
-        syms = symbol_codes(normalize_text(sentence))
-        if syms.shape[0] < n:
-            skipped += 1
-            continue
-        symbols.append(syms.astype(np.uint8))  # 27 symbols: one byte each
-        true_idx.append(label_index[label])
+    items = list(corpus.test_items())
+    texts = [normalize_text(sentence) for _, sentence in items]
+    # One coding call over the joined text; 27 symbols: one byte each.
+    codes = symbol_codes("".join(texts)).astype(np.uint8)
+    symbols, true_idx, lo = [], [], 0
+    for (label, _), text in zip(items, texts):
+        hi = lo + len(text)
+        if hi - lo >= n:
+            symbols.append(codes[lo:hi])
+            true_idx.append(label_index[label])
+        lo = hi
+    skipped = len(items) - len(symbols)
     if not symbols:
         raise DataError("no usable test sentences")
     return symbols, np.array(true_idx, dtype=np.int64), skipped

@@ -29,8 +29,15 @@ def ref_hamming(a, b):
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
+def _tie_at(tie_value, i):
+    """The bit an exact tie at position i takes: tie_value itself, or its
+    entry i when it is a per-position sequence of bits."""
+    return tie_value if isinstance(tie_value, int) else int(tie_value[i])
+
+
 def ref_majority(vectors, tie_value=1):
-    """Componentwise majority of a list of bit lists; exact ties -> tie_value."""
+    """Componentwise majority of a list of bit lists; an exact tie at
+    position i -> tie_value, or tie_value[i] for a per-position tie vector."""
     vectors = [[int(b) for b in v] for v in vectors]
     k = len(vectors)
     out = []
@@ -41,7 +48,7 @@ def ref_majority(vectors, tie_value=1):
         elif 2 * c < k:
             out.append(0)
         else:
-            out.append(tie_value)
+            out.append(_tie_at(tie_value, i))
     return out
 
 
@@ -64,7 +71,8 @@ def ref_encode_text(text, n, seed_bits, tie_value=1):
 
 def ref_encode_texts(texts, n, seed_bits, tie_value=1):
     """ref_encode_text over several texts: the n-gram counts of each text are
-    summed, no window reaching across two texts, and thresholded once."""
+    summed, no window reaching across two texts, and thresholded once. As in
+    ref_majority, tie_value is one bit or a per-position tie vector."""
     seed_bits = {sym: [int(b) for b in bits] for sym, bits in seed_bits.items()}
     counts = {}
     for text in texts:
@@ -79,13 +87,13 @@ def ref_encode_texts(texts, n, seed_bits, tie_value=1):
         for i in range(d):
             acc[i] += mult * v[i]
     out = []
-    for c in acc:
+    for i, c in enumerate(acc):
         if 2 * c > k:
             out.append(1)
         elif 2 * c < k:
             out.append(0)
         else:
-            out.append(tie_value)
+            out.append(_tie_at(tie_value, i))
     return out
 
 

@@ -16,6 +16,7 @@ from hdclab import (
     random_hv,
     unpack_bits,
 )
+from hdclab.algebra import majority_words, n_words
 from conftest import hv_from_string, hv_to_string
 from _oracles import ref_hamming, ref_majority, ref_rotate_left, ref_rotate_right, ref_xor
 
@@ -254,19 +255,52 @@ class TestAccumulator:
         for v in vecs:
             acc.add(v)
         bits = [v.to_bits().tolist() for v in vecs]
-        # Ties (even items only) take the seeded draws in index order.
+        # A tie at component i (even items only) takes bit i of the seeded words.
         ties = [i for i, c in enumerate(np.sum(bits, axis=0)) if 2 * c == items]
-        drawn = ref_majority(bits, tie_value=0)
-        for i, b in zip(ties, RandomSource(7).bits(len(ties)).tolist()):
-            drawn[i] = b
+        tie_bits = unpack_bits(RandomSource(7).words(n_words(dim)), dim).tolist()
         for got, want in ((acc.threshold(), ref_majority(bits, tie_value=1)),
-                          (acc.threshold(RandomSource(7)), drawn)):
+                          (acc.threshold(RandomSource(7)), ref_majority(bits, tie_bits))):
             assert got.to_bits().tolist() == want
             assert not got.words.flags.writeable
             tail = np.unpackbits(got.words.view(np.uint8), bitorder="little")[dim:]
             assert not tail.any()
         if items % 2 == 0 and dim >= 64:
             assert ties  # the tie path ran
+            assert {tie_bits[i] for i in ties} == {0, 1}  # and drew both values
+
+
+class TestMajorityWords:
+    @pytest.mark.parametrize("dim", [1, 63, 64, 65, 100, 1000])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    def test_each_row_matches_the_majority_oracle(self, dim, dtype):
+        # Rows of odd and even item counts in one matrix, each row its own
+        # vectors, with per-row tie words and with ties to 1.
+        rng = RandomSource(dim)
+        items = [1, 2, 3, 4, 6, 5]
+        vecs = [[random_hv(dim, rng.child(r, j)).to_bits().tolist() for j in range(k)]
+                for r, k in enumerate(items)]
+        counts = np.array([np.sum(v, axis=0) for v in vecs], dtype=dtype)
+        ties = rng.child(99).words(len(items) * n_words(dim)).reshape(len(items), -1)
+        got_random = majority_words(counts, items, ties)
+        got_ones = majority_words(counts, items)
+        assert got_random.shape == got_ones.shape == (len(items), n_words(dim))
+        assert not got_random.flags.writeable and not got_ones.flags.writeable
+        for r, v in enumerate(vecs):
+            tie_bits = unpack_bits(ties[r], dim).tolist()
+            assert unpack_bits(got_random[r], n_words(dim) * 64)[dim:].sum() == 0
+            assert unpack_bits(got_random[r], dim).tolist() == ref_majority(v, tie_bits)
+            assert unpack_bits(got_ones[r], dim).tolist() == ref_majority(v, 1)
+
+    def test_odd_rows_ignore_their_tie_words(self):
+        # Count 1 of 3 items is half of 3 rounded down, but no tie.
+        counts = np.array([[1, 2, 0, 3], [1, 2, 0, 2]], dtype=np.uint8)
+        zeros = np.zeros((2, 1), dtype=np.uint64)
+        ones = np.full((2, 1), 2**64 - 1, dtype=np.uint64)
+        for ties in (zeros, ones, None):
+            got = majority_words(counts, [3, 2], ties)
+            assert unpack_bits(got[0], 4).tolist() == [0, 1, 0, 1]
+        assert unpack_bits(majority_words(counts, [3, 2], zeros)[1], 4).tolist() == [0, 1, 0, 1]
+        assert unpack_bits(majority_words(counts, [3, 2], ones)[1], 4).tolist() == [1, 1, 0, 1]
 
 
 class TestBundle:

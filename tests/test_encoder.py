@@ -1,4 +1,5 @@
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -234,6 +235,57 @@ class TestJoinedGroup:
         group = encoder_module._JoinedGroup([np.arange(27)] * 5)
         assert group.__slots__ == ("_syms", "_len")
         assert group._syms.dtype == np.uint8 and group._syms.shape == (135,)
+
+
+def _shake_tie_bits(tie_seed, texts, dim):
+    """The tie vector of these texts, from its definition: shake_128 of the
+    8-byte little-endian tie seed, then each normalized text's alphabet
+    indices as bytes, read as little-endian words; bit i is component i."""
+    key = hashlib.shake_128(tie_seed.to_bytes(8, "little"))
+    for text in texts:
+        key.update(bytes(DEFAULT_ALPHABET.index(ch) for ch in normalize_text(text)))
+    raw = key.digest(8 * -(-dim // 64))
+    return [(raw[i // 8] >> (i % 8)) & 1 for i in range(dim)]
+
+
+class TestTieVector:
+    @pytest.mark.parametrize("dim", [16, 63, 100, 1000])
+    def test_random_ties_match_the_oracle_with_the_shake_vector(self, dim):
+        e = TextEncoder(EncoderConfig(dim=dim, item_seed=5))
+        seed_bits = {ch: list(e.item_memory.lookup(ch).to_bits()) for ch in DEFAULT_ALPHABET}
+        idx = RandomSource(79).generator.integers(0, 5, size=5000)
+        long = "".join("abcde"[i] for i in idx)
+        assert kernels._contracts(27, 3, len(long) - 2)
+        # Even window counts (ties) and odd ones, one text or several, and a
+        # contracted text beside a streamed one.
+        groups = [["abab"], ["the cat sat on"], ["ab ab", "bab"], ["Zebra!"],
+                  [long, "on the mat"], [long[:1001]]]
+        took_zero = False
+        for texts, hv in zip(groups, e.encode_each(groups)):
+            ties = _shake_tie_bits(e.config.tie_seed, texts, dim)
+            normed = [normalize_text(t) for t in texts]
+            want = ref_encode_texts(normed, 3, seed_bits, tie_value=ties)
+            assert hv.to_bits().tolist() == want
+            took_zero |= want != ref_encode_texts(normed, 3, seed_bits, tie_value=1)
+        assert took_zero  # some tie took a 0 from its vector
+
+    def test_identical_content_gives_identical_bits_in_any_order(self):
+        config = EncoderConfig(dim=1000, item_seed=4)
+        e = TextEncoder(config)
+        texts = [f"sentence {'ab' * (i % 7)} number {i}" for i in range(70)]
+        groups = [[t] for t in texts]
+        forward = e.encode_each(groups)
+        assert e.encode_each(groups[::-1])[::-1] == forward
+        # One text at both ends of a call, in two ENCODE_GROUPS chunks.
+        assert encoder_module.ENCODE_GROUPS == 64
+        again = e.encode_each([groups[5]] + groups[:65] + [groups[5]])
+        assert again[0] == again[6] == again[-1] == forward[5] == e.encode(texts[5])
+        # A fresh encoder, and a text that normalizes to the same symbols.
+        assert TextEncoder(config).encode(texts[3]) == forward[3]
+        assert e.encode(texts[3].upper().replace(" ", " , ")) == forward[3]
+        # The ties are random: without them some text encodes otherwise.
+        ties_to_1 = TextEncoder(EncoderConfig(dim=1000, item_seed=4, deterministic_ties=True))
+        assert ties_to_1.encode_each(groups) != forward
 
 
 class TestSeedTables:

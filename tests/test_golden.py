@@ -1,6 +1,7 @@
 """Golden outputs: sha256 digests of the files and reports a fixed seed produces.
 
-The fixture corpus is ``synth_corpus(21, seed=0)`` with ``EncoderConfig()``.
+The fixture corpus is ``synth_corpus(21, seed=0)`` with ``EncoderConfig()``,
+and with ``deterministic_ties=True`` for the ``ties_to_1`` digests.
 A refactor or speed-up must leave every digest here unchanged; a change that
 alters an output on purpose updates the digest and says why in CHANGES.md.
 """
@@ -10,16 +11,21 @@ import json
 
 import pytest
 
-from hdclab import baseline_evaluate, baseline_train, evaluate, fault_sweep, save_model
+from hdclab import (EncoderConfig, baseline_evaluate, baseline_train, evaluate, fault_sweep,
+                    save_model, train_pipeline)
+from hdclab.pipeline import encode_test_set
 
 GOLDEN = {
-    "model": "933e4c0730467eaa0e3840ecbf18dd61c86d10e6e6ead874919a7781295e4160",
+    "model": "2d7213be816839e78e66830cf172db5f132d4ed93ef2a3953ff2a6e7a9f58ef9",
     "eval_multiclass": "ca6ae9fc1bab753989d10e7504706e6cff12f866728628b48a59dd6d2cc2f808",
     "eval_pairwise": "4b076b8c7008f1892e19b030a3bc3cb58381c286267d7cc0960b935279904042",
     "eval_baseline": "aa6f226b271097418f67accb5295826f041c4c79b30cdd71195fdf8434d090a4",
-    "sweep_shared_multiclass": "89d5a744184c038c413cee37ad2cb5aec5c2adf3f3787fe708d25ce86c137733",
-    "sweep_shared_pairwise": "5aa355f29a9ca9d7a0d7818a39f94e4a68a86f1dc8da0165e45c7573ac54f407",
-    "sweep_independent_multiclass": "b3412325ef2120c055d1688d1c7e9ab9a8eb4a3f915e104d484624c6541d1f90",
+    "sweep_shared_multiclass": "fa4bdbf3843bafe5ff2eb64a12c073da7d39d15b4b1ed4d47d4747aa53174202",
+    "sweep_shared_pairwise": "2b238027c36ed5f3da495a5828110dda5c8ab4060d6e72de8e3b8635629b1562",
+    "sweep_independent_multiclass": "537e2c25bf33b4f73123cadbf3c3a7b17c656420783f0673211454cbd1dec8ea",
+    # deterministic_ties=True: every tie is 1 under either tie scheme.
+    "model_ties_to_1": "da570878e0d63bc962fa1fe76b222fd5dc2f3ed42e55ebf6cb54899cc7793bb2",
+    "queries_ties_to_1": "d4cc7f8049f325ca54e8a8c225bb7ae24eca13f8fab79d5757d4036f49f4119d",
 }
 SWEEP_FRACTIONS = (0.0, 0.78)
 SWEEP_TRIALS = 2
@@ -37,6 +43,15 @@ def test_model_file(trained, tmp_path):
     path = tmp_path / "model.hdcm"
     save_model(trained, path)
     assert sha256(path.read_bytes()) == GOLDEN["model"]
+
+
+def test_ties_to_1_model_and_queries(synth, tmp_path):
+    model = train_pipeline(synth, EncoderConfig(dim=10000, deterministic_ties=True))
+    path = tmp_path / "model.hdcm"
+    save_model(model, path)
+    assert sha256(path.read_bytes()) == GOLDEN["model_ties_to_1"]
+    hvs, _, _ = encode_test_set(model, synth)
+    assert sha256(b"".join(hv.words.tobytes() for hv in hvs)) == GOLDEN["queries_ties_to_1"]
 
 
 @pytest.mark.parametrize("mode", ["multiclass", "pairwise"])

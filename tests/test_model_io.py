@@ -14,6 +14,7 @@ from hdclab import (
     save_model,
     train_pipeline,
 )
+from hdclab.encoder import TIE_SCHEME
 
 
 @pytest.fixture()
@@ -51,6 +52,7 @@ def test_sidecar_json(model, tmp_path):
     assert doc["labels"] == ["de", "en"]
     assert doc["alphabet"] == DEFAULT_ALPHABET
     assert (doc["item_seed"], doc["tie_seed"]) == (7, 8)
+    assert doc["tie_scheme"] == TIE_SCHEME == 2
 
 
 def test_round_trip_where_the_tie_seed_wraps(tmp_path):
