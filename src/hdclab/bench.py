@@ -1,10 +1,11 @@
 """Microbenchmarks: the word-wise Hamming kernel against the per-bit
 reference loop, one 100-char text encode with its counting and its share of
-a chunk's majority threshold,
-training-sized encodes (21 texts of 20k chars in one ``encode_each`` call
-against one ``encode`` call per text, and one such text alone), and a
-test-set encode (630 sentences of 100 chars in one batched call against one
-``encode`` call per sentence).
+a chunk's majority threshold, training-sized encodes (21 texts of 20k chars
+in one ``encode_each`` call against one ``encode`` call per text, one such
+text alone, and 21 labels of 200 sentences of 100 chars in one
+``encode_each`` call), and a test-set encode (630 sentences of 100 chars
+coded once and encoded by one ``encode_symbols`` call, as ``evaluate``
+encodes its test set, against one ``encode`` call per sentence).
 
 Run with:  python3 -m hdclab.bench
 """
@@ -17,7 +18,9 @@ import numpy as np
 
 from . import kernels
 from .algebra import RandomSource, majority_words, n_words, random_hv
+from .corpus import Corpus
 from .encoder import DEFAULT_ALPHABET, ENCODE_GROUPS, EncoderConfig, TextEncoder
+from .pipeline import encode_test_sentences
 
 
 def per_call_ns(fn, min_time_s: float = 0.05, samples: int = 3) -> float:
@@ -83,30 +86,47 @@ def bench_encode(length: int = 100, seed: int = 42) -> dict:
             / ENCODE_GROUPS}
 
 
-def bench_train(texts: int = 21, length: int = 20000, seed: int = 42) -> dict:
+def bench_train(texts: int = 21, length: int = 20000, sentences: int = 200,
+                sentence_length: int = 100, seed: int = 42) -> dict:
     """``texts`` random ``length``-char texts at the defaults: one ``encode_each``
-    call, one ``encode`` call per text, and one text alone."""
+    call, one ``encode`` call per text, and one text alone; and one
+    ``encode_each`` call over ``texts`` groups of ``sentences`` random
+    ``sentence_length``-char texts, each group one histogram row."""
     enc = TextEncoder(EncoderConfig())
     rng = RandomSource(seed)
     docs = [_random_text(length, rng) for _ in range(texts)]
     groups = [[doc] for doc in docs]
+    short = [[_random_text(sentence_length, rng) for _ in range(sentences)]
+             for _ in range(texts)]
     return {"texts": texts, "length": length,
+            "sentences": sentences, "sentence_length": sentence_length,
             "encode_each_ns": per_call_ns(lambda: enc.encode_each(groups)),
             "encode_per_text_ns": per_call_ns(lambda: [enc.encode(doc) for doc in docs]),
-            "encode_one_ns": per_call_ns(lambda: enc.encode(docs[0]))}
+            "encode_one_ns": per_call_ns(lambda: enc.encode(docs[0])),
+            "encode_sentences_ns": per_call_ns(lambda: enc.encode_each(short))}
 
 
-def bench_test_set(sentences: int = 630, length: int = 100, seed: int = 42) -> dict:
-    """``sentences`` random ``length``-char sentences at the defaults, as the
-    benchmark's test set: one batched ``encode_each`` call, which encodes
-    through ``encode_symbols`` as ``evaluate`` does, against one ``encode``
-    call per sentence."""
+def bench_test_set(labels: int = 21, sentences: int = 30, length: int = 100,
+                   seed: int = 42) -> dict:
+    """``labels`` x ``sentences`` random ``length``-char sentences at the
+    defaults, as the benchmark's test set: coded once by
+    ``encode_test_sentences`` and encoded by one ``encode_symbols`` call, as
+    ``evaluate`` encodes its test set, against one ``encode`` call per
+    sentence."""
     enc = TextEncoder(EncoderConfig())
     rng = RandomSource(seed)
-    texts = [_random_text(length, rng) for _ in range(sentences)]
-    groups = [[text] for text in texts]
-    return {"sentences": sentences, "length": length,
-            "batched_ns": per_call_ns(lambda: enc.encode_each(groups)),
+    corpus = Corpus()
+    for i in range(labels * sentences):
+        corpus.add_test(f"l{i % labels:02d}", _random_text(length, rng))
+    names = sorted(corpus.test)
+    texts = [text for _, text in corpus.test_items()]
+
+    def test_set():
+        symbols, _, _ = encode_test_sentences(names, corpus, enc.config.n)
+        return enc.encode_symbols([[syms] for syms in symbols])
+
+    return {"sentences": len(texts), "length": length,
+            "test_set_ns": per_call_ns(test_set),
             "per_sentence_ns": per_call_ns(lambda: [enc.encode(t) for t in texts])}
 
 
@@ -134,9 +154,11 @@ def main():
     print(f"  encode_each    {_fmt_ns(t['encode_each_ns'])}  (one call)")
     print(f"  {t['texts']} x encode    {_fmt_ns(t['encode_per_text_ns'])}")
     print(f"  one text       {_fmt_ns(t['encode_one_ns'])}")
+    print(f"  encode_each    {_fmt_ns(t['encode_sentences_ns'])}  (one call, {t['texts']} x "
+          f"{t['sentences']} sentences x {t['sentence_length']} chars)")
     q = bench_test_set()
     print(f"test-set encode, {q['sentences']} sentences x {q['length']} chars, D=10000")
-    print(f"  batched        {_fmt_ns(q['batched_ns'])}  (one call)")
+    print(f"  as evaluate    {_fmt_ns(q['test_set_ns'])}  (one coding, one encode_symbols)")
     print(f"  {q['sentences']} x encode   {_fmt_ns(q['per_sentence_ns'])}")
 
 

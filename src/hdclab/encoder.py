@@ -181,11 +181,13 @@ class TextEncoder:
     live encoder of the same key (at the defaults 101,736 B of table and
     33,912 B of item memory). ``encode``, ``encode_each`` and the test-set
     path all end in ``encode_symbols``: groups of symbol streams are counted
-    ``ENCODE_GROUPS`` to a call, by a packed XOR fold with one carry-save
-    level for short texts and one pair-sign contraction over all long texts
-    of the call (see ``kernels.accumulate_ngrams``), into counts of the
-    narrowest unsigned type that holds the call's largest group, and each
-    call's count matrix is thresholded as it is by one ``majority_words``.
+    ``ENCODE_GROUPS`` to a call, each group by one method picked from its
+    total window count: a packed XOR fold with one carry-save level over
+    each text of a group of few windows, and one pair-sign contraction over
+    all groups of many windows in the call, one histogram row each (see
+    ``kernels.accumulate_ngrams``), into counts of the narrowest unsigned
+    type that holds the call's largest group, and each call's count matrix
+    is thresholded as it is by one ``majority_words``.
 
     Tie rule (``TIE_SCHEME`` 2): an exact tie at component i (an even window
     count k, half of whose windows have a 1 there) takes bit i of the text's
@@ -204,7 +206,7 @@ class TextEncoder:
     buffer holds one chunk of groups, the stream works in blocks of
     ``kernels.STREAM_BLOCK`` (255) windows, 2.5 MB unpacked at D = 10000,
     and the contraction in passes of at most ``kernels.CONTRACT_ROWS``
-    histogram rows, one per group of long texts, of ``nsym**n`` float32
+    histogram rows, one per group of many windows, of ``nsym**n`` float32
     values each, whose blocks take at most ``kernels.CONTRACT_FLOATS``
     (1 MiB). Training the 21 x 20k-char benchmark corpus at D = 10000
     peaked at 3.56 MiB under tracemalloc, and evaluating its 630 test

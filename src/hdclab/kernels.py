@@ -19,7 +19,7 @@ calls stacked by column (fastest of 400 interleaved calls, one thread,
 
 ``accumulate_ngrams`` counts, per component, how many sliding n-gram
 vectors have a 1, for groups of symbol streams in one call, by one of two
-exact methods per stream:
+exact methods, picked once per group from its total window count k:
 
 * the block stream gathers and XOR-folds up to ``STREAM_BLOCK`` (255)
   windows as words, folds them once more by a 3:2 carry-save level into
@@ -29,23 +29,25 @@ exact methods per stream:
   at k = 98/600/4000, against 0.13/0.79/5.2 ms for the same blocks unpacked
   without the carry-save level (fastest of 5 repeats, three runs, one
   OpenBLAS thread, 2-vCPU Xeon VM);
-* the pair-sign contraction counts each distinct n-gram of a stream once,
-  into one float32 histogram row per group (the long streams of a group
-  share their row), and contracts up to ``CONTRACT_ROWS`` rows
-  at once against the sign tables of the window positions, one matmul per
-  block of components; its cost depends on ``nsym**n`` and the number of
-  rows, not on k, and float32 keeps it exact while each row's k < 2**24.
+* the pair-sign contraction counts each distinct n-gram of a group once,
+  into one float32 histogram row over all the group's streams, and
+  contracts up to ``CONTRACT_ROWS`` rows at once against the sign tables
+  of the window positions, one matmul per block of components; its cost
+  depends on ``nsym**n`` and the number of rows, not on k, and float32
+  keeps it exact while each row's k < 2**24.
   At the defaults, the 21 texts of 20k chars of the benchmark corpus took
   75-95 ms in one call against 194-204 ms for 21 one-text contractions of
   the (nsym**(n-1), nsym) @ (nsym, 1024) form it replaced, with OpenBLAS on
   one thread as perfbench runs it, and 61-62 ms against 242-247 ms on two
   (fastest of 15 calls, 2-vCPU Xeon VM).
 
-``_contracts`` picks the contraction for long texts only: at most 4 bins
-per window, ``nsym**(n-1) <= NGRAM_CHUNK / 4`` (so a ``(nsym**(n-1), dim)``
-float32 table would be no larger than a ``(NGRAM_CHUNK, dim)`` uint8
-block), and k < 2**24. Neither method keeps a sign table between calls;
-the contraction unpacks the sign rows it needs per block.
+``_contracts`` picks the contraction for a group whose windows, over all
+its streams, are many: at most 4 bins per window of the group,
+``nsym**(n-1) <= NGRAM_CHUNK / 4`` (so a ``(nsym**(n-1), dim)`` float32
+table would be no larger than a ``(NGRAM_CHUNK, dim)`` uint8 block), and
+k < 2**24. So a language's 200 sentences of 100 chars are one histogram
+row, as one 20k-char text is. Neither method keeps a sign table between
+calls; the contraction unpacks the sign rows it needs per block.
 """
 
 from __future__ import annotations
@@ -113,20 +115,23 @@ def _unpack(words, dim):
 
 
 def _contracts(nsym: int, n: int, k: int) -> bool:
-    """Dispatch rule of ``accumulate_ngrams``: True to contract, False to stream.
+    """Method of a group of k windows in ``accumulate_ngrams``: True to
+    contract the group as one histogram row, False to stream each of its
+    streams.
 
-    Contract only when the histogram has at most 4 bins per window, a
-    ``(nsym**(n-1), dim)`` float32 table would be no larger than a
-    ``(NGRAM_CHUNK, dim)`` uint8 block, and k < 2**24 keeps float32 exact.
+    k counts the windows of every stream of the group. Contract only when
+    the histogram has at most 4 bins per window, a ``(nsym**(n-1), dim)``
+    float32 table would be no larger than a ``(NGRAM_CHUNK, dim)`` uint8
+    block, and k < 2**24 keeps float32 exact.
     At the defaults (n = 3, 27 symbols, D = 10000) the measured crossover
-    for a text contracted alone is about 7,000 windows, or about 2.8 bins
+    for a group contracted alone is about 7,000 windows, or about 2.8 bins
     per window, since the stream's carry-save level: the contraction took a
     flat 7.3-8.2 ms, the stream 5.1-5.6 ms at k = 4920 (the 4-bin edge),
     5.9-6.1 ms at k = 6000 and 7.1-7.8 ms at k = 7000. Smaller tables,
     where the contraction's fixed cost weighs more, cross lower still: at 4
     bins the stream took 0.17 ms against 0.54-0.56 ms (n = 2) and 1.1-1.2 ms
     against 3.8-4.0 ms (8 symbols, n = 4) (fastest of 5 repeats, three
-    runs). A text contracted together with others costs less; see the
+    runs). A group contracted together with others costs less; see the
     module docstring.
     """
     # n may be as large as dim; with nsym >= 2, an exponent capped at 32
@@ -203,23 +208,21 @@ def ngram_histogram(syms, nsym, n, hist=None):
 
 
 def _histograms(groups, rows, nsym, n):
-    """(hist, ks, targets) of contraction rows: each row's float32 n-gram
-    histogram, its window count and the count row it adds to.
+    """(hist, ks) of contraction rows: each row's float32 n-gram histogram
+    over every stream of its group, and its window count.
 
-    Row ``(g, None)`` is every stream of ``groups[g]``; row ``(g, i)`` is its
-    stream i alone. Each stream is read only while it is histogrammed.
+    ``rows`` lists group indices. Each stream is read only while it is
+    histogrammed.
     """
     hist = np.empty((len(rows), nsym**n), dtype=np.float32)
     ks = np.zeros(len(rows), dtype=np.int64)
-    targets = np.array([g for g, _ in rows], dtype=np.intp)
-    for r, (g, i) in enumerate(rows):
+    for r, g in enumerate(rows):
         row = np.zeros(nsym**n, dtype=np.int64)
-        for j, syms in enumerate(groups[g]):
-            if i is None or i == j:
-                ks[r] += syms.shape[0] - n + 1
-                ngram_histogram(syms, nsym, n, row)
+        for syms in groups[g]:
+            ks[r] += syms.shape[0] - n + 1
+            ngram_histogram(syms, nsym, n, row)
         hist[r] = row
-    return hist, ks, targets
+    return hist, ks
 
 
 def _count_contraction(table, groups, rows, counts):
@@ -227,19 +230,19 @@ def _count_contraction(table, groups, rows, counts):
 
     A window's XOR bit b satisfies 1 - 2b = prod_j (1 - 2 b_j), so summing
     the sign products over windows gives k - 2*count. ``rows`` lists
-    ``(g, i)``: the streams of ``groups[g]`` whose windows add to
-    ``counts[g]``, all of them for i None, else stream i (see
-    ``_histograms``). Row r's histogram ``H`` (float32) is split by the
-    symbol a at window position 0; ``P[(b, c, ...), d]`` is the product of
-    the sign rows of positions 1..n-1 (a row of ones for n = 1). ``P`` is
-    built once per block of components and shared by every row, so each
-    block is one ``(rows*nsym, nsym**(n-1)) @ (nsym**(n-1), width)`` matmul
-    into ``R``. Every partial sum is an integer of magnitude at most the
-    row's k, so float32 is exact for k < 2**24.
+    distinct group indices: row r holds every window of ``groups[rows[r]]``
+    and adds to ``counts[rows[r]]`` (see ``_histograms``). Its histogram
+    ``H`` (float32) is split by the symbol a at window position 0;
+    ``P[(b, c, ...), d]`` is the product of the sign rows of positions
+    1..n-1 (a row of ones for n = 1). ``P`` is built once per block of
+    components and shared by every row, so each block is one
+    ``(rows*nsym, nsym**(n-1)) @ (nsym**(n-1), width)`` matmul into ``R``.
+    Every partial sum is an integer of magnitude at most the row's k, so
+    float32 is exact for k < 2**24.
     """
     n, nsym, nwords = table.shape
     dim = counts.shape[1]
-    hist, ks, targets = _histograms(groups, rows, nsym, n)
+    hist, ks = _histograms(groups, rows, nsym, n)
     hist = hist.reshape(len(rows) * nsym, -1)
     # Whole words per block: as many as keep P and R within CONTRACT_FLOATS.
     step = max(1, CONTRACT_FLOATS // (hist.shape[1] + hist.shape[0]) // 64)
@@ -247,7 +250,7 @@ def _count_contraction(table, groups, rows, counts):
         lo = w * 64
         width = min(dim - lo, step * 64)
         block = _contract_block(hist, ks, table[:, :, w : w + step])[:, :width]
-        np.add.at(counts[:, lo : lo + width], targets, block.astype(counts.dtype, copy=False))
+        counts[rows, lo : lo + width] += block.astype(counts.dtype, copy=False)
 
 
 def _contract_block(hist, ks, words):
@@ -267,29 +270,6 @@ def _contract_block(hist, ks, words):
     return c
 
 
-def _dispatch(table, g, streams, counts):
-    """Stream the short streams of group g into ``counts[g]``; return its
-    window count and its contraction rows.
-
-    A group whose every stream contracts is one row, ``(g, None)``, while
-    its windows total below 2**24, so float32 stays exact; otherwise each
-    contracted stream i is a row ``(g, i)`` of its own.
-    """
-    n, nsym, _ = table.shape
-    total, row_k, contracted = 0, 0, []
-    for i, syms in enumerate(streams):
-        k = syms.shape[0] - n + 1
-        total += k
-        if _contracts(nsym, n, k):
-            contracted.append(i)
-            row_k += k
-        else:
-            _count_stream(table, syms, counts[g])
-    if contracted and len(contracted) == len(streams) and row_k < 2**24:
-        return total, [(g, None)]
-    return total, [(g, i) for i in contracted]
-
-
 def accumulate_ngrams(table, groups, counts):
     """Accumulate all sliding n-gram hypervectors of groups of symbol streams.
 
@@ -297,21 +277,29 @@ def accumulate_ngrams(table, groups, counts):
     n_words) uint64; ``table[j][s]`` is the vector used when symbol ``s`` sits
     at window position ``j``. ``groups[g]`` is a sequence of the symbol
     streams whose windows add to ``counts[g]``: per component, how many of
-    the k windows have a 1. It is read once to dispatch and once more if any
-    of its streams contracts. ``counts`` is a (groups, dim) integer array
-    whose type holds each group's total. Returns the total k over every
-    stream; no window spans two streams. Long streams go through the
-    pair-sign contraction, the long streams of one group as one histogram
-    row, ``CONTRACT_ROWS`` or fewer rows to a pass; short ones go through the
-    block stream (see ``_contracts`` and ``_dispatch``). Both give the same
-    counts. No stream is kept past its reading: a contraction row is a
-    group index and at most one stream index.
+    the k windows have a 1. Every stream has at least n symbols, since a
+    shorter one would subtract from k. ``counts`` is a (groups, dim) integer
+    array whose type holds each group's total. Returns the total k over
+    every stream; no window spans two streams.
+
+    The method is picked once per group, from the group's total windows:
+    when ``_contracts`` holds for that total, the group is one histogram row
+    of the pair-sign contraction, ``CONTRACT_ROWS`` or fewer rows to a pass;
+    otherwise each of its streams goes through the block stream. Both give
+    the same counts. A group is read once to count its windows and once by
+    its method, and no stream is kept past its reading: a contraction row is
+    a group index.
     """
+    n, nsym, _ = table.shape
     total, rows = 0, []
     for g, streams in enumerate(groups):
-        k, group_rows = _dispatch(table, g, streams, counts)
+        k = sum(syms.shape[0] - n + 1 for syms in streams)
         total += k
-        rows += group_rows
+        if _contracts(nsym, n, k):
+            rows.append(g)
+        else:
+            for syms in streams:
+                _count_stream(table, syms, counts[g])
     if rows:
         # The fewest passes of at most CONTRACT_ROWS rows, of equal size.
         size = -(-len(rows) // -(-len(rows) // CONTRACT_ROWS))

@@ -212,12 +212,16 @@ class TestEncodeText:
 
         monkeypatch.setattr(kernels, "_count_contraction", spy)
         assert list(e.encode(*texts).to_bits()) == ref_encode_texts(texts, 3, seed_bits)
-        assert rows == [[(0, None)]]
-        # A streamed text in the group: each long text is a row of its own.
-        rows.clear()
-        mixed = [texts[0], "the cat sat", texts[1]]
-        assert list(e.encode(*mixed).to_bits()) == ref_encode_texts(mixed, 3, seed_bits)
-        assert rows == [[(0, 0), (0, 2)]]
+        assert rows == [[0]]
+        # The method is the group's, from its total windows: a short text
+        # shares the row, and so do many short texts that are long together.
+        short = [(DEFAULT_ALPHABET[i % 26] + " quick brown fox jumps over the lazy dog") * 3
+                 for i in range(60)]
+        assert not any(kernels._contracts(27, 3, len(t) - 2) for t in short)
+        for group in ([texts[0], "the cat sat", texts[1]], short):
+            rows.clear()
+            assert list(e.encode(*group).to_bits()) == ref_encode_texts(group, 3, seed_bits)
+            assert rows == [[0]]
 
 
 class TestJoinedGroup:

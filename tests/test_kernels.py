@@ -145,7 +145,7 @@ def test_count_paths_match_explicit_sum(dim, n, nsym, k):
     want = start + _explicit_counts(table, syms, dim)
     stream, contraction, routed = start.copy(), start[np.newaxis].copy(), start[np.newaxis].copy()
     assert kernels._count_stream(table, syms, stream) == k
-    kernels._count_contraction(table, [[syms]], [(0, None)], contraction)
+    kernels._count_contraction(table, [[syms]], [0], contraction)
     assert kernels.accumulate_ngrams(table, [[syms]], routed) == k
     assert np.array_equal(stream, want)
     assert np.array_equal(contraction[0], stream)
@@ -157,17 +157,18 @@ def _group_cases():
     return [(dim, n, nsym, groups)
             for dim in (1, 63, 65, 100, 10000) for n in (1, 2, 3, 4) for nsym in (8, 27)
             if (n, nsym) != (4, 27)  # never contracts: 4 * 27**3 > NGRAM_CHUNK
-            for groups in (1, 2, 5)]
+            for groups in (1, 2, 5, 6)]
 
 
 @pytest.mark.parametrize("dim,n,nsym,groups", _group_cases())
 def test_many_group_calls_match_explicit_sums(monkeypatch, dim, n, nsym, groups):
-    # Window counts per text, by group: one contracted text; a contracted and
-    # a streamed one; two contracted ones (one histogram row); one streamed;
-    # and three texts, streamed between two contracted ones (one group twice
-    # in a pass).
+    # Window counts per text, by group: one long text; a long and a short
+    # one; two long ones; one short; three texts, a short one between two
+    # long ones; and short ones only, whose total reaches edge. Each group is
+    # one histogram row but the fourth, which streams.
     edge = -(-nsym**n // 4)  # smallest k that contracts
-    lengths = [[edge], [edge + 1, edge - 1], [edge + 2, edge + 5], [1], [edge + 7, 2, edge + 3]]
+    lengths = [[edge], [edge + 1, edge - 1], [edge + 2, edge + 5], [1], [edge + 7, 2, edge + 3],
+               [edge - 1, 1, edge - 1]]
     lengths = lengths[:groups]
     table, pool = _accumulate_inputs(dim=dim, n=n, num_symbols=nsym,
                                      length=sum(map(sum, lengths)) + 64 * n,
@@ -176,13 +177,14 @@ def test_many_group_calls_match_explicit_sums(monkeypatch, dim, n, nsym, groups)
     for ks in lengths:
         streams.append([pool[lo : lo + k + n - 1] for k in ks])
         lo += sum(ks) + n
-    for ks, group in zip(lengths, streams):
+    for ks in lengths:
         assert [kernels._contracts(nsym, n, k) for k in ks] == [k >= edge for k in ks]
+        assert kernels._contracts(nsym, n, sum(ks)) == (sum(ks) >= edge)
     want = np.array([sum(_explicit_counts(table, syms, dim) for syms in group)
                      for group in streams])
     total = sum(map(sum, lengths))
     start = np.arange(groups * dim, dtype=np.int64).reshape(groups, dim)
-    # Passes of CONTRACT_ROWS texts and of one or two; int64 counts and the
+    # Passes of CONTRACT_ROWS groups and of one or two; int64 counts and the
     # narrowest type that holds each group's windows.
     for rows in (kernels.CONTRACT_ROWS, 2, 1):
         monkeypatch.setattr(kernels, "CONTRACT_ROWS", rows)
@@ -194,17 +196,27 @@ def test_many_group_calls_match_explicit_sums(monkeypatch, dim, n, nsym, groups)
         assert narrow.dtype != np.int64 and np.array_equal(narrow, want)
 
 
-def test_group_row_keeps_float32_exact():
-    # A group whose streams all contract is one histogram row while its
-    # windows total below 2**24; at 2**24 each stream is a row of its own.
+def test_group_row_keeps_float32_exact(monkeypatch):
+    # A group is one histogram row while its windows total below 2**24, so
+    # float32 stays exact; at 2**24 each of its streams streams. Spies stand
+    # in for both methods, so nothing 2**24 long is counted.
+    called = []
+    monkeypatch.setattr(kernels, "_count_stream",
+                        lambda table, syms, counts: called.append(("stream", syms.shape[0])))
+    monkeypatch.setattr(kernels, "_count_contraction",
+                        lambda table, groups, rows, counts: called.append(("contract", rows)))
     table = np.zeros((3, 27, 1), dtype=np.uint64)
     half = np.empty(2**23 + 2, dtype=np.uint8)  # 2**23 windows; never read
-    assert kernels._dispatch(table, 4, [half[1:], half], None) == (2**24 - 1, [(4, None)])
-    assert kernels._dispatch(table, 4, [half, half], None) == (2**24, [(4, 0), (4, 1)])
-    short = np.zeros(5, dtype=np.uint8)  # streams
-    counts = np.zeros((5, 64), dtype=np.int64)
-    assert kernels._dispatch(table, 4, [half, short], counts) == (2**23 + 3, [(4, 0)])
-    assert kernels._dispatch(table, 4, [], counts) == (0, [])
+    start = np.arange(5 * 64, dtype=np.int64).reshape(5, 64)
+    counts = start.copy()
+    assert kernels.accumulate_ngrams(table, [[]] * 4 + [[half[1:], half]], counts) == 2**24 - 1
+    assert called == [("contract", [4])]
+    called.clear()
+    assert kernels.accumulate_ngrams(table, [[]] * 4 + [[half, half]], counts) == 2**24
+    assert called == [("stream", 2**23 + 2)] * 2
+    called.clear()
+    assert kernels.accumulate_ngrams(table, [[]] * 5, counts) == 0
+    assert called == [] and np.array_equal(counts, start)
 
 
 def test_dispatch_rule():
