@@ -5,7 +5,8 @@ in one ``encode_each`` call against one ``encode`` call per text, one such
 text alone, and 21 labels of 200 sentences of 100 chars in one
 ``encode_each`` call), and a test-set encode (630 sentences of 100 chars
 coded once and encoded by one ``encode_symbols`` call, as ``evaluate``
-encodes its test set, against one ``encode`` call per sentence).
+encodes its test set, against one ``encode`` call per sentence), and
+``synth_corpus`` at the benchmark's size and at the paper's.
 
 Run with:  python3 -m hdclab.bench
 """
@@ -21,6 +22,11 @@ from .algebra import RandomSource, majority_words, n_words, random_hv
 from .corpus import Corpus
 from .encoder import DEFAULT_ALPHABET, ENCODE_GROUPS, EncoderConfig, TextEncoder
 from .pipeline import encode_test_sentences
+from .synth import synth_corpus
+
+# synth_corpus shapes: the perfbench corpus, and the paper's 21 texts of
+# about 100,000 chars with 1,000 test sentences per language.
+SYNTH_SHAPES = {"benchmark": (20000, 30), "paper": (100000, 1000)}
 
 
 def per_call_ns(fn, min_time_s: float = 0.05, samples: int = 3) -> float:
@@ -130,6 +136,13 @@ def bench_test_set(labels: int = 21, sentences: int = 30, length: int = 100,
             "per_sentence_ns": per_call_ns(lambda: [enc.encode(t) for t in texts])}
 
 
+def bench_synth(seed: int = 42) -> dict:
+    """``synth_corpus`` of 21 languages at each of ``SYNTH_SHAPES``:
+    (training chars, test sentences of 100 chars) per language."""
+    return {name: per_call_ns(lambda: synth_corpus(21, chars, sentences, 100, seed))
+            for name, (chars, sentences) in SYNTH_SHAPES.items()}
+
+
 def _fmt_ns(ns: float) -> str:
     if ns >= 1e6:
         return f"{ns / 1e6:9.2f} ms"
@@ -160,6 +173,10 @@ def main():
     print(f"test-set encode, {q['sentences']} sentences x {q['length']} chars, D=10000")
     print(f"  as evaluate    {_fmt_ns(q['test_set_ns'])}  (one coding, one encode_symbols)")
     print(f"  {q['sentences']} x encode   {_fmt_ns(q['per_sentence_ns'])}")
+    print("synth_corpus, 21 languages, test sentences of 100 chars")
+    for name, ns in bench_synth().items():
+        chars, sentences = SYNTH_SHAPES[name]
+        print(f"  {name:<14} {_fmt_ns(ns)}  ({chars} train chars, {sentences} sentences each)")
 
 
 if __name__ == "__main__":

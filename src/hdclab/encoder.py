@@ -245,9 +245,11 @@ class TextEncoder:
     def encode_each(self, groups) -> list[Hypervector]:
         """``[encode(*texts) for texts in groups]``, bit for bit, through ``encode_symbols``.
 
-        A group of several texts is read into one ``_JoinedGroup``, one of a
-        single text into a list of its uint8 symbols. A too-short text raises
-        TextTooShortError whose ``group`` is its group's index.
+        A group of a single text is read by ``symbol_indices`` into a list
+        of its uint8 symbols. The texts of a group of several are normalized
+        one by one, coded together by one ``symbol_codes`` call, and read
+        into one ``_JoinedGroup``. A too-short text raises TextTooShortError
+        whose ``group`` is its group's index.
         """
         words = self.encode_symbols([self._read(g, texts) for g, texts in enumerate(groups)])
         return [Hypervector(self.config.dim, row) for row in words]
@@ -255,7 +257,14 @@ class TextEncoder:
     def _read(self, g: int, texts):
         if not texts:
             raise ValueError("encode needs at least one text")
-        streams = [self.symbol_indices(text) for text in texts]
+        if len(texts) == 1:
+            streams = [self.symbol_indices(texts[0])]
+        else:
+            # One coding call for the group, over its normalized texts joined.
+            normalized = [normalize_text(text) for text in texts]
+            codes = symbol_codes("".join(normalized))
+            ends = np.cumsum([len(text) for text in normalized]).tolist()
+            streams = [codes[lo:hi] for lo, hi in zip([0, *ends], ends)]
         for syms in streams:
             if syms.shape[0] < self.config.n:
                 raise _too_short(syms, self.config.n, g)

@@ -72,6 +72,11 @@ CONTRACT_FLOATS = 2**18
 # one-text groups make four passes of 21 and the peak does not grow with the
 # number of texts; 84 texts in 21 groups are 21 rows and one pass.
 CONTRACT_ROWS = 24
+# Uniforms markov_sample maps to table indices at once: a 64 KiB intp block.
+MARKOV_BLOCK = 2**13
+# Equal buckets over [0, 1] by which markov_sample finds a uniform's grid index.
+MARKOV_BUCKETS = 2**12
+_BUCKET_EDGES = np.arange(MARKOV_BUCKETS + 1) / MARKOV_BUCKETS
 
 
 def backend() -> str:
@@ -308,25 +313,84 @@ def accumulate_ngrams(table, groups, counts):
     return total
 
 
-def markov_sample(cum_rows, start, uniforms):
-    """Walk stacked first-order Markov chains in lockstep on pre-drawn uniforms.
+def _next_states(cum):
+    """(grid, next) of a (rows, nstates) array of cumulative rows.
 
-    ``cum_rows[c, s]`` is chain c's cumulative transition distribution out of
-    state s, ``start[c]`` its state before the first step and ``uniforms[c]``
-    one uniform per step. A step moves to the number of cumulative entries
-    <= u (``searchsorted(side="right")``), clipped to the last state. Returns
-    the int64 (chains, steps) state array.
+    ``grid`` holds the sorted distinct entries of ``cum``, and
+    ``next[p, s] = min(#{j : cum[s, j] <= grid[p - 1]}, nstates - 1)``, with
+    ``next[0] = 0``: the state row s moves to on any u whose
+    ``searchsorted(grid, u, side="right")`` is p. This is exact: every entry
+    of ``cum`` is on the grid, so no count changes between two grid values.
     """
-    chains, nstates, _ = cum_rows.shape
-    flat = cum_rows.reshape(chains * nstates, nstates)
-    base = np.arange(chains) * nstates
-    out = np.empty(uniforms.shape, dtype=np.int64)
-    last = nstates - 1
-    s = np.asarray(start, dtype=np.int64)
-    for t in range(uniforms.shape[1]):
-        s = np.minimum((flat[base + s] <= uniforms[:, t, np.newaxis]).sum(axis=1), last)
-        out[:, t] = s
-    return out
+    rows, nstates = cum.shape
+    grid, pos = np.unique(cum, return_inverse=True)
+    # hits[p, s]: entries of row s equal to grid[p]; their running sum is the count.
+    keys = pos.reshape(rows, nstates) * rows + np.arange(rows)[:, np.newaxis]
+    hits = np.bincount(keys.ravel(), minlength=grid.size * rows).reshape(grid.size, rows)
+    nxt = np.zeros((grid.size + 1, rows), dtype=np.min_scalar_type(rows))
+    np.minimum(np.cumsum(hits, axis=0), nstates - 1, out=nxt[1:], casting="unsafe")
+    return grid, nxt
+
+
+def markov_sample(cum_start, cum_trans, table, uniforms):
+    """Walk first-order Markov chains in lockstep on pre-drawn uniforms in [0, 1].
+
+    Chain c follows table ``table[c]``: ``uniforms[c, 0]`` picks its first
+    state from the cumulative start distribution ``cum_start[table[c]]``, and
+    each later ``uniforms[c, t]`` moves it from state s to the number of
+    entries of ``cum_trans[table[c], s]`` that are <= u
+    (``searchsorted(side="right")``), clipped to the last state. Returns the
+    (chains, steps) state array, of the narrowest unsigned type that holds
+    ``nstates``.
+
+    Each table becomes a next-state table over the grid of its distinct
+    cumulative entries (see ``_next_states``), whose row ``nstates`` is the
+    start distribution, so every chain starts in that extra state. A
+    uniform is mapped once to its grid index p: ``MARKOV_BUCKETS`` equal
+    buckets over [0, 1] give the grid values at or below each bucket's low
+    edge, and as many compares as the fullest bucket has grid values add
+    the rest. That is exact, and mapped 483k uniforms on a 757-value grid in
+    12 ms against 48 ms for ``searchsorted`` (2-vCPU Xeon VM).
+    Then p is a flat index into all tables, and a step is one add and one
+    take over every chain. Uniforms are mapped ``MARKOV_BLOCK`` at a time,
+    so beyond its input and output a call holds the tables and a few
+    blocks of indices.
+    """
+    nstates = cum_start.shape[1]
+    chains, steps = uniforms.shape
+    width = nstates + 1
+    # Slot i of the flat tables is one grid index of one table; the last
+    # slot of each table holds an infinite value that no uniform reaches.
+    values, luts, nexts, passes, slots = [], [], [], 0, 0
+    for start_row, trans in zip(cum_start, cum_trans):
+        grid, nxt = _next_states(np.vstack([trans, start_row]))
+        below = np.searchsorted(grid, _BUCKET_EDGES, side="right")
+        passes = max(passes, int(np.diff(below).max()))
+        luts.append(below + slots)
+        values += [grid, [np.inf]]
+        nexts.append(nxt)
+        slots += grid.size + 1
+    values = np.concatenate(values)
+    lut = np.concatenate(luts, dtype=np.int32)
+    flat = np.concatenate(nexts).ravel()
+    del luts, nexts
+    lut_base = (np.asarray(table, dtype=np.int32) * _BUCKET_EDGES.size)[:, np.newaxis]
+    out = np.empty((steps, chains), dtype=flat.dtype)
+    span = max(1, min(steps, MARKOV_BLOCK // max(chains, 1)))
+    prev = np.full(chains, nstates, dtype=flat.dtype)
+    for lo in range(0, steps, span):
+        u = uniforms[:, lo : lo + span]
+        p = (u * MARKOV_BUCKETS).astype(np.int32)
+        p += lut_base
+        p = lut[p]
+        for _ in range(passes):
+            p += values[p] <= u
+        p *= width
+        for t, row in enumerate(p.T.astype(np.intp, order="C"), lo):
+            row += prev
+            flat.take(row, out=out[t], mode="clip")
+            prev = out[t]
+    return out.T
 
 
 def hamming_bitloop(bits_a, bits_b) -> int:

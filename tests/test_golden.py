@@ -1,7 +1,9 @@
 """Golden outputs: sha256 digests of the files and reports a fixed seed produces.
 
 The fixture corpus is ``synth_corpus(21, seed=0)`` with ``EncoderConfig()``,
-and with ``deterministic_ties=True`` for the ``ties_to_1`` digests.
+and with ``deterministic_ties=True`` for the ``ties_to_1`` digests. The
+``corpus`` digest pins the drawn texts themselves, so a change to the draw
+shows before it reaches any model or report.
 A refactor or speed-up must leave every digest here unchanged; a change that
 alters an output on purpose updates the digest and says why in CHANGES.md.
 """
@@ -16,6 +18,8 @@ from hdclab import (EncoderConfig, baseline_evaluate, baseline_train, evaluate, 
 from hdclab.pipeline import encode_test_set
 
 GOLDEN = {
+    # Every "label<TAB>text<LF>" line, train_items() then test_items() order.
+    "corpus": "ab1ac2b25919fa4d7095ca1b387e7cb7368b8d7d4cc404498a167655b3821fb7",
     "model": "2d7213be816839e78e66830cf172db5f132d4ed93ef2a3953ff2a6e7a9f58ef9",
     "eval_multiclass": "ca6ae9fc1bab753989d10e7504706e6cff12f866728628b48a59dd6d2cc2f808",
     "eval_pairwise": "4b076b8c7008f1892e19b030a3bc3cb58381c286267d7cc0960b935279904042",
@@ -37,6 +41,12 @@ def sha256(data: bytes) -> str:
 
 def report_digest(report: dict) -> str:
     return sha256(json.dumps(report, sort_keys=True).encode("utf-8"))
+
+
+def test_corpus_texts(synth):
+    lines = [f"{label}\t{text}\n" for items in (synth.train_items(), synth.test_items())
+             for label, text in items]
+    assert sha256("".join(lines).encode("ascii")) == GOLDEN["corpus"]
 
 
 def test_model_file(trained, tmp_path):

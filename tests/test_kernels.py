@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hdclab import RandomSource, kernels, pack_bits, random_hv, unpack_bits
+from hdclab import MarkovLanguage, RandomSource, kernels, pack_bits, random_hv, unpack_bits
 from hdclab.algebra import n_words
-from _oracles import ref_hamming
+from _oracles import ref_hamming, ref_markov_walk
 
 
 def _pair(dim, seed):
@@ -259,5 +259,83 @@ def test_accumulate_ngrams_dispatches_on_length(monkeypatch, length, path):
 
 def test_markov_sample_handles_uniform_one_edge():
     cum = np.array([[[0.5, 1.0], [0.5, 1.0]]])
-    out = kernels.markov_sample(cum, np.array([0]), np.array([[0.9999999, 1.0 - 1e-16, 1.0]]))
+    out = kernels.markov_sample(np.array([[0.5, 1.0]]), cum, np.array([0]),
+                                np.array([[0.9999999, 1.0 - 1e-16, 1.0]]))
     assert out.tolist() == [[1, 1, 1]]
+
+
+def _assert_walks_match_oracle(cum_start, cum_trans, table, uniforms):
+    out = kernels.markov_sample(cum_start, cum_trans, table, uniforms)
+    assert out.shape == uniforms.shape
+    want = [ref_markov_walk(cum_start[t], cum_trans[t], u) for t, u in zip(table, uniforms)]
+    assert out.tolist() == want
+
+
+# Zero-probability states and transitions tie cumulative entries, state 2
+# only ever moves to the last state, and three entries share one lookup
+# bucket (1e-6 apart against buckets 1/4096 wide); 0.25 is a bucket edge.
+TIED_START = np.array([0.0, 0.25, 0.25, 1.0])
+TIED_TRANS = np.array([[0.0, 0.5, 0.5, 1.0],
+                       [0.25, 0.25, 0.75, 1.0],
+                       [0.0, 0.0, 0.0, 1.0],
+                       [0.1, 0.1 + 1e-6, 0.1 + 2e-6, 1.0]])
+
+
+def _edge_uniforms():
+    """Every cumulative entry of the tied table, the floats either side of it, 0 and 1."""
+    grid = np.unique(np.concatenate([TIED_START, TIED_TRANS.ravel()]))
+    u = np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1.0), [0.0, 1.0]])
+    return np.unique(u)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_markov_sample_on_tied_entries_and_grid_values(steps):
+    # Chain i starts on the i-th edge uniform and then steps on every edge
+    # uniform in turn, so each state meets every edge value; one table is
+    # shared by all chains, and steps=1 chains only pick their start.
+    u = _edge_uniforms()
+    uniforms = np.stack([np.roll(u, -i)[:steps] for i in range(u.size)])
+    _assert_walks_match_oracle(TIED_START[np.newaxis], TIED_TRANS[np.newaxis],
+                               np.zeros(u.size, dtype=np.int64), uniforms)
+
+
+def test_markov_sample_from_every_state_on_every_edge_uniform():
+    # Start deterministically in each state s (a start row of zeros then
+    # ones), then take one step on each edge uniform.
+    u = _edge_uniforms()
+    starts = [np.r_[np.zeros(s), np.ones(4 - s)] for s in range(4)]
+    cum_start = np.stack(starts)
+    cum_trans = np.repeat(TIED_TRANS[np.newaxis], 4, axis=0)
+    table = np.repeat(np.arange(4), u.size)
+    uniforms = np.stack([np.zeros(table.size), np.tile(u, 4)], axis=1)
+    out = kernels.markov_sample(cum_start, cum_trans, table, uniforms)
+    assert out[:, 0].tolist() == table.tolist()
+    _assert_walks_match_oracle(cum_start, cum_trans, table, uniforms)
+
+
+def test_markov_sample_below_every_entry():
+    # No cumulative entry is 0, so u = 0.0 and any u below the smallest
+    # entry fall before the first grid value and take state 0.
+    cum_start = np.array([[0.5, 1.0]])
+    cum_trans = np.array([[[0.5, 1.0], [0.25, 1.0]]])
+    uniforms = np.array([[0.0, 0.0, 0.1], [0.7, 0.1, 0.0], [0.7, 0.6, 0.24]])
+    _assert_walks_match_oracle(cum_start, cum_trans, np.zeros(3, dtype=np.int64), uniforms)
+
+
+@pytest.mark.parametrize("block", [1, 7, kernels.MARKOV_BLOCK])
+def test_markov_sample_matches_per_chain_walks(monkeypatch, block):
+    # Random tables, interleaved table indices, and many chains per table,
+    # mapped in blocks that split the steps unevenly.
+    monkeypatch.setattr(kernels, "MARKOV_BLOCK", block)
+    langs = [MarkovLanguage(RandomSource(40 + i)) for i in range(3)]
+    cum_start = np.stack([lang.cum_start for lang in langs])
+    cum_trans = np.stack([lang.cum_trans for lang in langs])
+    gen = RandomSource(43).generator
+    table = gen.integers(0, 3, size=40)
+    _assert_walks_match_oracle(cum_start, cum_trans, table, gen.random((40, 23)))
+
+
+def test_markov_sample_with_no_chains():
+    out = kernels.markov_sample(TIED_START[np.newaxis], TIED_TRANS[np.newaxis],
+                                np.zeros(0, dtype=np.int64), np.zeros((0, 5)))
+    assert out.shape == (0, 5)

@@ -87,17 +87,17 @@ def test_training_is_single_pass(monkeypatch):
     corpus = tiny_corpus()
     corpus.add_train("aa", "cab bac cab")
     read, thresholds = [], []
-    symbol_indices = TextEncoder.symbol_indices
+    normalize_text = encoder_module.normalize_text
 
-    def counting_symbol_indices(self, text):
+    def counting_normalize_text(text):
         read.append(text)
-        return symbol_indices(self, text)
+        return normalize_text(text)
 
     def counting_majority(counts, items, ties=None):
         thresholds.append(list(items))
         return majority_words(counts, items, ties)
 
-    monkeypatch.setattr(TextEncoder, "symbol_indices", counting_symbol_indices)
+    monkeypatch.setattr(encoder_module, "normalize_text", counting_normalize_text)
     monkeypatch.setattr(encoder_module, "majority_words", counting_majority)
     train_pipeline(corpus, EncoderConfig(dim=1000))
     assert read == [text for _, text in corpus.train_items()]

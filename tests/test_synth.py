@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,3 +75,21 @@ def test_bad_args():
         synth_corpus(num_languages=101, train_chars=3, test_sentences=0)
     with pytest.raises(ValueError, match="characters is over"):
         synth_corpus(num_languages=2, train_chars=2**24, test_sentences=1, sentence_chars=3)
+
+
+def test_sentence_heavy_draw_is_bounded_per_sentence():
+    # 4,000 three-char sentences: the corpus keeps about 60 B of each (its
+    # str and list slot), and drawing them peaked at about 205 B each. A
+    # cumulative table copied per chain (5.8 KB) or a random source kept
+    # alive per chain until all are drawn would exceed the allowance.
+    synth_corpus(num_languages=2, train_chars=3, test_sentences=10, sentence_chars=3, seed=14)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus = synth_corpus(num_languages=2, train_chars=3, test_sentences=2000,
+                              sentence_chars=3, seed=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(v) for v in corpus.test.values()) == 4000
+    assert peak <= 4000 * 512
