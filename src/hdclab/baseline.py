@@ -1,8 +1,9 @@
 """Classical n-gram histogram baseline, the reference for the hypervector classifier.
 
-Reads text as the encoder does and counts its length-n windows by base-27 code
-(``kernels.ngram_codes``). A language's profile counts all its training windows
-over the sorted training vocabulary; a text goes to the most cosine-similar one.
+Reads text through the encoder's ``code_texts`` and counts its length-n windows
+by base-27 code (``kernels.ngram_codes``). A language's profile counts all its
+training windows over the sorted training vocabulary; a text goes to the most
+cosine-similar one.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .encoder import DEFAULT_ALPHABET, normalize_text, symbol_codes
+from .encoder import DEFAULT_ALPHABET, code_texts, group_windows
+from .encoder import normalize_text  # noqa: F401  (perfbench/test_harness.py checks this binding)
 from .errors import ConfigurationError, TextTooShortError
 from .pipeline import encode_test_sentences, score_report
 
@@ -47,18 +49,15 @@ class BaselineClassifier:
 
     def count_vector(self, *texts: str):
         """Sorted unique n-gram codes and counts over the texts; no window spans two."""
-        streams = []
-        for text in texts:
-            syms = symbol_codes(normalize_text(text))
-            if syms.shape[0] < self.n:
-                raise TextTooShortError(f"need at least {self.n} symbols, "
-                                        f"got {syms.shape[0]}")
-            streams.append(syms)
-        return self._count(streams)
+        group = code_texts(texts)
+        group_windows(group[1], self.n)  # raises on a text shorter than n
+        return self._count(group)
 
-    def _count(self, streams):
-        """Sorted unique n-gram codes and counts over symbol streams of n or more symbols."""
-        codes = [kernels.ngram_codes(syms, len(DEFAULT_ALPHABET), self.n) for syms in streams]
+    def _count(self, group):
+        """Sorted unique n-gram codes and counts over a ``(syms, ends)`` group
+        whose texts have n or more symbols each."""
+        codes = [kernels.ngram_codes(syms, len(DEFAULT_ALPHABET), self.n)
+                 for syms in kernels.streams(group)]
         return np.unique(np.concatenate(codes), return_counts=True)
 
     def similarities(self, text: str) -> np.ndarray:
@@ -91,8 +90,8 @@ def baseline_evaluate(clf: BaselineClassifier, corpus) -> dict:
     Negated cosine similarity serves as the distance: negation is exact and
     argmin takes the first minimum, so ties still go to the first label.
     """
-    symbols, true_idx, skipped = encode_test_sentences(clf.labels, corpus, clf.n)
-    sims = np.vstack([clf._cosines(*clf._count([syms])) for syms in symbols])
+    groups, true_idx, skipped = encode_test_sentences(clf.labels, corpus, clf.n)
+    sims = np.vstack([clf._cosines(*clf._count(group)) for group in groups])
     return {
         "classifier": "baseline",
         "n": clf.n,

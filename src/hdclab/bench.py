@@ -76,18 +76,20 @@ def bench_encode(length: int = 100, seed: int = 42) -> dict:
     enc = TextEncoder(EncoderConfig())
     rng = RandomSource(seed)
     text = _random_text(length, rng)
-    table, groups = enc._table, [[enc.symbol_indices(text).astype(np.uint8)]]
+    table, groups = enc._table, [enc.symbol_indices(text)]
     k = length - enc.config.n + 1
+    ks = [k]
     # The narrow counts encode thresholds; the timed counting adds to a copy.
     counts = np.zeros((1, enc.config.dim), dtype=np.min_scalar_type(k))
-    kernels.accumulate_ngrams(table, groups, counts)
+    kernels.accumulate_ngrams(table, groups, ks, counts)
     scratch = counts.copy()
     chunk = np.repeat(counts, ENCODE_GROUPS, axis=0)
     items = [k] * ENCODE_GROUPS
     ties = rng.words(ENCODE_GROUPS * n_words(enc.config.dim)).reshape(ENCODE_GROUPS, -1)
     return {"length": length,
             "encode_ns": per_call_ns(lambda: enc.encode(text)),
-            "counting_ns": per_call_ns(lambda: kernels.accumulate_ngrams(table, groups, scratch)),
+            "counting_ns": per_call_ns(lambda: kernels.accumulate_ngrams(table, groups, ks,
+                                                                         scratch)),
             "threshold_ns": per_call_ns(lambda: majority_words(chunk, items, ties))
             / ENCODE_GROUPS}
 
@@ -128,8 +130,8 @@ def bench_test_set(labels: int = 21, sentences: int = 30, length: int = 100,
     texts = [text for _, text in corpus.test_items()]
 
     def test_set():
-        symbols, _, _ = encode_test_sentences(names, corpus, enc.config.n)
-        return enc.encode_symbols([[syms] for syms in symbols])
+        groups, _, _ = encode_test_sentences(names, corpus, enc.config.n)
+        return enc.encode_symbols(groups)
 
     return {"sentences": len(texts), "length": length,
             "test_set_ns": per_call_ns(test_set),

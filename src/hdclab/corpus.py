@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .encoder import normalize_text
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 
 
 @dataclass
@@ -52,16 +52,37 @@ class Corpus:
 
 
 def _label_dirs(role_dir: Path):
-    return sorted(p for p in role_dir.iterdir() if p.is_dir())
+    """Sorted label directories; ConfigurationError names one whose name is not UTF-8."""
+    dirs = sorted(p for p in role_dir.iterdir() if p.is_dir())
+    for path in dirs:
+        try:
+            path.name.encode("utf-8")
+        except UnicodeEncodeError:  # undecodable bytes, kept as surrogates
+            raise ConfigurationError(
+                f"label directory {str(path)!r} is not named in UTF-8") from None
+    return dirs
+
+
+def _text_files(label_dir: Path):
+    """Sorted ``*.txt`` files of a label; DataError names any that is not a
+    regular file (or a symlink to one), before anything is opened."""
+    paths = sorted(label_dir.glob("*.txt"))
+    for path in paths:
+        if not path.is_file():
+            raise DataError(f"{path} is not a regular file; only regular *.txt files are read")
+    return paths
 
 
 def ingest(root) -> Corpus:
     """Read the corpus layout under root into a normalized Corpus.
 
     Raises ConfigurationError when the layout is unusable: no train data at
-    all, or a test label with no training label to match. Unreadable files
-    surface as the underlying OSError (it names the path). Files that
-    normalize to nothing are dropped with a warning.
+    all, a label directory whose name is not UTF-8, or a test label with no
+    training label to match. A ``*.txt`` that is not a regular file (a FIFO,
+    a directory, a dangling symlink) is a DataError naming it, raised
+    without opening it. Unreadable files surface as the underlying OSError
+    (it names the path). Files that normalize to nothing are dropped with a
+    warning.
     """
     root = Path(root)
     train_dir = root / "train"
@@ -70,7 +91,7 @@ def ingest(root) -> Corpus:
     corpus = Corpus()
     for label_dir in _label_dirs(train_dir):
         label = label_dir.name
-        for path in sorted(label_dir.glob("*.txt")):
+        for path in _text_files(label_dir):
             text = normalize_text(path.read_text(encoding="utf-8", errors="replace"))
             if not text:
                 warnings.warn(f"train sample {path} is empty after normalization")
@@ -87,7 +108,7 @@ def ingest(root) -> Corpus:
                 raise ConfigurationError(
                     f"test label {label!r} has no training samples"
                 )
-            for path in sorted(label_dir.glob("*.txt")):
+            for path in _text_files(label_dir):
                 kept = 0
                 raw = path.read_text(encoding="utf-8", errors="replace")
                 for line in raw.splitlines():

@@ -6,14 +6,18 @@ rotated most) and XOR-folding the results. Texts are the majority vote over
 all their sliding windows, none spanning two texts. The same binding
 machinery also encodes key/value records and decodes fields back out of them.
 
-Text reaches this encoder and the n-gram baseline through one front end:
-``normalize_text``, then ``symbol_codes``. The symbol set is fixed: the 27
-characters ``DEFAULT_ALPHABET`` holds, which are all ``normalize_text`` emits.
+Text reaches this encoder and the n-gram baseline through one front end,
+``code_texts``: it normalizes each text of a group with ``normalize_text``
+and codes them all with one ``symbol_codes`` call, into the form every group
+takes from there to the counts, a ``(syms, ends)`` pair. The symbol set is
+fixed: the 27 characters ``DEFAULT_ALPHABET`` holds, which are all
+``normalize_text`` emits.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 import string
 import weakref
@@ -77,6 +81,34 @@ def symbol_codes(text: str) -> np.ndarray:
     return syms
 
 
+def code_texts(texts) -> tuple[np.ndarray, list]:
+    """(syms, ends) of a group of texts.
+
+    ``syms`` is the uint8 alphabet index of every symbol of the normalized
+    texts, joined, and ``ends[i]`` is where text i ends in it, so text i is
+    ``syms[ends[i - 1]:ends[i]]`` (from 0 for the first). Each text is
+    normalized once, and all are coded by one ``symbol_codes`` call.
+    """
+    normalized = [normalize_text(text) for text in texts]
+    syms = symbol_codes("".join(normalized)).astype(np.uint8)
+    return syms, list(itertools.accumulate(map(len, normalized)))
+
+
+def group_windows(ends, n: int, group: int | None = None) -> int:
+    """Windows of length n over the texts of a group with these ``ends``.
+
+    ValueError when there is no text; TextTooShortError, whose ``group`` is
+    the given one, when a text has fewer than n symbols.
+    """
+    if not ends:
+        raise ValueError("need at least one text")
+    shortest = min(hi - lo for lo, hi in itertools.pairwise([0, *ends]))
+    if shortest < n:
+        raise TextTooShortError(
+            f"need at least {n} symbols after normalization, got {shortest}", group=group)
+    return ends[-1] - len(ends) * (n - 1)
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     """Knobs of the text encoder; defaults match the 27-symbol trigram setup."""
@@ -135,43 +167,6 @@ class _SeedTables:
 # and dropped with the last one.
 _SEED_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-# Bit 7 of a _JoinedGroup byte: the first symbol of a stream after the first.
-_START = 0x80
-
-
-class _JoinedGroup:
-    """One group's symbol streams, each at least one symbol long, in one uint8 buffer.
-
-    Symbols are below 32, so bit 7 is free: it marks the first symbol of
-    every stream after the first. No per-stream array or offset is kept, so
-    a group holds its symbols, one byte each, and nothing more however many
-    texts they came from. Iterating yields each stream as a fresh uint8
-    array, which lives only as long as its reader keeps it.
-    """
-
-    __slots__ = ("_syms", "_len")
-
-    def __init__(self, streams):
-        self._len = len(streams)
-        self._syms = np.concatenate(streams, dtype=np.uint8, casting="unsafe")
-        start = 0
-        for syms in streams[:-1]:
-            start += syms.shape[0]
-            self._syms[start] |= _START
-
-    def __len__(self):
-        return self._len
-
-    def __iter__(self):
-        starts = np.flatnonzero(self._syms >= _START).tolist()
-        for lo, hi in zip([0, *starts], [*starts, self._syms.shape[0]]):
-            yield self._syms[lo:hi] & (_START - 1)
-
-
-def _too_short(syms, n: int, g: int) -> TextTooShortError:
-    return TextTooShortError(
-        f"need at least {n} symbols after normalization, got {syms.shape[0]}", group=g)
-
 
 class TextEncoder:
     """Streams normalized text into text hypervectors.
@@ -180,14 +175,15 @@ class TextEncoder:
     words only, and shares that table and the item memory with every other
     live encoder of the same key (at the defaults 101,736 B of table and
     33,912 B of item memory). ``encode``, ``encode_each`` and the test-set
-    path all end in ``encode_symbols``: groups of symbol streams are counted
-    ``ENCODE_GROUPS`` to a call, each group by one method picked from its
-    total window count: a packed XOR fold with one carry-save level over
-    each text of a group of few windows, and one pair-sign contraction over
-    all groups of many windows in the call, one histogram row each (see
-    ``kernels.accumulate_ngrams``), into counts of the narrowest unsigned
-    type that holds the call's largest group, and each call's count matrix
-    is thresholded as it is by one ``majority_words``.
+    path all end in ``encode_symbols``, whose groups are ``(syms, ends)``
+    pairs as ``code_texts`` gives them. Groups are counted ``ENCODE_GROUPS``
+    to a call, each by one method picked from its window count: a packed
+    XOR fold with one carry-save level over each text of a group of few
+    windows, and one pair-sign contraction over all groups of many windows
+    in the call, one histogram row each (see ``kernels.accumulate_ngrams``),
+    into counts of the narrowest unsigned type that holds the call's largest
+    group, and each call's count matrix is thresholded as it is by one
+    ``majority_words``.
 
     Tie rule (``TIE_SCHEME`` 2): an exact tie at component i (an even window
     count k, half of whose windows have a 1 there) takes bit i of the text's
@@ -199,18 +195,17 @@ class TextEncoder:
     encoded and in whatever order. Hashing and reading it cost about 5.4 us
     per text at D = 10000. With ``deterministic_ties`` every tie is 1.
 
-    ``encode_each`` reads the texts of a group of several into one
-    ``_JoinedGroup``, so beyond the texts' symbols, one byte each, and one
-    row of words per group, nothing is kept per text, and working memory is
-    bounded independently of how long or how many the texts are: the count
-    buffer holds one chunk of groups, the stream works in blocks of
-    ``kernels.STREAM_BLOCK`` (255) windows, 2.5 MB unpacked at D = 10000,
-    and the contraction in passes of at most ``kernels.CONTRACT_ROWS``
-    histogram rows, one per group of many windows, of ``nsym**n`` float32
-    values each, whose blocks take at most ``kernels.CONTRACT_FLOATS``
-    (1 MiB). Training the 21 x 20k-char benchmark corpus at D = 10000
-    peaked at 3.56 MiB under tracemalloc, and evaluating its 630 test
-    sentences at 2.5 MiB.
+    A group holds its texts' symbols, one byte each, and one end offset per
+    text; beyond that and one row of words per group, nothing is kept per
+    text, and working memory is bounded independently of how long or how
+    many the texts are: the count buffer holds one chunk of groups, the
+    stream works in blocks of ``kernels.STREAM_BLOCK`` (255) windows, 2.5 MB
+    unpacked at D = 10000, and the contraction in passes of at most
+    ``kernels.CONTRACT_ROWS`` histogram rows, one per group of many windows,
+    of ``nsym**n`` float32 values each, whose blocks take at most
+    ``kernels.CONTRACT_FLOATS`` (1 MiB). Training the 21 x 20k-char
+    benchmark corpus at D = 10000 peaked at 3.56 MiB under tracemalloc, and
+    evaluating its 630 test sentences at 2.5 MiB.
     """
 
     def __init__(self, config: EncoderConfig):
@@ -228,9 +223,9 @@ class TextEncoder:
         self._table = seeds.table
         self._tie_key = hashlib.shake_128(config.tie_seed.to_bytes(8, "little"))
 
-    def symbol_indices(self, text: str) -> np.ndarray:
-        """Normalize text and map it to int64 alphabet indices."""
-        return symbol_codes(normalize_text(text))
+    def symbol_indices(self, *texts: str):
+        """``code_texts(texts)``: the (syms, ends) group of the normalized texts."""
+        return code_texts(texts)
 
     def encode(self, *texts: str) -> Hypervector:
         """Count the sliding n-grams of every normalized text and threshold once at k/2.
@@ -245,74 +240,46 @@ class TextEncoder:
     def encode_each(self, groups) -> list[Hypervector]:
         """``[encode(*texts) for texts in groups]``, bit for bit, through ``encode_symbols``.
 
-        A group of a single text is read by ``symbol_indices`` into a list
-        of its uint8 symbols. The texts of a group of several are normalized
-        one by one, coded together by one ``symbol_codes`` call, and read
-        into one ``_JoinedGroup``. A too-short text raises TextTooShortError
-        whose ``group`` is its group's index.
+        Each group of texts is read by one ``symbol_indices`` call. A group
+        with no text raises ValueError, and a too-short text
+        TextTooShortError whose ``group`` is its group's index.
         """
-        words = self.encode_symbols([self._read(g, texts) for g, texts in enumerate(groups)])
+        words = self.encode_symbols([self.symbol_indices(*texts) for texts in groups])
         return [Hypervector(self.config.dim, row) for row in words]
 
-    def _read(self, g: int, texts):
-        if not texts:
-            raise ValueError("encode needs at least one text")
-        if len(texts) == 1:
-            streams = [self.symbol_indices(texts[0])]
-        else:
-            # One coding call for the group, over its normalized texts joined.
-            normalized = [normalize_text(text) for text in texts]
-            codes = symbol_codes("".join(normalized))
-            ends = np.cumsum([len(text) for text in normalized]).tolist()
-            streams = [codes[lo:hi] for lo, hi in zip([0, *ends], ends)]
-        for syms in streams:
-            if syms.shape[0] < self.config.n:
-                raise _too_short(syms, self.config.n, g)
-        if len(streams) == 1:  # nothing to join
-            return [streams[0].astype(np.uint8)]
-        return _JoinedGroup(streams)
-
     def encode_symbols(self, groups) -> np.ndarray:
-        """Read-only (groups, words) uint64 matrix: row g encodes the symbol streams ``groups[g]``.
+        """Read-only (groups, words) uint64 matrix: row g encodes the group ``groups[g]``.
 
-        A group is a sequence of streams that may be read more than once; a
-        stream is an integer array of alphabet indices, as
-        ``symbol_indices`` gives. Row g is ``encode`` of the texts those
-        streams came from, bit for bit. Groups are counted
-        ``ENCODE_GROUPS`` to one ``kernels.accumulate_ngrams`` call, into
-        counts of the narrowest unsigned type that holds the chunk's largest
-        window count, and each chunk is thresholded as one matrix by one
-        ``majority_words`` call with the chunk's tie vectors. A stream
-        shorter than n raises TextTooShortError whose ``group`` is g.
+        A group is a ``(syms, ends)`` pair as ``code_texts`` gives it, and
+        row g is ``encode`` of the texts it came from, bit for bit. Groups
+        are counted ``ENCODE_GROUPS`` to one ``kernels.accumulate_ngrams``
+        call, into counts of the narrowest unsigned type that holds the
+        chunk's largest window count, and each chunk is thresholded as one
+        matrix by one ``majority_words`` call with the chunk's tie vectors.
+        Before anything is counted, a group with no text raises ValueError,
+        and one with a text shorter than n TextTooShortError whose
+        ``group`` is g.
         """
-        nw = n_words(self.config.dim)
-        out = np.empty((len(groups), nw), dtype=np.uint64)
+        windows = [group_windows(ends, self.config.n, g) for g, (_, ends) in enumerate(groups)]
+        out = np.empty((len(groups), n_words(self.config.dim)), dtype=np.uint64)
         for lo in range(0, len(groups), ENCODE_GROUPS):
-            chunk = groups[lo : lo + ENCODE_GROUPS]
-            windows, keys = zip(*(self._key(g, group) for g, group in enumerate(chunk, lo)))
-            counts = np.zeros((len(chunk), self.config.dim),
-                              dtype=np.min_scalar_type(max(windows)))
-            kernels.accumulate_ngrams(self._table, chunk, counts)
-            ties = None
-            if not self.config.deterministic_ties:
-                ties = np.frombuffer(b"".join(key.digest(8 * nw) for key in keys),
-                                     dtype="<u8").reshape(len(chunk), nw)
-            out[lo : lo + len(chunk)] = majority_words(counts, windows, ties)
+            chunk, ks = groups[lo : lo + ENCODE_GROUPS], windows[lo : lo + ENCODE_GROUPS]
+            counts = np.zeros((len(chunk), self.config.dim), dtype=np.min_scalar_type(max(ks)))
+            kernels.accumulate_ngrams(self._table, chunk, ks, counts)
+            ties = None if self.config.deterministic_ties else self._tie_words(chunk)
+            out[lo : lo + len(chunk)] = majority_words(counts, ks, ties)
         out.setflags(write=False)
         return out
 
-    def _key(self, g: int, group):
-        """(k, key) of group g: its window count and its unread tie hash over its symbols."""
-        if not len(group):
-            raise ValueError("encode needs at least one text")
-        n = self.config.n
-        key, k = self._tie_key.copy(), 0
-        for syms in group:
-            if syms.shape[0] < n:
-                raise _too_short(syms, n, g)
+    def _tie_words(self, groups) -> np.ndarray:
+        """(groups, words) tie vectors: the tie seed, then each group's symbols, hashed."""
+        nw = n_words(self.config.dim)
+        digests = []
+        for syms, _ in groups:
+            key = self._tie_key.copy()
             key.update(syms.astype(np.uint8, copy=False))
-            k += syms.shape[0] - n + 1
-        return k, key
+            digests.append(key.digest(8 * nw))
+        return np.frombuffer(b"".join(digests), dtype="<u8").reshape(len(groups), nw)
 
 
 def encode_record(fields, mem: ItemMemory, rng: RandomSource | None = None) -> Hypervector:

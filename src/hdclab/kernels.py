@@ -19,7 +19,10 @@ calls stacked by column (fastest of 400 interleaved calls, one thread,
 
 ``accumulate_ngrams`` counts, per component, how many sliding n-gram
 vectors have a 1, for groups of symbol streams in one call, by one of two
-exact methods, picked once per group from its total window count k:
+exact methods, picked once per group from its window count k. A group is a
+``(syms, ends)`` pair: one uint8 buffer of its streams' symbols, joined, and
+where each stream ends in it (see ``encoder.code_texts``); a stream is read
+as the view ``syms[lo:hi]``.
 
 * the block stream gathers and XOR-folds up to ``STREAM_BLOCK`` (255)
   windows as words, folds them once more by a 3:2 carry-save level into
@@ -42,9 +45,8 @@ exact methods, picked once per group from its total window count k:
   (fastest of 15 calls, 2-vCPU Xeon VM).
 
 ``_contracts`` picks the contraction for a group whose windows, over all
-its streams, are many: at most 4 bins per window of the group,
-``nsym**(n-1) <= NGRAM_CHUNK / 4`` (so a ``(nsym**(n-1), dim)`` float32
-table would be no larger than a ``(NGRAM_CHUNK, dim)`` uint8 block), and
+its streams, are many: at most 4 bins per window of the group, at most
+``NGRAM_CHUNK / 4`` sign rows in P (``nsym**(n-1)`` of them), and
 k < 2**24. So a language's 200 sentences of 100 chars are one histogram
 row, as one 20k-char text is. Neither method keeps a sign table between
 calls; the contraction unpacks the sign rows it needs per block.
@@ -52,9 +54,12 @@ calls; the contraction unpacks the sign rows it needs per block.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-# Windows per block of ngram_histogram, and the size bound of _contracts.
+# Windows per block of ngram_histogram; a quarter of it bounds the sign rows
+# of P in _contracts.
 NGRAM_CHUNK = 4096
 # Windows per stream block: column sums are exact in uint8, and the unpacked
 # (255, dim) block is 2.5 MB at D = 10000 (4096 windows made 41 MB).
@@ -125,9 +130,9 @@ def _contracts(nsym: int, n: int, k: int) -> bool:
     streams.
 
     k counts the windows of every stream of the group. Contract only when
-    the histogram has at most 4 bins per window, a ``(nsym**(n-1), dim)``
-    float32 table would be no larger than a ``(NGRAM_CHUNK, dim)`` uint8
-    block, and k < 2**24 keeps float32 exact.
+    the histogram has at most 4 bins per window, P has at most
+    ``NGRAM_CHUNK / 4`` sign rows (``nsym**(n-1)``, one per symbol tuple of
+    window positions 1..n-1), and k < 2**24 keeps float32 exact.
     At the defaults (n = 3, 27 symbols, D = 10000) the measured crossover
     for a group contracted alone is about 7,000 windows, or about 2.8 bins
     per window, since the stream's carry-save level: the contraction took a
@@ -212,32 +217,22 @@ def ngram_histogram(syms, nsym, n, hist=None):
     return hist
 
 
-def _histograms(groups, rows, nsym, n):
-    """(hist, ks) of contraction rows: each row's float32 n-gram histogram
-    over every stream of its group, and its window count.
-
-    ``rows`` lists group indices. Each stream is read only while it is
-    histogrammed.
-    """
-    hist = np.empty((len(rows), nsym**n), dtype=np.float32)
-    ks = np.zeros(len(rows), dtype=np.int64)
-    for r, g in enumerate(rows):
-        row = np.zeros(nsym**n, dtype=np.int64)
-        for syms in groups[g]:
-            ks[r] += syms.shape[0] - n + 1
-            ngram_histogram(syms, nsym, n, row)
-        hist[r] = row
-    return hist, ks
+def streams(group):
+    """Each stream of a ``(syms, ends)`` group, as a view of its buffer."""
+    syms, ends = group
+    for lo, hi in itertools.pairwise([0, *ends]):
+        yield syms[lo:hi]
 
 
-def _count_contraction(table, groups, rows, counts):
+def _count_contraction(table, groups, ks, rows, counts):
     """Pair-sign contraction: counts = (k - sum_a s_0[a] * (H[a, :] @ P)) / 2, per row.
 
     A window's XOR bit b satisfies 1 - 2b = prod_j (1 - 2 b_j), so summing
     the sign products over windows gives k - 2*count. ``rows`` lists
-    distinct group indices: row r holds every window of ``groups[rows[r]]``
-    and adds to ``counts[rows[r]]`` (see ``_histograms``). Its histogram
-    ``H`` (float32) is split by the symbol a at window position 0;
+    distinct group indices: row r holds the ``ks[rows[r]]`` windows of
+    ``groups[rows[r]]`` and adds to ``counts[rows[r]]``. Its histogram ``H``
+    (float32, over every stream of the group, each read while it is
+    histogrammed) is split by the symbol a at window position 0;
     ``P[(b, c, ...), d]`` is the product of the sign rows of positions
     1..n-1 (a row of ones for n = 1). ``P`` is built once per block of
     components and shared by every row, so each block is one
@@ -247,14 +242,20 @@ def _count_contraction(table, groups, rows, counts):
     """
     n, nsym, nwords = table.shape
     dim = counts.shape[1]
-    hist, ks = _histograms(groups, rows, nsym, n)
+    hist = np.empty((len(rows), nsym**n), dtype=np.float32)
+    for r, g in enumerate(rows):
+        row = np.zeros(nsym**n, dtype=np.int64)
+        for syms in streams(groups[g]):
+            ngram_histogram(syms, nsym, n, row)
+        hist[r] = row
     hist = hist.reshape(len(rows) * nsym, -1)
+    row_ks = np.array([ks[g] for g in rows], dtype=np.int64)
     # Whole words per block: as many as keep P and R within CONTRACT_FLOATS.
     step = max(1, CONTRACT_FLOATS // (hist.shape[1] + hist.shape[0]) // 64)
     for w in range(0, nwords, step):
         lo = w * 64
         width = min(dim - lo, step * 64)
-        block = _contract_block(hist, ks, table[:, :, w : w + step])[:, :width]
+        block = _contract_block(hist, row_ks, table[:, :, w : w + step])[:, :width]
         counts[rows, lo : lo + width] += block.astype(counts.dtype, copy=False)
 
 
@@ -275,42 +276,39 @@ def _contract_block(hist, ks, words):
     return c
 
 
-def accumulate_ngrams(table, groups, counts):
+def accumulate_ngrams(table, groups, ks, counts):
     """Accumulate all sliding n-gram hypervectors of groups of symbol streams.
 
     ``table`` is the pre-rotated alphabet as packed words, shape (n, n_symbols,
     n_words) uint64; ``table[j][s]`` is the vector used when symbol ``s`` sits
-    at window position ``j``. ``groups[g]`` is a sequence of the symbol
-    streams whose windows add to ``counts[g]``: per component, how many of
-    the k windows have a 1. Every stream has at least n symbols, since a
-    shorter one would subtract from k. ``counts`` is a (groups, dim) integer
-    array whose type holds each group's total. Returns the total k over
-    every stream; no window spans two streams.
+    at window position ``j``. ``groups[g]`` is a ``(syms, ends)`` pair whose
+    streams' ``ks[g]`` windows add to ``counts[g]``: per component, how many
+    of them have a 1. Every stream has at least n symbols, so ``ks[g]`` is
+    ``len(syms) - len(ends) * (n - 1)``. ``counts`` is a (groups, dim)
+    integer array whose type holds each group's total. Returns the total
+    windows, ``sum(ks)``; no window spans two streams.
 
-    The method is picked once per group, from the group's total windows:
-    when ``_contracts`` holds for that total, the group is one histogram row
-    of the pair-sign contraction, ``CONTRACT_ROWS`` or fewer rows to a pass;
-    otherwise each of its streams goes through the block stream. Both give
-    the same counts. A group is read once to count its windows and once by
-    its method, and no stream is kept past its reading: a contraction row is
-    a group index.
+    The method is picked once per group, from ``ks[g]``: when ``_contracts``
+    holds for it, the group is one histogram row of the pair-sign
+    contraction, ``CONTRACT_ROWS`` or fewer rows to a pass; otherwise each
+    of its streams goes through the block stream. Both give the same counts.
+    A group is read once, by its method, and no stream is kept past its
+    reading: a contraction row is a group index.
     """
     n, nsym, _ = table.shape
-    total, rows = 0, []
-    for g, streams in enumerate(groups):
-        k = sum(syms.shape[0] - n + 1 for syms in streams)
-        total += k
+    rows = []
+    for g, k in enumerate(ks):
         if _contracts(nsym, n, k):
             rows.append(g)
         else:
-            for syms in streams:
+            for syms in streams(groups[g]):
                 _count_stream(table, syms, counts[g])
     if rows:
         # The fewest passes of at most CONTRACT_ROWS rows, of equal size.
         size = -(-len(rows) // -(-len(rows) // CONTRACT_ROWS))
         for lo in range(0, len(rows), size):
-            _count_contraction(table, groups, rows[lo : lo + size], counts)
-    return total
+            _count_contraction(table, groups, ks, rows[lo : lo + size], counts)
+    return sum(ks)
 
 
 def _next_states(cum):

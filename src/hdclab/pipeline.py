@@ -3,11 +3,11 @@
 A trained model is an encoder and one prototype hypervector per language:
 the majority over the n-gram windows of all its training texts, as the paper
 trains one accumulator per language. The test set has one front end,
-``encode_test_sentences``: each sentence is normalized and coded once, and
-those shorter than one n-gram are counted as skipped rather than failing the
-run. Evaluation encodes the rest in one batched ``encode_symbols`` call and
-scores the packed words as one distance matrix; the n-gram baseline counts
-the same symbols.
+``encode_test_sentences``: every sentence is normalized and coded by one
+``code_texts`` call, and those shorter than one n-gram are counted as
+skipped rather than failing the run. Evaluation encodes the rest in one
+batched ``encode_symbols`` call and scores the packed words as one distance
+matrix; the n-gram baseline counts the same groups.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import Hypervector
 from .assocmem import AssociativeMemory, ClassificationResult
-from .encoder import EncoderConfig, TextEncoder, normalize_text, symbol_codes
+from .encoder import EncoderConfig, TextEncoder, code_texts
 from .errors import ConfigurationError, DataError, TextTooShortError
 from .faultlab import distance_matrix, pairwise_from_dmat
 
@@ -70,39 +70,36 @@ def train_pipeline(corpus, config: EncoderConfig | None = None) -> TrainedModel:
 
 
 def encode_test_sentences(labels, corpus, n: int):
-    """Normalize every test sentence once and code them all in one call, in corpus order.
+    """Code every test sentence once, in one ``code_texts`` call, in corpus order.
 
-    Returns (symbols, true_idx, skipped): the uint8 alphabet indices of
-    each sentence of at least n symbols, the int64 index into labels of
-    each one's true label, and the count of sentences too short for one
-    n-gram. A test label missing from labels raises ConfigurationError; a
-    test set with no usable sentence, DataError.
+    Returns (groups, true_idx, skipped): the one-text ``(syms, ends)`` group
+    of each sentence of at least n symbols, a view of the call's buffer, the
+    int64 index into labels of each one's true label, and the count of
+    sentences too short for one n-gram. A test label missing from labels
+    raises ConfigurationError; a test set with no usable sentence, DataError.
     """
     label_index = {label: i for i, label in enumerate(labels)}
     for label in corpus.test:
         if label not in label_index:
             raise ConfigurationError(f"test label {label!r} not in the model")
     items = list(corpus.test_items())
-    texts = [normalize_text(sentence) for _, sentence in items]
-    # One coding call over the joined text; 27 symbols: one byte each.
-    codes = symbol_codes("".join(texts)).astype(np.uint8)
-    symbols, true_idx, lo = [], [], 0
-    for (label, _), text in zip(items, texts):
-        hi = lo + len(text)
+    syms, ends = code_texts([sentence for _, sentence in items])
+    groups, true_idx, lo = [], [], 0
+    for (label, _), hi in zip(items, ends):
         if hi - lo >= n:
-            symbols.append(codes[lo:hi])
+            groups.append((syms[lo:hi], [hi - lo]))
             true_idx.append(label_index[label])
         lo = hi
-    skipped = len(items) - len(symbols)
-    if not symbols:
+    skipped = len(items) - len(groups)
+    if not groups:
         raise DataError("no usable test sentences")
-    return symbols, np.array(true_idx, dtype=np.int64), skipped
+    return groups, np.array(true_idx, dtype=np.int64), skipped
 
 
 def _encode_test_words(model: TrainedModel, corpus):
     """(words, true_idx, skipped): the (queries, words) matrix of the usable test sentences."""
-    symbols, true_idx, skipped = encode_test_sentences(model.labels, corpus, model.config.n)
-    return model.encoder.encode_symbols([[syms] for syms in symbols]), true_idx, skipped
+    groups, true_idx, skipped = encode_test_sentences(model.labels, corpus, model.config.n)
+    return model.encoder.encode_symbols(groups), true_idx, skipped
 
 
 def encode_test_set(model: TrainedModel, corpus):

@@ -327,6 +327,63 @@ def test_pairwise_on_one_language_exits_2(one_language, tmp_path, command):
     assert list(tmp_path.iterdir()) == []
 
 
+def _two_language_corpus(root):
+    """Two labels, each with a training text and test sentences, written under root."""
+    corpus = hdclab.Corpus()
+    for label, text in (("aa", "abc cab bca "), ("bb", "xyz zyx yzx ")):
+        corpus.add_train(label, text * 20)
+        corpus.add_test(label, text * 2)
+    hdclab.write_corpus(corpus, root)
+    return root
+
+
+NOT_REGULAR = {
+    "fifo": os.mkfifo,
+    "directory": Path.mkdir,
+    "symlink-to-directory": lambda path: path.symlink_to(path.parent, target_is_directory=True),
+    "dangling-symlink": lambda path: path.symlink_to(path.parent / "missing"),
+}
+
+
+@pytest.mark.parametrize("role", ["train", "test"])
+@pytest.mark.parametrize("kind", list(NOT_REGULAR))
+def test_txt_that_is_not_a_regular_file_exits_3_unopened(monkeypatch, tmp_path, capsys,
+                                                         kind, role):
+    corpus = _two_language_corpus(tmp_path / "corpus")
+    bad = corpus / role / "bb" / "x.txt"
+    NOT_REGULAR[kind](bad)
+    read_text = Path.read_text
+
+    def guarded_read_text(self, *args, **kwargs):
+        if not self.is_file():  # opening a FIFO would block for ever
+            pytest.fail(f"{self} was opened, but it is not a regular file")
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", guarded_read_text)
+    out = tmp_path / "model.hdc"
+    assert main(["train", "--corpus", str(corpus), "--dim", "500", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {bad} is not a regular file; only regular *.txt files are read"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "baseline"])
+def test_label_not_named_in_utf8_exits_2_before_training(tmp_path, capsys, command):
+    corpus = _two_language_corpus(tmp_path / "corpus")
+    for role, text in (("train", "lmn nml mln " * 20), ("test", "lmn nml mln")):
+        label_dir = os.path.join(os.fsencode(corpus / role), b"L\xff")
+        os.mkdir(label_dir)
+        with open(os.path.join(label_dir, b"f.txt"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    out = tmp_path / "out"
+    args = ["--out", str(out), "--dim", "500"] if command == "train" else ["--report", str(out)]
+    assert main([command, "--corpus", str(corpus), *args]) == 2
+    bad = str(corpus / "train" / "L\udcff")  # the name Python reads for b"L\xff"
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: label directory {bad!r} is not named in UTF-8"]
+    assert not out.exists() and not (tmp_path / "out.json").exists()
+
+
 def test_determinism_across_runs(workspace, tmp_path):
     root, corpus, model = workspace
     m2 = tmp_path / "again.hdc"

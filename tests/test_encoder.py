@@ -21,7 +21,10 @@ from hdclab import (
     permute,
 )
 from hdclab import encoder as encoder_module
+from hdclab.baseline import BaselineClassifier
+from hdclab.corpus import Corpus
 from hdclab.encoder import symbol_codes
+from hdclab.pipeline import encode_test_sentences
 from _oracles import ref_encode_text, ref_encode_texts, ref_ngram
 
 
@@ -95,7 +98,8 @@ class TestEncodeText:
         assert table.nbytes == 101736 and not table.flags.writeable
         for j in range(3):
             want = permute(enc.item_memory.lookup("q"), 2 - j).words
-            assert np.array_equal(table[j, enc.symbol_indices("q")[0]], want)
+            syms, _ = enc.symbol_indices("q")
+            assert np.array_equal(table[j, syms[0]], want)
 
     def test_exact_window_equals_ngram(self, enc):
         seed_bits = {ch: enc.item_memory.lookup(ch).to_bits() for ch in "the"}
@@ -185,10 +189,15 @@ class TestEncodeText:
         assert e.encode_each([groups[1]]) == [e.encode(*groups[1])]
         assert e.encode_each([]) == []
 
-    def test_encode_each_names_the_failing_group(self, enc):
+    def test_encode_each_names_the_failing_group(self, enc, monkeypatch):
         with pytest.raises(TextTooShortError) as exc:
             enc.encode_each([["long enough"], ["also long enough", "ab"]])
         assert exc.value.group == 1
+        # A short text past the first ENCODE_GROUPS chunk fails before any counting.
+        monkeypatch.setattr(kernels, "accumulate_ngrams", lambda *args: pytest.fail("counted"))
+        with pytest.raises(TextTooShortError) as exc:
+            enc.encode_each([["long enough"]] * 64 + [["ab"]])
+        assert exc.value.group == 64
         with pytest.raises(ValueError, match="at least one text"):
             enc.encode_each([["long enough"], []])
 
@@ -206,9 +215,9 @@ class TestEncodeText:
         rows = []
         contraction = kernels._count_contraction
 
-        def spy(table, groups, group_rows, counts):
+        def spy(table, groups, ks, group_rows, counts):
             rows.append(group_rows)
-            return contraction(table, groups, group_rows, counts)
+            return contraction(table, groups, ks, group_rows, counts)
 
         monkeypatch.setattr(kernels, "_count_contraction", spy)
         assert list(e.encode(*texts).to_bits()) == ref_encode_texts(texts, 3, seed_bits)
@@ -224,21 +233,56 @@ class TestEncodeText:
             assert rows == [[0]]
 
 
-class TestJoinedGroup:
-    def test_reads_back_each_stream(self):
-        streams = [np.array([26, 0, 5]), np.array([3]), np.array([0, 0]), np.array([26] * 300)]
-        group = encoder_module._JoinedGroup(streams)
-        assert len(group) == 4
-        for _ in range(2):  # read more than once
-            got = list(group)
-            assert [g.dtype for g in got] == [np.dtype(np.uint8)] * 4
-            assert [g.tolist() for g in got] == [s.tolist() for s in streams]
-        assert [g.tolist() for g in encoder_module._JoinedGroup(streams[3:])] == [[26] * 300]
+class TestCodeTexts:
+    TEXTS = ["The cat!", "", "a", "  ", "Zebra crossing, twice " * 20, "xyz"]
 
-    def test_keeps_one_byte_per_symbol_and_no_per_stream_array(self):
-        group = encoder_module._JoinedGroup([np.arange(27)] * 5)
-        assert group.__slots__ == ("_syms", "_len")
-        assert group._syms.dtype == np.uint8 and group._syms.shape == (135,)
+    def test_joins_each_texts_codes(self):
+        syms, ends = encoder_module.code_texts(self.TEXTS)
+        codes = [symbol_codes(normalize_text(t)) for t in self.TEXTS]
+        assert syms.tolist() == np.concatenate(codes).tolist()
+        assert ends == np.cumsum([c.shape[0] for c in codes]).tolist()
+        syms, ends = encoder_module.code_texts([])
+        assert syms.dtype == np.uint8 and syms.shape == (0,) and ends == []
+
+    def test_reads_back_each_stream_one_byte_per_symbol(self):
+        group = encoder_module.code_texts(self.TEXTS)
+        assert group[0].dtype == np.uint8 and group[0].nbytes == group[1][-1]
+        for _ in range(2):  # read more than once
+            got = list(kernels.streams(group))
+            assert [g.dtype for g in got] == [np.dtype(np.uint8)] * len(self.TEXTS)
+            assert [g.tolist() for g in got] == [
+                symbol_codes(normalize_text(t)).tolist() for t in self.TEXTS]
+
+    def test_empty_text_is_an_empty_stream_encode_rejects(self, enc):
+        syms, ends = encoder_module.code_texts(["abc", "!!!", "abc"])
+        assert ends == [3, 3, 6]
+        with pytest.raises(TextTooShortError, match="got 0") as exc:
+            enc.encode_each([["long enough"], ["abc", "!!!", "abc"]])
+        assert exc.value.group == 1
+
+    def test_one_coding_call_per_group(self, monkeypatch):
+        calls = []
+        codes = encoder_module.symbol_codes
+
+        def spy(text):
+            calls.append(text)
+            return codes(text)
+
+        monkeypatch.setattr(encoder_module, "symbol_codes", spy)
+        e = TextEncoder(EncoderConfig(dim=200, item_seed=3))
+        groups = [["the cat sat"], ["on the", "mat", "Again!"], ["x y z"] * 40]
+        e.encode_each(groups)
+        assert calls == ["the cat sat", "on thematagain", "x y z" * 40]
+        calls.clear()
+        corpus = Corpus(test={"aa": ["abc abc", "ab", "cab cab"], "bb": ["bca bca"]})
+        groups, _, skipped = encode_test_sentences(["aa", "bb"], corpus, 3)
+        assert len(calls) == 1 and (len(groups), skipped) == (3, 1)
+        calls.clear()
+        clf = BaselineClassifier({"aa": ["abc abc", "cab"], "bb": ["bca bca"]})
+        assert len(calls) == 2  # one per label
+        calls.clear()
+        clf.count_vector("abc", "cab cab", "bca")
+        assert calls == ["abccab cabbca"]
 
 
 def _shake_tie_bits(tie_seed, texts, dim):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -76,10 +78,21 @@ def _accumulate_inputs(dim, n, num_symbols, length, seed):
     return table, syms
 
 
+def _grouped(streams_by_group, n):
+    """(groups, ks): each group's streams joined into one uint8 ``(syms, ends)``
+    pair, as ``encoder.code_texts`` gives it, and each group's window count."""
+    groups = [(np.concatenate([np.empty(0, dtype=np.uint8), *streams], dtype=np.uint8,
+                              casting="unsafe"),
+               list(itertools.accumulate(s.shape[0] for s in streams)))
+              for streams in streams_by_group]
+    ks = [sum(s.shape[0] - n + 1 for s in streams) for streams in streams_by_group]
+    return groups, ks
+
+
 def test_accumulate_ngrams_window_count():
     table, syms = _accumulate_inputs(dim=64, n=4, num_symbols=5, length=10, seed=6)
     counts = np.zeros((1, 64), dtype=np.int64)
-    assert kernels.accumulate_ngrams(table, [[syms]], counts) == 7
+    assert kernels.accumulate_ngrams(table, *_grouped([[syms]], 4), counts) == 7
 
 
 @pytest.mark.parametrize("dim,n,length", [
@@ -89,7 +102,7 @@ def test_accumulate_ngrams_window_count():
 def test_accumulate_matches_explicit_sum(dim, n, length):
     table, syms = _accumulate_inputs(dim=dim, n=n, num_symbols=4, length=length, seed=7)
     counts = np.zeros((1, dim), dtype=np.int64)
-    assert kernels.accumulate_ngrams(table, [[syms]], counts) == length - n + 1
+    assert kernels.accumulate_ngrams(table, *_grouped([[syms]], n), counts) == length - n + 1
     want = np.zeros((1, dim), dtype=np.int64)
     for i in range(length - n + 1):
         v = table[0][syms[i]]
@@ -144,9 +157,10 @@ def test_count_paths_match_explicit_sum(dim, n, nsym, k):
     start = np.arange(dim, dtype=np.int64)  # counts are added to, not overwritten
     want = start + _explicit_counts(table, syms, dim)
     stream, contraction, routed = start.copy(), start[np.newaxis].copy(), start[np.newaxis].copy()
+    groups, ks = _grouped([[syms]], n)
     assert kernels._count_stream(table, syms, stream) == k
-    kernels._count_contraction(table, [[syms]], [0], contraction)
-    assert kernels.accumulate_ngrams(table, [[syms]], routed) == k
+    kernels._count_contraction(table, groups, ks, [0], contraction)
+    assert kernels.accumulate_ngrams(table, groups, ks, routed) == k
     assert np.array_equal(stream, want)
     assert np.array_equal(contraction[0], stream)
     assert np.array_equal(routed[0], want)
@@ -177,6 +191,8 @@ def test_many_group_calls_match_explicit_sums(monkeypatch, dim, n, nsym, groups)
     for ks in lengths:
         streams.append([pool[lo : lo + k + n - 1] for k in ks])
         lo += sum(ks) + n
+    joined, windows = _grouped(streams, n)
+    assert windows == list(map(sum, lengths))
     for ks in lengths:
         assert [kernels._contracts(nsym, n, k) for k in ks] == [k >= edge for k in ks]
         assert kernels._contracts(nsym, n, sum(ks)) == (sum(ks) >= edge)
@@ -189,10 +205,10 @@ def test_many_group_calls_match_explicit_sums(monkeypatch, dim, n, nsym, groups)
     for rows in (kernels.CONTRACT_ROWS, 2, 1):
         monkeypatch.setattr(kernels, "CONTRACT_ROWS", rows)
         counts = start.copy()
-        assert kernels.accumulate_ngrams(table, streams, counts) == total
+        assert kernels.accumulate_ngrams(table, joined, windows, counts) == total
         assert np.array_equal(counts, start + want)
-        narrow = np.zeros((groups, dim), dtype=np.min_scalar_type(max(map(sum, lengths))))
-        assert kernels.accumulate_ngrams(table, streams, narrow) == total
+        narrow = np.zeros((groups, dim), dtype=np.min_scalar_type(max(windows)))
+        assert kernels.accumulate_ngrams(table, joined, windows, narrow) == total
         assert narrow.dtype != np.int64 and np.array_equal(narrow, want)
 
 
@@ -204,18 +220,22 @@ def test_group_row_keeps_float32_exact(monkeypatch):
     monkeypatch.setattr(kernels, "_count_stream",
                         lambda table, syms, counts: called.append(("stream", syms.shape[0])))
     monkeypatch.setattr(kernels, "_count_contraction",
-                        lambda table, groups, rows, counts: called.append(("contract", rows)))
+                        lambda table, groups, ks, rows, counts: called.append(("contract", rows)))
     table = np.zeros((3, 27, 1), dtype=np.uint64)
-    half = np.empty(2**23 + 2, dtype=np.uint8)  # 2**23 windows; never read
+    half = 2**23 + 2  # symbols of a stream of 2**23 windows
+    syms = np.empty(2 * half, dtype=np.uint8)  # never read
+    empty = [(syms[:0], [])] * 4
     start = np.arange(5 * 64, dtype=np.int64).reshape(5, 64)
     counts = start.copy()
-    assert kernels.accumulate_ngrams(table, [[]] * 4 + [[half[1:], half]], counts) == 2**24 - 1
+    group, k = (syms[1:], [half - 1, 2 * half - 1]), 2**24 - 1
+    assert kernels.accumulate_ngrams(table, empty + [group], [0] * 4 + [k], counts) == k
     assert called == [("contract", [4])]
     called.clear()
-    assert kernels.accumulate_ngrams(table, [[]] * 4 + [[half, half]], counts) == 2**24
-    assert called == [("stream", 2**23 + 2)] * 2
+    group, k = (syms, [half, 2 * half]), 2**24
+    assert kernels.accumulate_ngrams(table, empty + [group], [0] * 4 + [k], counts) == k
+    assert called == [("stream", half)] * 2
     called.clear()
-    assert kernels.accumulate_ngrams(table, [[]] * 5, counts) == 0
+    assert kernels.accumulate_ngrams(table, empty + empty[:1], [0] * 5, counts) == 0
     assert called == [] and np.array_equal(counts, start)
 
 
@@ -253,7 +273,7 @@ def test_accumulate_ngrams_dispatches_on_length(monkeypatch, length, path):
     for name in ("_count_stream", "_count_contraction"):
         monkeypatch.setattr(kernels, name, spy(name))
     counts = np.zeros((1, 64), dtype=np.int64)
-    assert kernels.accumulate_ngrams(table, [[syms]], counts) == length - 2
+    assert kernels.accumulate_ngrams(table, *_grouped([[syms]], 3), counts) == length - 2
     assert called == [path]
 
 
