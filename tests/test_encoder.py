@@ -233,6 +233,28 @@ class TestEncodeText:
             assert rows == [[0]]
 
 
+class TestJoinedGroup:
+    """A group joined as ``(syms, ends)``: one uint8 buffer and where each stream ends."""
+
+    def test_reads_back_each_stream(self):
+        streams = [np.array([26, 0, 5]), np.array([3]), np.array([0, 0]), np.array([26] * 300)]
+        group = (np.concatenate(streams).astype(np.uint8), [3, 4, 6, 306])
+        for _ in range(2):  # read more than once
+            got = list(kernels.streams(group))
+            assert [g.dtype for g in got] == [np.dtype(np.uint8)] * 4
+            assert [g.tolist() for g in got] == [s.tolist() for s in streams]
+        last = (np.full(300, 26, dtype=np.uint8), [300])
+        assert [g.tolist() for g in kernels.streams(last)] == [[26] * 300]
+
+    def test_keeps_one_byte_per_symbol_and_no_per_stream_array(self):
+        syms, ends = encoder_module.code_texts(["abcdefghijklm nopqrstuvwxyz"] * 5)
+        assert syms.dtype == np.uint8 and syms.shape == (135,)
+        assert syms[:27].tolist() == [*range(13), 26, *range(13, 26)]
+        assert ends == [27, 54, 81, 108, 135] and all(type(e) is int for e in ends)
+        got = list(kernels.streams((syms, ends)))
+        assert len(got) == 5 and all(g.base is syms for g in got)  # views, not copies
+
+
 class TestCodeTexts:
     TEXTS = ["The cat!", "", "a", "  ", "Zebra crossing, twice " * 20, "xyz"]
 
