@@ -17,7 +17,7 @@ from pathlib import Path
 from . import faultlab
 from .algebra import RandomSource, n_words
 from .baseline import baseline_evaluate, baseline_train
-from .corpus import ingest, write_corpus
+from .corpus import ingest, regular_file, write_corpus
 from .encoder import MAX_TABLE_BYTES, EncoderConfig
 from .errors import ConfigurationError, DataError
 from .itemmem import ItemMemory
@@ -49,13 +49,16 @@ def _int_arg(low: int, high: int | None = None):
 _seed = _int_arg(0, 2**64)
 
 
-def _parse_floats(text: str, name: str) -> list:
+def _fractions(text: str) -> list:
+    """argparse type: a comma-separated list of numbers in [0, 1]."""
     try:
         values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise ConfigurationError(f"--{name} must be a comma-separated float list")
+        raise argparse.ArgumentTypeError(f"must be a comma-separated number list, got {text!r}")
     if not values:
-        raise ConfigurationError(f"--{name} is empty")
+        raise argparse.ArgumentTypeError("is empty")
+    if not all(0 <= v <= 1 for v in values):  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
     return values
 
 
@@ -85,7 +88,7 @@ def cmd_classify(args) -> int:
     if args.text is not None:
         text = args.text
     else:
-        text = Path(args.file).read_text(encoding="utf-8", errors="replace")
+        text = regular_file(args.file).read_text(encoding="utf-8", errors="replace")
     result = model.classify_text(text)  # too short after normalization: DataError
     doc = {
         "label": result.label,
@@ -130,15 +133,12 @@ def cmd_baseline(args) -> int:
 def cmd_fault_sweep(args) -> int:
     model = load_model(args.model)
     corpus = ingest(args.corpus)
-    fractions = _parse_floats(args.fractions, "fractions")
-    if any(not 0 <= f <= 1 for f in fractions):
-        raise ConfigurationError("fractions must lie in [0, 1]")
     check_mode(model, args.mode)
     queries, true_idx, skipped = encode_test_set(model, corpus)
     if skipped:
         print(f"skipped {skipped} short sentence(s)")
     result = faultlab.fault_sweep(
-        model.memory.rows(), queries, true_idx, fractions, args.trials,
+        model.memory.rows(), queries, true_idx, args.fractions, args.trials,
         mode=args.mode, shared=not args.independent_masks, seed=args.seed,
     )
     result.write_csv(args.out)
@@ -151,9 +151,6 @@ def cmd_fault_sweep(args) -> int:
 
 
 def cmd_noise_curve(args) -> int:
-    flips = _parse_floats(args.flips, "flips")
-    if any(not 0 <= f <= 1 for f in flips):
-        raise ConfigurationError("flips must lie in [0, 1]")
     if args.symbols * n_words(args.dim) * 8 > MAX_TABLE_BYTES:  # before anything is built
         raise ConfigurationError(f"an item memory of {args.symbols} symbols at D={args.dim} "
                                  f"is over {MAX_TABLE_BYTES} bytes")
@@ -161,7 +158,7 @@ def cmd_noise_curve(args) -> int:
     mem = ItemMemory.build(symbols, args.dim, args.seed)
     root = RandomSource(args.seed)
     rows = []
-    for fi, fraction in enumerate(flips):
+    for fi, fraction in enumerate(args.flips):
         recovered = 0
         for trial in range(args.trials):
             rng = root.child(1, fi, trial)
@@ -237,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fault-sweep", help="accuracy under stuck-at faults")
     f.add_argument("--model", required=True)
     f.add_argument("--corpus", required=True)
-    f.add_argument("--fractions", default="0,0.2,0.4,0.6,0.78,0.9")
+    f.add_argument("--fractions", type=_fractions, default="0,0.2,0.4,0.6,0.78,0.9")
     f.add_argument("--trials", type=_int_arg(1), default=10)
     f.add_argument("--mode", choices=("multiclass", "pairwise"), default="multiclass")
     f.add_argument("--independent-masks", action="store_true")
@@ -249,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     nc = sub.add_parser("noise-curve", help="item-memory recovery vs bit flips")
     nc.add_argument("--dim", type=_int_arg(1), default=10000)
     nc.add_argument("--symbols", type=_int_arg(2), default=27)
-    nc.add_argument("--flips", default="0.1,0.2,0.3,0.4")
+    nc.add_argument("--flips", type=_fractions, default="0.1,0.2,0.3,0.4")
     nc.add_argument("--trials", type=_int_arg(1), default=100)
     nc.add_argument("--seed", type=_seed, default=0)
     nc.add_argument("--out", required=True)

@@ -12,6 +12,7 @@ always sees clean symbol streams.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,14 +64,23 @@ def _label_dirs(role_dir: Path):
     return dirs
 
 
+def regular_file(path) -> Path:
+    """``path`` as a Path; DataError names it when it is there but is not a
+    regular file or a symlink to one, since opening a FIFO blocks for ever.
+
+    Nothing is opened. A path that is not there passes, so opening it raises
+    the FileNotFoundError that names it.
+    """
+    path = Path(path)
+    if os.path.lexists(path) and not path.is_file():
+        raise DataError(f"{path} is not a regular file")
+    return path
+
+
 def _text_files(label_dir: Path):
-    """Sorted ``*.txt`` files of a label; DataError names any that is not a
-    regular file (or a symlink to one), before anything is opened."""
-    paths = sorted(label_dir.glob("*.txt"))
-    for path in paths:
-        if not path.is_file():
-            raise DataError(f"{path} is not a regular file; only regular *.txt files are read")
-    return paths
+    """Sorted ``*.txt`` files of a label, each checked by ``regular_file``
+    before anything is opened."""
+    return [regular_file(path) for path in sorted(label_dir.glob("*.txt"))]
 
 
 def ingest(root) -> Corpus:

@@ -42,14 +42,14 @@ MAX_TABLE_BYTES = 64 * 2**20
 # sidecar JSON; it changes whenever the same text starts taking other tie bits.
 TIE_SCHEME = 2
 
-# Groups per counting and threshold call of TextEncoder.encode_symbols, so
-# that the count buffer is one chunk's (640 KB of uint8 for 64 short texts
-# at D = 10000), however many groups a call has. On the 630 sentences of the
-# seed-1 benchmark corpus, evaluate took 78/78/80/79/83 ms at
-# 16/32/64/128/all groups per call, and its tracemalloc peak read
-# 1.8/1.9/2.5/4.1/16.1 MiB (fastest of 25 interleaved calls, one OpenBLAS
-# thread, 2-vCPU Xeon VM).
-ENCODE_GROUPS = 64
+# Most groups per kernels.accumulate_ngrams call and per threshold call: the
+# only bound on how many groups are counted at once. A chunk's count buffer
+# and its contraction rows (one float32 row of 27**3 values per group of many
+# windows) are all held at once, so working memory does not grow with the
+# groups of an encode_symbols call. The paper's 21 languages are one chunk;
+# 64 raised the training peak at 48/64 labels from 4.29/4.74 to 6.86/8.28 MiB
+# (CHANGES.md, "One batch size from text to counts").
+ENCODE_GROUPS = 24
 
 _FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 _NON_ALPHA = re.compile(r"[^a-z]+")
@@ -176,14 +176,7 @@ class TextEncoder:
     live encoder of the same key (at the defaults 101,736 B of table and
     33,912 B of item memory). ``encode``, ``encode_each`` and the test-set
     path all end in ``encode_symbols``, whose groups are ``(syms, ends)``
-    pairs as ``code_texts`` gives them. Groups are counted ``ENCODE_GROUPS``
-    to a call, each by one method picked from its window count: a packed
-    XOR fold with one carry-save level over each text of a group of few
-    windows, and one pair-sign contraction over all groups of many windows
-    in the call, one histogram row each (see ``kernels.accumulate_ngrams``),
-    into counts of the narrowest unsigned type that holds the call's largest
-    group, and each call's count matrix is thresholded as it is by one
-    ``majority_words``.
+    pairs as ``code_texts`` gives them.
 
     Tie rule (``TIE_SCHEME`` 2): an exact tie at component i (an even window
     count k, half of whose windows have a 1 there) takes bit i of the text's
@@ -198,14 +191,9 @@ class TextEncoder:
     A group holds its texts' symbols, one byte each, and one end offset per
     text; beyond that and one row of words per group, nothing is kept per
     text, and working memory is bounded independently of how long or how
-    many the texts are: the count buffer holds one chunk of groups, the
-    stream works in blocks of ``kernels.STREAM_BLOCK`` (255) windows, 2.5 MB
-    unpacked at D = 10000, and the contraction in passes of at most
-    ``kernels.CONTRACT_ROWS`` histogram rows, one per group of many windows,
-    of ``nsym**n`` float32 values each, whose blocks take at most
-    ``kernels.CONTRACT_FLOATS`` (1 MiB). Training the 21 x 20k-char
-    benchmark corpus at D = 10000 peaked at 3.56 MiB under tracemalloc, and
-    evaluating its 630 test sentences at 2.5 MiB.
+    many the texts are: one chunk of at most ``ENCODE_GROUPS`` groups is
+    counted at a time, and the kernels work in blocks of bounded size
+    (``kernels.STREAM_BLOCK`` windows, ``kernels.CONTRACT_FLOATS`` values).
     """
 
     def __init__(self, config: EncoderConfig):
@@ -251,23 +239,26 @@ class TextEncoder:
         """Read-only (groups, words) uint64 matrix: row g encodes the group ``groups[g]``.
 
         A group is a ``(syms, ends)`` pair as ``code_texts`` gives it, and
-        row g is ``encode`` of the texts it came from, bit for bit. Groups
-        are counted ``ENCODE_GROUPS`` to one ``kernels.accumulate_ngrams``
-        call, into counts of the narrowest unsigned type that holds the
-        chunk's largest window count, and each chunk is thresholded as one
-        matrix by one ``majority_words`` call with the chunk's tie vectors.
-        Before anything is counted, a group with no text raises ValueError,
-        and one with a text shorter than n TextTooShortError whose
-        ``group`` is g.
+        row g is ``encode`` of the texts it came from, bit for bit. The
+        groups are split into the fewest chunks of at most ``ENCODE_GROUPS``,
+        whose sizes differ by at most one, so that no small remainder pays a
+        kernel call's fixed cost alone. Each chunk is one
+        ``kernels.accumulate_ngrams`` call, into counts of the narrowest
+        unsigned type that holds its largest window count, and one
+        ``majority_words`` call with its tie vectors. Before anything is
+        counted, a group with no text raises ValueError, and one with a
+        text shorter than n TextTooShortError whose ``group`` is g.
         """
         windows = [group_windows(ends, self.config.n, g) for g, (_, ends) in enumerate(groups)]
         out = np.empty((len(groups), n_words(self.config.dim)), dtype=np.uint64)
-        for lo in range(0, len(groups), ENCODE_GROUPS):
-            chunk, ks = groups[lo : lo + ENCODE_GROUPS], windows[lo : lo + ENCODE_GROUPS]
+        chunks = -(-len(groups) // ENCODE_GROUPS)
+        for c in range(chunks):
+            lo, hi = c * len(groups) // chunks, (c + 1) * len(groups) // chunks
+            chunk, ks = groups[lo:hi], windows[lo:hi]
             counts = np.zeros((len(chunk), self.config.dim), dtype=np.min_scalar_type(max(ks)))
             kernels.accumulate_ngrams(self._table, chunk, ks, counts)
             ties = None if self.config.deterministic_ties else self._tie_words(chunk)
-            out[lo : lo + len(chunk)] = majority_words(counts, ks, ties)
+            out[lo:hi] = majority_words(counts, ks, ties)
         out.setflags(write=False)
         return out
 

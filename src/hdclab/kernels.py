@@ -11,45 +11,31 @@ scores a (Q, W) query block against every row, one row at a time through
 two reused (Q, W) buffers: the XOR words and their uint8 bit counts. Each
 row's counts are summed in the narrowest unsigned type that holds 64*W,
 the largest distance a W-word row can have, so the sum is exact: uint16
-up to 1023 words (D = 10000 is 157), uint32 beyond. At Q = 630 and
-D = 10000 a uint16 row sum took 26 us against 64 us in int64, and the
-whole (630, 21) matrix 2.5 ms against 3.1 ms for 21 ``hamming_many``
-calls stacked by column (fastest of 400 interleaved calls, one thread,
-2-vCPU Xeon VM).
+up to 1023 words (D = 10000 is 157), uint32 beyond.
 
 ``accumulate_ngrams`` counts, per component, how many sliding n-gram
-vectors have a 1, for groups of symbol streams in one call, by one of two
-exact methods, picked once per group from its window count k. A group is a
-``(syms, ends)`` pair: one uint8 buffer of its streams' symbols, joined, and
-where each stream ends in it (see ``encoder.code_texts``); a stream is read
-as the view ``syms[lo:hi]``.
+vectors have a 1, for every group of symbol streams it is given, by one of
+two exact methods, picked once per group by ``_contracts`` from its window
+count k over all its streams. A group is a ``(syms, ends)`` pair: one uint8
+buffer of its streams' symbols, joined, and where each stream ends in it
+(see ``encoder.code_texts``); a stream is read as the view ``syms[lo:hi]``.
 
 * the block stream gathers and XOR-folds up to ``STREAM_BLOCK`` (255)
   windows as words, folds them once more by a 3:2 carry-save level into
   about 2/3 as many rows of two weights, then unpacks those rows and sums
   them as uint8 (exact: a column's block count is at most 255); its cost
-  grows with the number of windows k. At D = 10000 it took 0.11/0.63/4.1 ms
-  at k = 98/600/4000, against 0.13/0.79/5.2 ms for the same blocks unpacked
-  without the carry-save level (fastest of 5 repeats, three runs, one
-  OpenBLAS thread, 2-vCPU Xeon VM);
+  grows with k.
 * the pair-sign contraction counts each distinct n-gram of a group once,
-  into one float32 histogram row over all the group's streams, and
-  contracts up to ``CONTRACT_ROWS`` rows at once against the sign tables
-  of the window positions, one matmul per block of components; its cost
-  depends on ``nsym**n`` and the number of rows, not on k, and float32
-  keeps it exact while each row's k < 2**24.
-  At the defaults, the 21 texts of 20k chars of the benchmark corpus took
-  75-95 ms in one call against 194-204 ms for 21 one-text contractions of
-  the (nsym**(n-1), nsym) @ (nsym, 1024) form it replaced, with OpenBLAS on
-  one thread as perfbench runs it, and 61-62 ms against 242-247 ms on two
-  (fastest of 15 calls, 2-vCPU Xeon VM).
+  into one float32 histogram row of ``nsym**n`` values over all the group's
+  streams, and contracts every such row of the call at once against the
+  sign tables of the window positions, one matmul per block of components;
+  its cost depends on ``nsym**n`` and the number of rows, not on k, and
+  float32 keeps it exact while each row's k < 2**24.
 
-``_contracts`` picks the contraction for a group whose windows, over all
-its streams, are many: at most 4 bins per window of the group, at most
-``NGRAM_CHUNK / 4`` sign rows in P (``nsym**(n-1)`` of them), and
-k < 2**24. So a language's 200 sentences of 100 chars are one histogram
-row, as one 20k-char text is. Neither method keeps a sign table between
-calls; the contraction unpacks the sign rows it needs per block.
+As the method is the group's, a language's 200 sentences of 100 chars are
+one histogram row, as one 20k-char text is. Neither method keeps a sign
+table between calls; the contraction unpacks the sign rows it needs per
+block.
 """
 
 from __future__ import annotations
@@ -72,11 +58,6 @@ STREAM_BLOCK = np.iinfo(np.uint8).max
 # took 7.9/7.6/8.1/9.0 ms at 3/5/8/14 words on one thread and
 # 9.5/8.4/8.0/8.0 ms on two (fastest of 12 interleaved calls).
 CONTRACT_FLOATS = 2**18
-# Histogram rows per contraction pass: the 21 languages of the paper fit in
-# one. More rows are split into the fewest passes of equal size, so 84
-# one-text groups make four passes of 21 and the peak does not grow with the
-# number of texts; 84 texts in 21 groups are 21 rows and one pass.
-CONTRACT_ROWS = 24
 # Uniforms markov_sample maps to table indices at once: a 64 KiB intp block.
 MARKOV_BLOCK = 2**13
 # Equal buckets over [0, 1] by which markov_sample finds a uniform's grid index.
@@ -141,8 +122,8 @@ def _contracts(nsym: int, n: int, k: int) -> bool:
     where the contraction's fixed cost weighs more, cross lower still: at 4
     bins the stream took 0.17 ms against 0.54-0.56 ms (n = 2) and 1.1-1.2 ms
     against 3.8-4.0 ms (8 symbols, n = 4) (fastest of 5 repeats, three
-    runs). A group contracted together with others costs less; see the
-    module docstring.
+    runs). A group contracted together with others costs less, since the
+    rows of a call share each block's sign rows.
     """
     # n may be as large as dim; with nsym >= 2, an exponent capped at 32
     # already fails both size bounds, so the cap changes no answer.
@@ -288,12 +269,13 @@ def accumulate_ngrams(table, groups, ks, counts):
     integer array whose type holds each group's total. Returns the total
     windows, ``sum(ks)``; no window spans two streams.
 
-    The method is picked once per group, from ``ks[g]``: when ``_contracts``
-    holds for it, the group is one histogram row of the pair-sign
-    contraction, ``CONTRACT_ROWS`` or fewer rows to a pass; otherwise each
-    of its streams goes through the block stream. Both give the same counts.
-    A group is read once, by its method, and no stream is kept past its
-    reading: a contraction row is a group index.
+    The method is picked once per group, from ``ks[g]``: every group for
+    which ``_contracts`` holds is one histogram row of one pair-sign
+    contraction; each stream of any other group goes through the block
+    stream. Both give the same counts. A group is read once, by its method,
+    and no stream is kept past its reading: a contraction row is a group
+    index. The contraction holds all its rows at once, so the caller bounds
+    the groups of a call (``encoder.ENCODE_GROUPS``).
     """
     n, nsym, _ = table.shape
     rows = []
@@ -304,10 +286,7 @@ def accumulate_ngrams(table, groups, ks, counts):
             for syms in streams(groups[g]):
                 _count_stream(table, syms, counts[g])
     if rows:
-        # The fewest passes of at most CONTRACT_ROWS rows, of equal size.
-        size = -(-len(rows) // -(-len(rows) // CONTRACT_ROWS))
-        for lo in range(0, len(rows), size):
-            _count_contraction(table, groups, ks, rows[lo : lo + size], counts)
+        _count_contraction(table, groups, ks, rows, counts)
     return sum(ks)
 
 

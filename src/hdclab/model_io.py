@@ -31,6 +31,7 @@ import numpy as np
 
 from .algebra import _tail_mask, n_words
 from .assocmem import AssociativeMemory
+from .corpus import regular_file
 from .encoder import DEFAULT_ALPHABET, TIE_SCHEME, EncoderConfig, TextEncoder
 from .errors import ConfigurationError, DataError
 from .pipeline import TrainedModel
@@ -112,7 +113,7 @@ class _Reader:
 
 
 def load_model(path) -> TrainedModel:
-    path = Path(path)
+    path = regular_file(path)
     r = _Reader(path.read_bytes(), path)
     if r.take(4) != MAGIC:
         raise DataError(f"{path} is not a model file (bad magic)")

@@ -47,8 +47,8 @@ def train_pipeline(corpus, config: EncoderConfig | None = None) -> TrainedModel:
 
     Labels are taken in ``corpus.labels`` (sorted) order, which fixes
     prototype row order; one with no training text is a ConfigurationError.
-    Every label is encoded in one ``encode_each`` call, so all labels whose
-    texts hold many windows share the contraction's passes.
+    Every label is encoded in one ``encode_each`` call, so labels whose
+    texts hold many windows share contractions (see ``encode_symbols``).
     """
     if config is None:
         config = EncoderConfig()

@@ -185,17 +185,6 @@ def test_missing_model_file_is_data_error(workspace, tmp_path):
                  "--text", "whatever here"]) == 3
 
 
-def test_bad_fractions_is_config_error(workspace, capsys):
-    root, corpus, model = workspace
-    assert main(["fault-sweep", "--model", str(model), "--corpus", str(corpus),
-                 "--fractions", "0,abc", "--trials", "1",
-                 "--out", "/tmp/x.csv"]) == 2
-    assert main(["fault-sweep", "--model", str(model), "--corpus", str(corpus),
-                 "--fractions", "0,1.5", "--trials", "1",
-                 "--out", "/tmp/x.csv"]) == 2
-    capsys.readouterr()
-
-
 def _run_cli(args, cwd):
     """Run the CLI in a real process, so an escaping exception shows as exit 1
     plus a traceback."""
@@ -224,6 +213,16 @@ def _assert_one_error_line(proc, code):
     ["synth-corpus", "--train-chars", "2", "--out", "out"],
     ["fault-sweep", "--trials", "0", "--model", "MODEL", "--corpus", "CORPUS", "--out", "out"],
     ["fault-sweep", "--seed", "-1", "--model", "MODEL", "--corpus", "CORPUS", "--out", "out"],
+    # Fraction lists are checked before the model is loaded: it is not there.
+    ["fault-sweep", "--fractions", "0,1.5", "--model", "none.hdc", "--corpus", "CORPUS",
+     "--out", "out"],
+    ["fault-sweep", "--fractions", "0,abc", "--model", "none.hdc", "--corpus", "CORPUS",
+     "--out", "out"],
+    ["fault-sweep", "--fractions", "nan", "--model", "none.hdc", "--corpus", "CORPUS",
+     "--out", "out"],
+    ["fault-sweep", "--fractions", ",", "--model", "none.hdc", "--corpus", "CORPUS",
+     "--out", "out"],
+    ["noise-curve", "--flips", "0.1,nan", "--out", "out"],
     ["baseline", "--n", "0", "--corpus", "CORPUS"],
     ["baseline", "--n", "14", "--corpus", "CORPUS"],
     # The model file stores dim as a u32; rejected before any training.
@@ -345,25 +344,50 @@ NOT_REGULAR = {
 }
 
 
+@pytest.fixture()
+def regular_reads_only(monkeypatch):
+    """Fail the test on any read of a path that is not a regular file, which
+    for a FIFO would block for ever."""
+    for name in ("read_text", "read_bytes"):
+        def guarded(self, *args, _read=getattr(Path, name), **kwargs):
+            if not self.is_file():
+                pytest.fail(f"{self} was opened, but it is not a regular file")
+            return _read(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, name, guarded)
+
+
 @pytest.mark.parametrize("role", ["train", "test"])
 @pytest.mark.parametrize("kind", list(NOT_REGULAR))
-def test_txt_that_is_not_a_regular_file_exits_3_unopened(monkeypatch, tmp_path, capsys,
+def test_txt_that_is_not_a_regular_file_exits_3_unopened(regular_reads_only, tmp_path, capsys,
                                                          kind, role):
     corpus = _two_language_corpus(tmp_path / "corpus")
     bad = corpus / role / "bb" / "x.txt"
     NOT_REGULAR[kind](bad)
-    read_text = Path.read_text
-
-    def guarded_read_text(self, *args, **kwargs):
-        if not self.is_file():  # opening a FIFO would block for ever
-            pytest.fail(f"{self} was opened, but it is not a regular file")
-        return read_text(self, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "read_text", guarded_read_text)
     out = tmp_path / "model.hdc"
     assert main(["train", "--corpus", str(corpus), "--dim", "500", "--out", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {bad} is not a regular file; only regular *.txt files are read"]
+    assert err == [f"error: {bad} is not a regular file"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["classify", "--model", "BAD", "--text", "hello"], id="classify --model"),
+    pytest.param(["eval", "--model", "BAD", "--corpus", "CORPUS"], id="eval --model"),
+    pytest.param(["fault-sweep", "--model", "BAD", "--corpus", "CORPUS", "--trials", "1",
+                  "--out", "OUT"], id="fault-sweep --model"),
+    pytest.param(["classify", "--model", "MODEL", "--file", "BAD"], id="classify --file"),
+])
+@pytest.mark.parametrize("kind", list(NOT_REGULAR))
+def test_model_or_file_that_is_not_a_regular_file_exits_3_unopened(
+        workspace, regular_reads_only, tmp_path, capsys, kind, args):
+    root, corpus, model = workspace
+    bad, out = tmp_path / "bad", tmp_path / "sweep.csv"
+    NOT_REGULAR[kind](bad)
+    args = [{"BAD": str(bad), "MODEL": str(model), "CORPUS": str(corpus), "OUT": str(out)}.get(a, a)
+            for a in args]
+    assert main(args) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad} is not a regular file"]
     assert not out.exists()
 
 

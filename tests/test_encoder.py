@@ -193,11 +193,12 @@ class TestEncodeText:
         with pytest.raises(TextTooShortError) as exc:
             enc.encode_each([["long enough"], ["also long enough", "ab"]])
         assert exc.value.group == 1
-        # A short text past the first ENCODE_GROUPS chunk fails before any counting.
+        # A short text in the last chunk fails before any counting.
         monkeypatch.setattr(kernels, "accumulate_ngrams", lambda *args: pytest.fail("counted"))
+        last = encoder_module.ENCODE_GROUPS
         with pytest.raises(TextTooShortError) as exc:
-            enc.encode_each([["long enough"]] * 64 + [["ab"]])
-        assert exc.value.group == 64
+            enc.encode_each([["long enough"]] * last + [["ab"]])
+        assert exc.value.group == last
         with pytest.raises(ValueError, match="at least one text"):
             enc.encode_each([["long enough"], []])
 
@@ -231,6 +232,61 @@ class TestEncodeText:
             rows.clear()
             assert list(e.encode(*group).to_bits()) == ref_encode_texts(group, 3, seed_bits)
             assert rows == [[0]]
+
+    @staticmethod
+    def _random_texts(windows, n, seed):
+        """One random a-z text per window count, each of k + n - 1 chars."""
+        gen = RandomSource(seed).generator
+        return ["".join(DEFAULT_ALPHABET[i] for i in gen.integers(0, 26, size=k + n - 1))
+                for k in windows]
+
+    @pytest.mark.parametrize("chunk", [encoder_module.ENCODE_GROUPS, 2, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [63, 65, 1000])
+    def test_every_chunk_size_matches_encode(self, monkeypatch, dim, n, chunk):
+        # Window counts per text, by group, around the contraction's edge:
+        # one long text; a long and a short one; two long ones; one short; a
+        # short one between two long ones; short ones whose total reaches the
+        # edge; two short ones. The fourth and the last group stream.
+        edge = -(-27**n // 4)  # smallest k that contracts
+        windows = [[edge], [edge + 1, edge - 1], [edge + 2, edge + 5], [1],
+                   [edge + 7, 2, edge + 3], [edge - 1, 1, edge - 1], [2, 3]]
+        groups = [self._random_texts(ks, n, seed=g) for g, ks in enumerate(windows)]
+        e = TextEncoder(EncoderConfig(dim=dim, n=n, item_seed=9))
+        want = np.array([e.encode(*texts).words for texts in groups])
+        monkeypatch.setattr(encoder_module, "ENCODE_GROUPS", chunk)
+        got = e.encode_symbols([encoder_module.code_texts(texts) for texts in groups])
+        assert np.array_equal(got, want)
+
+    def test_kernel_calls_take_equal_chunks_and_contract_once(self, monkeypatch):
+        limit = encoder_module.ENCODE_GROUPS
+        edge = -(-27**2 // 4)
+        # Alternately a group that contracts and one that streams.
+        texts = self._random_texts([edge + 1, 5] * limit + [edge], 2, seed=3)
+        groups = [encoder_module.code_texts([t]) for t in texts]
+        e = TextEncoder(EncoderConfig(dim=100, n=2, item_seed=9))
+        calls = []
+        accumulate, contraction = kernels.accumulate_ngrams, kernels._count_contraction
+
+        def spy_accumulate(table, chunk, ks, counts):
+            calls.append([len(chunk), 0])
+            return accumulate(table, chunk, ks, counts)
+
+        def spy_contraction(*args):
+            calls[-1][1] += 1
+            return contraction(*args)
+
+        monkeypatch.setattr(kernels, "accumulate_ngrams", spy_accumulate)
+        monkeypatch.setattr(kernels, "_count_contraction", spy_contraction)
+        words = e.encode_symbols(groups)
+        sizes = [size for size, _ in calls]
+        assert sum(sizes) == len(groups) == 2 * limit + 1
+        assert len(sizes) == 3 and max(sizes) <= limit  # the fewest chunks
+        assert max(sizes) - min(sizes) == 1  # of equal size, as near as can be
+        assert [contractions for _, contractions in calls] == [1] * len(calls)
+        assert np.array_equal(words, np.array([e.encode(t).words for t in texts]))
+        calls.clear()
+        assert e.encode_symbols([]).shape == (0, 2) and calls == []
 
 
 class TestJoinedGroup:
@@ -346,9 +402,9 @@ class TestTieVector:
         groups = [[t] for t in texts]
         forward = e.encode_each(groups)
         assert e.encode_each(groups[::-1])[::-1] == forward
-        # One text at both ends of a call, in two ENCODE_GROUPS chunks.
-        assert encoder_module.ENCODE_GROUPS == 64
-        again = e.encode_each([groups[5]] + groups[:65] + [groups[5]])
+        # One text at both ends of a call, in two chunks.
+        again = e.encode_each([groups[5]] + groups[: encoder_module.ENCODE_GROUPS + 1]
+                              + [groups[5]])
         assert again[0] == again[6] == again[-1] == forward[5] == e.encode(texts[5])
         # A fresh encoder, and a text that normalizes to the same symbols.
         assert TextEncoder(config).encode(texts[3]) == forward[3]

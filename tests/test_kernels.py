@@ -175,7 +175,7 @@ def _group_cases():
 
 
 @pytest.mark.parametrize("dim,n,nsym,groups", _group_cases())
-def test_many_group_calls_match_explicit_sums(monkeypatch, dim, n, nsym, groups):
+def test_many_group_calls_match_explicit_sums(dim, n, nsym, groups):
     # Window counts per text, by group: one long text; a long and a short
     # one; two long ones; one short; three texts, a short one between two
     # long ones; and short ones only, whose total reaches edge. Each group is
@@ -200,16 +200,13 @@ def test_many_group_calls_match_explicit_sums(monkeypatch, dim, n, nsym, groups)
                      for group in streams])
     total = sum(map(sum, lengths))
     start = np.arange(groups * dim, dtype=np.int64).reshape(groups, dim)
-    # Passes of CONTRACT_ROWS groups and of one or two; int64 counts and the
-    # narrowest type that holds each group's windows.
-    for rows in (kernels.CONTRACT_ROWS, 2, 1):
-        monkeypatch.setattr(kernels, "CONTRACT_ROWS", rows)
-        counts = start.copy()
-        assert kernels.accumulate_ngrams(table, joined, windows, counts) == total
-        assert np.array_equal(counts, start + want)
-        narrow = np.zeros((groups, dim), dtype=np.min_scalar_type(max(windows)))
-        assert kernels.accumulate_ngrams(table, joined, windows, narrow) == total
-        assert narrow.dtype != np.int64 and np.array_equal(narrow, want)
+    # int64 counts and the narrowest type that holds each group's windows.
+    counts = start.copy()
+    assert kernels.accumulate_ngrams(table, joined, windows, counts) == total
+    assert np.array_equal(counts, start + want)
+    narrow = np.zeros((groups, dim), dtype=np.min_scalar_type(max(windows)))
+    assert kernels.accumulate_ngrams(table, joined, windows, narrow) == total
+    assert narrow.dtype != np.int64 and np.array_equal(narrow, want)
 
 
 def test_group_row_keeps_float32_exact(monkeypatch):

@@ -1,5 +1,8 @@
 import json
+import os
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +127,15 @@ def test_unsupported_version(model, tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_model(tmp_path / "absent.hdc")
+
+
+@pytest.mark.parametrize("make", [os.mkfifo, Path.mkdir], ids=["fifo", "directory"])
+def test_path_that_is_not_a_regular_file_is_refused_unopened(tmp_path, monkeypatch, make):
+    path = tmp_path / "m.hdc"
+    make(path)
+    monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail(f"{self} was opened"))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))} is not a regular file$"):
+        load_model(path)
 
 
 @pytest.fixture()

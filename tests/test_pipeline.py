@@ -242,8 +242,9 @@ def test_training_memory_is_bounded_by_pass_not_by_texts():
 
 
 # Test-set positions of too-short sentences: the first, both sides of the
-# first ENCODE_GROUPS edge, and the last.
-SHORT_AT = {0: "ab", 63: "x", 64: "", 129: "q!"}
+# ENCODE_GROUPS-th, and the last.
+SHORT_AT = {0: "ab", encoder_module.ENCODE_GROUPS - 1: "x", encoder_module.ENCODE_GROUPS: "",
+            129: "q!"}
 
 
 def _chunk_edge_corpus():
@@ -259,7 +260,7 @@ def _chunk_edge_corpus():
 @pytest.mark.parametrize("deterministic", [False, True], ids=["random-ties", "ties-to-1"])
 def test_batched_test_set_matches_one_encode_per_sentence(deterministic):
     corpus = _chunk_edge_corpus()
-    assert encoder_module.ENCODE_GROUPS == 64
+    assert 126 > encoder_module.ENCODE_GROUPS  # the usable sentences span several chunks
     model = train_pipeline(corpus, EncoderConfig(dim=1000, deterministic_ties=deterministic))
     queries, true_idx, skipped = encode_test_set(model, corpus)
     usable = [(label, s) for i, (label, s) in enumerate(corpus.test_items()) if i not in SHORT_AT]
