@@ -86,15 +86,17 @@ def _text_files(label_dir: Path):
 def ingest(root) -> Corpus:
     """Read the corpus layout under root into a normalized Corpus.
 
-    Raises ConfigurationError when the layout is unusable: no train data at
-    all, a label directory whose name is not UTF-8, or a test label with no
-    training label to match. A ``*.txt`` that is not a regular file (a FIFO,
-    a directory, a dangling symlink) is a DataError naming it, raised
-    without opening it. Unreadable files surface as the underlying OSError
-    (it names the path). Files that normalize to nothing are dropped with a
-    warning.
+    Raises ConfigurationError when the layout is unusable: a root that is
+    not a directory, no train data at all, a label directory whose name is
+    not UTF-8, or a test label with no training label to match. A ``*.txt``
+    that is not a regular file (a FIFO, a directory, a dangling symlink) is
+    a DataError naming it, raised without opening it. Unreadable files
+    surface as the underlying OSError (it names the path). Files that
+    normalize to nothing are dropped with a warning.
     """
     root = Path(root)
+    if not root.is_dir():
+        raise ConfigurationError(f"corpus {root} is not a directory")
     train_dir = root / "train"
     if not train_dir.is_dir():
         raise ConfigurationError(f"no train directory under {root}")

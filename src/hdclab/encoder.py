@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import re
 import string
 import weakref
 from dataclasses import dataclass
@@ -51,17 +50,19 @@ TIE_SCHEME = 2
 # (CHANGES.md, "One batch size from text to counts").
 ENCODE_GROUPS = 24
 
-_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
-_NON_ALPHA = re.compile(r"[^a-z]+")
+# Byte -> a-z for A-Z and a-z, space for every other byte.
+_FOLD = bytes(ord(chr(c).lower()) if chr(c) in string.ascii_letters else 0x20 for c in range(256))
 
 
 def normalize_text(raw: str) -> str:
     """Case-fold A-Z, collapse every other character run to one space, strip ends.
 
     Only ASCII letters are folded; accented and non-Latin characters count
-    as non-alphabet and disappear into the separating space.
+    as non-alphabet and disappear into the separating space. Each non-ASCII
+    code point, a lone surrogate included, encodes as one ``?``, which maps
+    to a space like every other byte outside A-Z and a-z.
     """
-    return _NON_ALPHA.sub(" ", raw.translate(_FOLD)).strip(" ")
+    return b" ".join(raw.encode("ascii", "replace").translate(_FOLD).split()).decode("ascii")
 
 
 # Code point -> DEFAULT_ALPHABET index, -1 elsewhere and in the last entry,
@@ -158,7 +159,7 @@ class _SeedTables:
         for s, ch in enumerate(DEFAULT_ALPHABET):
             base = self.item_memory.lookup(ch)
             for j in range(n):
-                table[j, s] = permute(base, n - 1 - j).words
+                table[j, s] = kernels.kernel_order(permute(base, n - 1 - j).words)
         table.setflags(write=False)
         self.table = table
 
@@ -172,11 +173,12 @@ class TextEncoder:
     """Streams normalized text into text hypervectors.
 
     Pre-rotates the whole alphabet once per (dim, n, item seed), as packed
-    words only, and shares that table and the item memory with every other
-    live encoder of the same key (at the defaults 101,736 B of table and
-    33,912 B of item memory). ``encode``, ``encode_each`` and the test-set
-    path all end in ``encode_symbols``, whose groups are ``(syms, ends)``
-    pairs as ``code_texts`` gives them.
+    words in the kernels' table order (``kernels.kernel_order``), and shares
+    that table and the item memory with every other live encoder of the
+    same key (at the defaults 101,736 B of table and 33,912 B of item
+    memory). ``encode``, ``encode_each`` and the test-set path all end in
+    ``encode_symbols``, whose groups are ``(syms, ends)`` pairs as
+    ``code_texts`` gives them.
 
     Tie rule (``TIE_SCHEME`` 2): an exact tie at component i (an even window
     count k, half of whose windows have a 1 there) takes bit i of the text's
@@ -185,8 +187,8 @@ class TextEncoder:
     text of the group, one byte each, in order, read as ``8 * n_words(dim)``
     bytes of little-endian words: one extra random vote per component, keyed
     by content alone, so given texts encode identically whatever else is
-    encoded and in whatever order. Hashing and reading it cost about 5.4 us
-    per text at D = 10000. With ``deterministic_ties`` every tie is 1.
+    encoded and in whatever order. Only a group of even k can tie, so only
+    such a group is hashed. With ``deterministic_ties`` every tie is 1.
 
     A group holds its texts' symbols, one byte each, and one end offset per
     text; beyond that and one row of words per group, nothing is kept per
@@ -257,16 +259,22 @@ class TextEncoder:
             chunk, ks = groups[lo:hi], windows[lo:hi]
             counts = np.zeros((len(chunk), self.config.dim), dtype=np.min_scalar_type(max(ks)))
             kernels.accumulate_ngrams(self._table, chunk, ks, counts)
-            ties = None if self.config.deterministic_ties else self._tie_words(chunk)
+            ties = None if self.config.deterministic_ties else self._tie_words(chunk, ks)
             out[lo:hi] = majority_words(counts, ks, ties)
         out.setflags(write=False)
         return out
 
-    def _tie_words(self, groups) -> np.ndarray:
-        """(groups, words) tie vectors: the tie seed, then each group's symbols, hashed."""
+    def _tie_words(self, groups, ks) -> np.ndarray:
+        """(groups, words) tie vectors: the tie seed, then each group's symbols,
+        hashed, for each group of an even window count ``ks[g]``. A group of
+        odd k has no tie, and ``majority_words`` masks its row, so it is zeros."""
         nw = n_words(self.config.dim)
+        zeros = bytes(8 * nw)
         digests = []
-        for syms, _ in groups:
+        for (syms, _), k in zip(groups, ks):
+            if k % 2:
+                digests.append(zeros)
+                continue
             key = self._tie_key.copy()
             key.update(syms.astype(np.uint8, copy=False))
             digests.append(key.digest(8 * nw))

@@ -6,6 +6,16 @@ bits only to count them. ``hamming_bitloop`` is the per-bit reference over
 unpacked uint8 bit arrays that the word-wise kernels are tested and
 benchmarked against (``python -m hdclab.bench``).
 
+Table layout: the n-gram table of ``accumulate_ngrams`` is in kernel order,
+the same words with each byte's bits reversed (``kernel_order``), so that
+component ``i`` is bit ``7 - i % 8`` of byte ``i // 8``. That is numpy's
+native most-significant-bit-first order: a flat ``np.unpackbits`` of a
+kernel-order row yields its components in natural order, with no ``count``
+and no ``axis``. A fixed bit permutation commutes with XOR, so a window's
+XOR of kernel-order rows is the kernel order of its natural XOR. Only this
+table is in kernel order; every hypervector and every other word matrix
+keeps the natural layout.
+
 ``hamming_many`` scores one query against every row; ``hamming_matrix``
 scores a (Q, W) query block against every row, one row at a time through
 two reused (Q, W) buffers: the XOR words and their uint8 bit counts. Each
@@ -23,7 +33,8 @@ buffer of its streams' symbols, joined, and where each stream ends in it
 * the block stream gathers and XOR-folds up to ``STREAM_BLOCK`` (255)
   windows as words, folds them once more by a 3:2 carry-save level into
   about 2/3 as many rows of two weights, then unpacks those rows and sums
-  them as uint8 (exact: a column's block count is at most 255); its cost
+  them in 8-byte lanes, one byte per component (exact: a column's block
+  count is at most 255, so no lane carries into its neighbour); its cost
   grows with k.
 * the pair-sign contraction counts each distinct n-gram of a group once,
   into one float32 histogram row of ``nsym**n`` values over all the group's
@@ -100,9 +111,24 @@ def hamming_matrix(queries, rows):
     return dist.T.astype(np.int64, order="C")
 
 
-def _unpack(words, dim):
-    """uint8 bits of packed words along the last axis, ``dim`` bits per row."""
-    return np.unpackbits(words.view(np.uint8), axis=-1, count=dim, bitorder="little")
+# Each byte with its bits reversed.
+_REVERSED = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)[:, np.newaxis],
+                                      axis=1)[:, ::-1], axis=1).ravel()
+
+
+def kernel_order(words):
+    """Packed uint64 words with each byte's bits reversed: the table layout
+    of ``accumulate_ngrams`` from the natural one. It is its own inverse."""
+    return _REVERSED[np.ascontiguousarray(words).view(np.uint8)].view(np.uint64)
+
+
+def _lane_sums(rows, width):
+    """(width,) uint64 column sums of the flat MSB-first unpack of kernel-order
+    rows, 8 components a lane, one byte each; ``width`` is 8 lanes a word,
+    given so that a block of no rows sums to a row of zeros. Exact while no
+    column sum exceeds 255."""
+    bits = np.unpackbits(rows.view(np.uint8)).view(np.uint64)
+    return bits.reshape(-1, width).sum(axis=0)
 
 
 def _contracts(nsym: int, n: int, k: int) -> bool:
@@ -133,17 +159,21 @@ def _contracts(nsym: int, n: int, k: int) -> bool:
 
 def _count_stream(table, syms, counts):
     """Block stream: XOR-fold up to STREAM_BLOCK windows as words, one 3:2
-    carry-save level, unpack, sum.
+    carry-save level, unpack, sum in lanes.
 
     A block of r windows is split at m = r // 3: rows a, b and c are its
     first three runs of m rows. c takes their sum bits a ^ b ^ c in place,
     and the carry bits (a & b) | ((a ^ b) & c) go to a new (m, words) array,
     so a column's count is the sum of rows 2m.. plus twice the sum of the
-    carry rows, and about 2/3 as many rows are unpacked. Both sums are exact
-    in uint8, and so is their total: it is the block's count, at most 255.
+    carry rows, and about 2/3 as many rows are unpacked. Each sum is taken
+    in uint64 lanes of 8 one-byte columns (see ``_lane_sums``); a carry
+    lane holds at most 2 * 85 after its shift, and the total is the block's
+    count, at most 255, so no byte carries into the next. The lanes' bytes,
+    in memory order, are the components in natural order.
     """
-    n = table.shape[0]
+    n, _, nwords = table.shape
     dim = counts.shape[0]
+    width = 8 * nwords
     k = syms.shape[0] - n + 1
     for lo in range(0, k, STREAM_BLOCK):
         hi = min(lo + STREAM_BLOCK, k)
@@ -156,20 +186,23 @@ def _count_stream(table, syms, counts):
         carry = a & b
         carry |= half & c
         c ^= half
-        total = _unpack(block[2 * m :], dim).sum(axis=0, dtype=np.uint8)
-        twice = _unpack(carry, dim).sum(axis=0, dtype=np.uint8)
+        total = _lane_sums(block[2 * m :], width)
+        twice = _lane_sums(carry, width)
         twice <<= 1
         total += twice
-        counts += total
+        counts += total.view(np.uint8)[:dim]
     return k
 
 
-# Float32 sign 1 - 2*bit of each bit of a byte, bit 0 first.
-_BYTE_SIGNS = 1 - 2 * _unpack(np.arange(256, dtype=np.uint8)[:, np.newaxis], 8).astype(np.float32)
+# Float32 sign 1 - 2*bit of each bit of a byte, most significant bit first:
+# a kernel-order byte's components in natural order.
+_BYTE_SIGNS = 1 - 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, np.newaxis],
+                                    axis=1).astype(np.float32)
 
 
 def _signs(words):
-    """Float32 sign table ``1 - 2*bit`` (+1 or -1) of packed rows, 64 values a word."""
+    """Float32 sign table ``1 - 2*bit`` (+1 or -1) of kernel-order rows, 64
+    values a word, in natural component order."""
     return np.take(_BYTE_SIGNS, words.view(np.uint8), axis=0).reshape(words.shape[0], -1)
 
 
@@ -260,14 +293,16 @@ def _contract_block(hist, ks, words):
 def accumulate_ngrams(table, groups, ks, counts):
     """Accumulate all sliding n-gram hypervectors of groups of symbol streams.
 
-    ``table`` is the pre-rotated alphabet as packed words, shape (n, n_symbols,
+    ``table`` is the pre-rotated alphabet as packed words in kernel order
+    (``kernel_order``: each byte's bits reversed), shape (n, n_symbols,
     n_words) uint64; ``table[j][s]`` is the vector used when symbol ``s`` sits
     at window position ``j``. ``groups[g]`` is a ``(syms, ends)`` pair whose
-    streams' ``ks[g]`` windows add to ``counts[g]``: per component, how many
-    of them have a 1. Every stream has at least n symbols, so ``ks[g]`` is
-    ``len(syms) - len(ends) * (n - 1)``. ``counts`` is a (groups, dim)
-    integer array whose type holds each group's total. Returns the total
-    windows, ``sum(ks)``; no window spans two streams.
+    streams' ``ks[g]`` windows add to ``counts[g]``: per component, in
+    natural order, how many of them have a 1. Every stream has at least n
+    symbols, so ``ks[g]`` is ``len(syms) - len(ends) * (n - 1)``.
+    ``counts`` is a (groups, dim) integer array whose type holds each
+    group's total. Returns the total windows, ``sum(ks)``; no window spans
+    two streams.
 
     The method is picked once per group, from ``ks[g]``: every group for
     which ``_contracts`` holds is one histogram row of one pair-sign

@@ -6,7 +6,18 @@ Oracles that sum bits convert them to Python ints on entry, so numpy
 integer items (``list(hv.to_bits())``) cannot wrap.
 """
 
+import re
+import string
 from bisect import bisect_right
+
+
+_REF_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+def ref_normalize(raw):
+    """Fold A-Z to a-z, then turn every run of characters outside a-z into
+    one space and strip the ends: the regex form of text normalization."""
+    return re.sub(r"[^a-z]+", " ", raw.translate(_REF_FOLD)).strip(" ")
 
 
 def ref_xor(a, b):

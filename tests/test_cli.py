@@ -86,7 +86,8 @@ def test_fault_sweep_csv(workspace):
     assert main(["fault-sweep", "--model", str(model), "--corpus", str(corpus),
                  "--fractions", "0,0.5", "--trials", "2",
                  "--seed", "9", "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["fraction", "trial", "mode", "accuracy"]
     assert len(rows) == 5
 
@@ -149,7 +150,8 @@ def test_noise_curve_csv(workspace):
     assert main(["noise-curve", "--dim", "2000", "--symbols", "27",
                  "--flips", "0.1,0.3", "--trials", "40",
                  "--seed", "1", "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["flip_fraction", "trials", "recovered", "rate"]
     assert len(rows) == 3
     assert float(rows[1][3]) >= float(rows[2][3]) - 0.1
@@ -160,6 +162,23 @@ def test_missing_corpus_is_config_error(workspace, tmp_path, capsys):
     assert main(["train", "--corpus", str(tmp_path / "nowhere"),
                  "--out", str(tmp_path / "m.hdc")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["train", "--out", "OUT"], id="train"),
+    pytest.param(["eval", "--model", "MODEL", "--report", "OUT"], id="eval"),
+    pytest.param(["baseline", "--report", "OUT"], id="baseline"),
+    pytest.param(["fault-sweep", "--model", "MODEL", "--trials", "1", "--out", "OUT"],
+                 id="fault-sweep"),
+])
+def test_corpus_that_is_a_plain_file_exits_2(workspace, tmp_path, capsys, args):
+    root, corpus, model = workspace
+    plain, out = tmp_path / "some.txt", tmp_path / "out"
+    plain.write_text("not a corpus\n", encoding="utf-8")
+    args = [{"MODEL": str(model), "OUT": str(out)}.get(a, a) for a in args]
+    assert main([*args, "--corpus", str(plain)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: corpus {plain} is not a directory"]
+    assert sorted(tmp_path.iterdir()) == [plain]
 
 
 def test_unreadable_model_is_data_error(workspace, tmp_path, capsys):

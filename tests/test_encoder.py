@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import string
 
 import numpy as np
 import pytest
@@ -22,10 +23,10 @@ from hdclab import (
 )
 from hdclab import encoder as encoder_module
 from hdclab.baseline import BaselineClassifier
-from hdclab.corpus import Corpus
+from hdclab.corpus import Corpus, ingest
 from hdclab.encoder import symbol_codes
 from hdclab.pipeline import encode_test_sentences
-from _oracles import ref_encode_text, ref_encode_texts, ref_ngram
+from _oracles import ref_encode_text, ref_encode_texts, ref_ngram, ref_normalize
 
 
 class TestNormalize:
@@ -45,6 +46,40 @@ class TestNormalize:
     def test_idempotent(self):
         s = normalize_text("Some; Running—text 42 here.")
         assert normalize_text(s) == s
+
+    # Every ASCII character, then Latin-1, Greek, Cyrillic, non-BMP
+    # characters, NEL and NBSP, and lone surrogates (high and low).
+    FUZZ_POOLS = [string.printable + "\x00\x1c\x1f\x7f", "".join(map(chr, range(0x80, 0x100))),
+                  "".join(map(chr, range(0x391, 0x3CA))), "".join(map(chr, range(0x410, 0x450))),
+                  "\U0001F600\U00010348\U0010FFFF", "\x85\xa0", "\ud800\udbff\udc00\udfff"]
+    FIXED = ["", "!?;,. -", "HELLO World", "Ça  va, GARÇON", "Ελληνικά κείμενο", "Привет, мир",
+             "a\U0001F600b", "a\x85b\xa0c", "a\ud800b", "\udc80", "  Tab\tand\nline\r\n"]
+
+    def _fuzz(self, count, seed=30):
+        """``count`` seeded strings of 0-40 characters, each drawn from a random pool."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(count):
+            chars = [rng.choice(list(self.FUZZ_POOLS[rng.integers(len(self.FUZZ_POOLS))]))
+                     for _ in range(rng.integers(41))]
+            out.append("".join(chars))
+        return out
+
+    def test_matches_the_regex_oracle(self):
+        for text in self.FIXED + self._fuzz(3000):
+            assert normalize_text(text) == ref_normalize(text), repr(text)
+
+    def test_ingest_round_trip_matches_the_regex_oracle(self, tmp_path):
+        # Raw UTF-8 of the fuzz set plus a bad byte sequence, read back by ingest.
+        lines = self.FIXED[1:] + self._fuzz(200, seed=31)
+        raw = "\n".join(lines).encode("utf-8", "surrogatepass") + b" \xff\xfeZ"
+        for role in ("train", "test"):
+            (tmp_path / role / "xx").mkdir(parents=True)
+            (tmp_path / role / "xx" / "f.txt").write_bytes(raw)
+        corpus = ingest(tmp_path)
+        text = raw.decode("utf-8", "replace")
+        assert corpus.train["xx"] == [ref_normalize(text)]
+        assert corpus.test["xx"] == [s for s in map(ref_normalize, text.splitlines()) if s]
 
 
 class TestConfig:
@@ -97,7 +132,7 @@ class TestEncodeText:
         assert table.dtype == np.uint64 and table.shape == (3, 27, 157)
         assert table.nbytes == 101736 and not table.flags.writeable
         for j in range(3):
-            want = permute(enc.item_memory.lookup("q"), 2 - j).words
+            want = kernels.kernel_order(permute(enc.item_memory.lookup("q"), 2 - j).words)
             syms, _ = enc.symbol_indices("q")
             assert np.array_equal(table[j, syms[0]], want)
 
@@ -412,6 +447,39 @@ class TestTieVector:
         # The ties are random: without them some text encodes otherwise.
         ties_to_1 = TextEncoder(EncoderConfig(dim=1000, item_seed=4, deterministic_ties=True))
         assert ties_to_1.encode_each(groups) != forward
+
+
+    def test_only_groups_of_even_window_count_are_hashed(self):
+        # Odd k has no tie, so an odd group's symbols are never hashed; an
+        # even group's are, as they always were.
+        e = TextEncoder(EncoderConfig(dim=1000, item_seed=4))
+        hashed = []
+
+        class SpyKey:
+            def __init__(self, key):
+                self.key = key
+
+            def copy(self):
+                return SpyKey(self.key.copy())
+
+            def update(self, data):
+                hashed.append(bytes(data))
+                self.key.update(data)
+
+            def digest(self, size):
+                return self.key.digest(size)
+
+        e._tie_key = SpyKey(e._tie_key)
+        # Window counts 2, 1, 4, 5 and 3.
+        groups = [["abab"], ["abc"], ["ab ab", "bab"], ["the cat"], ["abcd", "abc"]]
+        got = e.encode_each(groups)
+        assert hashed == [e.symbol_indices(*groups[g])[0].tobytes() for g in (0, 2)]
+        for texts, hv in zip(groups, got):
+            ties = _shake_tie_bits(e.config.tie_seed, texts, 1000)
+            assert hv.to_bits().tolist() == ref_encode_texts(
+                [normalize_text(t) for t in texts], 3,
+                {ch: list(e.item_memory.lookup(ch).to_bits()) for ch in DEFAULT_ALPHABET},
+                tie_value=ties)
 
 
 class TestSeedTables:

@@ -68,12 +68,27 @@ def test_hamming_matrix_counts_past_uint16():
     assert got.tolist() == [[dim, 0], [0, dim], [dim, 0]]
 
 
+@pytest.mark.parametrize("dim", [1, 63, 64, 65, 100, 10000])
+def test_kernel_order_unpacks_msb_first_to_natural_order(dim):
+    rows = np.vstack([random_hv(dim, RandomSource(dim, (r,))).words for r in range(3)])
+    ordered = kernels.kernel_order(rows)
+    assert ordered.dtype == np.uint64 and ordered.shape == rows.shape
+    assert np.array_equal(kernels.kernel_order(ordered), rows)
+    assert np.array_equal(kernels.kernel_order(rows[1]), ordered[1])
+    bits = np.unpackbits(ordered.view(np.uint8), axis=1)
+    for r, row in enumerate(rows):
+        assert np.array_equal(bits[r, :dim], unpack_bits(row, dim))
+        assert not bits[r, dim:].any()  # padding stays past the last component
+
+
 def _accumulate_inputs(dim, n, num_symbols, length, seed):
+    """A kernel-order table of random rows, as ``accumulate_ngrams`` takes it,
+    and random symbols."""
     rng = RandomSource(seed)
     table = np.empty((n, num_symbols, n_words(dim)), dtype=np.uint64)
     for j in range(n):
         for s in range(num_symbols):
-            table[j, s] = random_hv(dim, rng).words
+            table[j, s] = kernels.kernel_order(random_hv(dim, rng).words)
     syms = rng.generator.integers(0, num_symbols, size=length).astype(np.int64)
     return table, syms
 
@@ -103,17 +118,20 @@ def test_accumulate_matches_explicit_sum(dim, n, length):
     table, syms = _accumulate_inputs(dim=dim, n=n, num_symbols=4, length=length, seed=7)
     counts = np.zeros((1, dim), dtype=np.int64)
     assert kernels.accumulate_ngrams(table, *_grouped([[syms]], n), counts) == length - n + 1
+    natural = kernels.kernel_order(table)
     want = np.zeros((1, dim), dtype=np.int64)
     for i in range(length - n + 1):
-        v = table[0][syms[i]]
+        v = natural[0][syms[i]]
         for j in range(1, n):
-            v = v ^ table[j][syms[i + j]]
+            v = v ^ natural[j][syms[i + j]]
         want += unpack_bits(v, dim)
     assert np.array_equal(counts, want)
 
 
 def _explicit_counts(table, syms, dim):
-    """Per-window sum: XOR each window's rows, unpack, add; no blocks."""
+    """Per-window sum of a kernel-order table, read back in natural order:
+    XOR each window's rows, unpack, add; no blocks."""
+    table = kernels.kernel_order(table)
     n = table.shape[0]
     k = syms.shape[0] - n + 1
     words = table[0][syms[:k]]
