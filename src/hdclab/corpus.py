@@ -20,6 +20,12 @@ from pathlib import Path
 from .encoder import normalize_text
 from .errors import ConfigurationError, DataError
 
+# Most bytes of ``*.txt`` ingest reads, train and test together: the paper's
+# 21 x 1M training chars three times over. Ingest plus training peaked at 10
+# bytes per file byte (tracemalloc), ingest plus evaluating 100-char test
+# sentences at 29; shorter sentences cost more per byte (CHANGES.md).
+MAX_CORPUS_BYTES = 2**26
+
 
 @dataclass
 class Corpus:
@@ -90,9 +96,10 @@ def ingest(root) -> Corpus:
     not a directory, no train data at all, a label directory whose name is
     not UTF-8, or a test label with no training label to match. A ``*.txt``
     that is not a regular file (a FIFO, a directory, a dangling symlink) is
-    a DataError naming it, raised without opening it. Unreadable files
-    surface as the underlying OSError (it names the path). Files that
-    normalize to nothing are dropped with a warning.
+    a DataError naming it, raised without opening it, and so is a corpus
+    whose ``*.txt`` files hold more than ``MAX_CORPUS_BYTES`` in all.
+    Unreadable files surface as the underlying OSError (it names the path).
+    Files that normalize to nothing are dropped with a warning.
     """
     root = Path(root)
     if not root.is_dir():
@@ -100,10 +107,16 @@ def ingest(root) -> Corpus:
     train_dir = root / "train"
     if not train_dir.is_dir():
         raise ConfigurationError(f"no train directory under {root}")
+    test_dir = root / "test"
+    train = [(d.name, _text_files(d)) for d in _label_dirs(train_dir)]
+    test = [(d.name, _text_files(d)) for d in _label_dirs(test_dir)] if test_dir.is_dir() else []
+    size = sum(path.stat().st_size for _, paths in train + test for path in paths)
+    if size > MAX_CORPUS_BYTES:
+        raise DataError(f"corpus {root} holds {size} bytes of text, over {MAX_CORPUS_BYTES}")
+
     corpus = Corpus()
-    for label_dir in _label_dirs(train_dir):
-        label = label_dir.name
-        for path in _text_files(label_dir):
+    for label, paths in train:
+        for path in paths:
             text = normalize_text(path.read_text(encoding="utf-8", errors="replace"))
             if not text:
                 warnings.warn(f"train sample {path} is empty after normalization")
@@ -112,24 +125,19 @@ def ingest(root) -> Corpus:
     if not corpus.train:
         raise ConfigurationError(f"no usable training samples under {train_dir}")
 
-    test_dir = root / "test"
-    if test_dir.is_dir():
-        for label_dir in _label_dirs(test_dir):
-            label = label_dir.name
-            if label not in corpus.train:
-                raise ConfigurationError(
-                    f"test label {label!r} has no training samples"
-                )
-            for path in _text_files(label_dir):
-                kept = 0
-                raw = path.read_text(encoding="utf-8", errors="replace")
-                for line in raw.splitlines():
-                    sentence = normalize_text(line)
-                    if sentence:
-                        corpus.add_test(label, sentence)
-                        kept += 1
-                if kept == 0:
-                    warnings.warn(f"test file {path} yields no usable sentences")
+    for label, paths in test:
+        if label not in corpus.train:
+            raise ConfigurationError(f"test label {label!r} has no training samples")
+        for path in paths:
+            kept = 0
+            raw = path.read_text(encoding="utf-8", errors="replace")
+            for line in raw.splitlines():
+                sentence = normalize_text(line)
+                if sentence:
+                    corpus.add_test(label, sentence)
+                    kept += 1
+            if kept == 0:
+                warnings.warn(f"test file {path} yields no usable sentences")
     return corpus
 
 

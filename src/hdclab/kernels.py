@@ -3,8 +3,8 @@
 Word layout: hypervectors are packed into uint64 words, bit ``i`` living in
 word ``i // 64`` at bit ``i % 64``. The kernels take that layout and unpack
 bits only to count them. ``hamming_bitloop`` is the per-bit reference over
-unpacked uint8 bit arrays that the word-wise kernels are tested and
-benchmarked against (``python -m hdclab.bench``).
+unpacked uint8 bit arrays that the word-wise kernels are tested against, and
+acceptance criterion 10's timing reference.
 
 Table layout: the n-gram table of ``accumulate_ngrams`` is in kernel order,
 the same words with each byte's bits reversed (``kernel_order``), so that
@@ -63,11 +63,8 @@ NGRAM_CHUNK = 4096
 STREAM_BLOCK = np.iinfo(np.uint8).max
 # Float32 values one block's P and R may hold: 1 MiB, within one core's
 # 2 MiB L2. A block is as many whole words as fit: at the defaults 3 for the
-# 21 benchmark texts, 5 for one text. At 2/3/4 words, train_pipeline's
-# tracemalloc peak read 3.37/3.69/4.02 MiB and the 21-text call took
-# 76/74/73 ms on one OpenBLAS thread, 57/51/46 ms on two; one 20k-char text
-# took 7.9/7.6/8.1/9.0 ms at 3/5/8/14 words on one thread and
-# 9.5/8.4/8.0/8.0 ms on two (fastest of 12 interleaved calls).
+# 21 benchmark texts, 5 for one text. Wider blocks raise train_pipeline's
+# peak; their measured speed is in CHANGES.md, "One bench".
 CONTRACT_FLOATS = 2**18
 # Uniforms markov_sample maps to table indices at once: a 64 KiB intp block.
 MARKOV_BLOCK = 2**13
@@ -140,16 +137,13 @@ def _contracts(nsym: int, n: int, k: int) -> bool:
     the histogram has at most 4 bins per window, P has at most
     ``NGRAM_CHUNK / 4`` sign rows (``nsym**(n-1)``, one per symbol tuple of
     window positions 1..n-1), and k < 2**24 keeps float32 exact.
-    At the defaults (n = 3, 27 symbols, D = 10000) the measured crossover
-    for a group contracted alone is about 7,000 windows, or about 2.8 bins
-    per window, since the stream's carry-save level: the contraction took a
-    flat 7.3-8.2 ms, the stream 5.1-5.6 ms at k = 4920 (the 4-bin edge),
-    5.9-6.1 ms at k = 6000 and 7.1-7.8 ms at k = 7000. Smaller tables,
-    where the contraction's fixed cost weighs more, cross lower still: at 4
-    bins the stream took 0.17 ms against 0.54-0.56 ms (n = 2) and 1.1-1.2 ms
-    against 3.8-4.0 ms (8 symbols, n = 4) (fastest of 5 repeats, three
-    runs). A group contracted together with others costs less, since the
-    rows of a call share each block's sign rows.
+    The 4-bin edge predates the stream's carry-save level: at the defaults
+    (n = 3, 27 symbols, D = 10000) a group contracted alone now crosses over
+    at about 2.8 bins per window, and smaller tables, where the
+    contraction's fixed cost weighs more, cross lower still. A group
+    contracted together with others costs less, since the rows of a call
+    share each block's sign rows. (Measured crossovers: CHANGES.md, "One
+    bench".)
     """
     # n may be as large as dim; with nsym >= 2, an exponent capped at 32
     # already fails both size bounds, so the cap changes no answer.
@@ -220,8 +214,9 @@ def ngram_histogram(syms, nsym, n, hist=None):
     """int64 count of each sliding n-gram by ``ngram_codes`` code, in NGRAM_CHUNK blocks,
     added into ``hist`` when given (a zeroed histogram otherwise) and returned.
 
-    ``np.add.at`` costs per window, not per bin (a per-block bincount took
-    37 ms at 27**5 bins, add.at 40 us).
+    ``np.add.at`` costs per window, not per bin, so a block's cost does not
+    grow with ``nsym**n`` as a per-block bincount's does (CHANGES.md, "One
+    bench").
     """
     k = syms.shape[0] - n + 1
     if hist is None:
@@ -361,8 +356,8 @@ def markov_sample(cum_start, cum_trans, table, uniforms):
     uniform is mapped once to its grid index p: ``MARKOV_BUCKETS`` equal
     buckets over [0, 1] give the grid values at or below each bucket's low
     edge, and as many compares as the fullest bucket has grid values add
-    the rest. That is exact, and mapped 483k uniforms on a 757-value grid in
-    12 ms against 48 ms for ``searchsorted`` (2-vCPU Xeon VM).
+    the rest. That is exact, and faster than ``searchsorted`` (CHANGES.md,
+    "One bench").
     Then p is a flat index into all tables, and a step is one add and one
     take over every chain. Uniforms are mapped ``MARKOV_BLOCK`` at a time,
     so beyond its input and output a call holds the tables and a few
@@ -408,8 +403,8 @@ def markov_sample(cum_start, cum_trans, table, uniforms):
 def hamming_bitloop(bits_a, bits_b) -> int:
     """Per-bit reference loop over unpacked uint8 bit arrays.
 
-    Deliberately naive; serves as the correctness oracle and as the baseline
-    the microbenchmark measures the word-wise kernels against.
+    Deliberately naive; serves as the correctness oracle and as acceptance
+    criterion 10's reference, which times the word-wise kernel against it.
     """
     d = 0
     for i in range(bits_a.shape[0]):

@@ -9,12 +9,9 @@ Every text and sentence is one chain run on uniforms drawn from its own
 seed. The training texts, and then the test sentences, are walked in
 lockstep by one ``kernels.markov_sample`` call that gets each language's
 cumulative tables once and one table index per run, and the drawn states
-are decoded to text through one byte table. At the benchmark's size (21
-texts of 20k chars, 21 x 30 sentences of 100 chars) ``synth_corpus`` took
-73-106 ms against 250-371 ms for the per-step compare walk and
-per-character join it replaced, and at the paper's (21 x 100k chars,
-21 x 1,000 sentences) 0.72-1.08 s against 2.5-3.6 s (fastest of 9 and of 3
-calls, three alternating runs, 2-vCPU Xeon VM).
+are decoded to text through one byte table. That is faster than the
+per-step compare walk and per-character join it replaced, at the
+benchmark's size and at the paper's (CHANGES.md, "One bench").
 """
 
 from __future__ import annotations

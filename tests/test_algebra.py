@@ -246,6 +246,15 @@ class TestAccumulator:
         with pytest.raises(ValueError):
             Accumulator(8).add(rand(9, 1))
 
+    def test_fewer_than_2_pow_31_additions(self):
+        acc = Accumulator(4)
+        acc._items = 2**31 - 2  # the literal bound, so a moved _MAX_ITEMS fails here
+        acc.add(hv_from_string("1000"))
+        assert acc.items_added == 2**31 - 1
+        with pytest.raises(ValueError, match="fewer than 2\\*\\*31 additions"):
+            acc.add(hv_from_string("1000"))
+        assert acc.items_added == 2**31 - 1 and acc.counts.tolist() == [1, 0, 0, 0]
+
     @pytest.mark.parametrize("dim", [1, 63, 64, 65, 100, D_BIG])
     @pytest.mark.parametrize("items", [1, 2, 3, 4])
     def test_threshold_matches_majority_oracle(self, dim, items):

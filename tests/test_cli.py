@@ -181,29 +181,6 @@ def test_corpus_that_is_a_plain_file_exits_2(workspace, tmp_path, capsys, args):
     assert sorted(tmp_path.iterdir()) == [plain]
 
 
-def test_unreadable_model_is_data_error(workspace, tmp_path, capsys):
-    root, corpus, model = workspace
-    bad = tmp_path / "bad.hdc"
-    bad.write_bytes(b"not a model")
-    assert main(["classify", "--model", str(bad), "--text", "whatever here"]) == 3
-
-
-def test_model_with_bad_utf8_is_data_error(workspace, tmp_path, capsys):
-    root, corpus, model = workspace
-    raw = bytearray(model.read_bytes())
-    raw[20] = 0xFF  # first byte of the alphabet
-    bad = tmp_path / "bad.hdc"
-    bad.write_bytes(bytes(raw))
-    assert main(["classify", "--model", str(bad), "--text", "whatever here"]) == 3
-    assert "not valid UTF-8" in capsys.readouterr().err
-
-
-def test_missing_model_file_is_data_error(workspace, tmp_path):
-    root, corpus, model = workspace
-    assert main(["classify", "--model", str(tmp_path / "none.hdc"),
-                 "--text", "whatever here"]) == 3
-
-
 def _run_cli(args, cwd):
     """Run the CLI in a real process, so an escaping exception shows as exit 1
     plus a traceback."""
@@ -219,6 +196,66 @@ def _assert_one_error_line(proc, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def bad_models(workspace):
+    """Model paths that do not load: not a model, an alphabet that is not
+    UTF-8, and no file at all."""
+    root, corpus, model = workspace
+    garbage, bad_utf8 = root / "garbage.hdc", root / "bad-utf8.hdc"
+    garbage.write_bytes(b"not a model")
+    raw = bytearray(model.read_bytes())
+    raw[20] = 0xFF  # first byte of the alphabet
+    bad_utf8.write_bytes(bytes(raw))
+    return {"GARBAGE": garbage, "BAD_UTF8": bad_utf8, "NO_MODEL": root / "none.hdc"}
+
+
+_MODEL_COMMANDS = {
+    "classify": ["classify", "--text", "whatever here", "--model"],
+    "eval": ["eval", "--corpus", "CORPUS", "--model"],
+    "fault-sweep": ["fault-sweep", "--corpus", "CORPUS", "--trials", "1", "--out", "out.csv",
+                    "--model"],
+}
+
+
+# (args, the path the error line names, a further part of that line).
+# MISSING is a directory that does not exist.
+@pytest.mark.parametrize("args, names, says", [
+    *[pytest.param([*cmd, bad], bad, says, id=f"{name} --model {bad.lower()}")
+      for name, cmd in _MODEL_COMMANDS.items()
+      for bad, says in (("GARBAGE", ""), ("BAD_UTF8", "not valid UTF-8"),
+                        ("NO_MODEL", "No such file"))],
+    pytest.param(["train", "--corpus", "CORPUS", "--dim", "500", "--out", "MISSING/m.hdc"],
+                 "MISSING/m.hdc", "No such file", id="train --out"),
+    pytest.param(["eval", "--model", "MODEL", "--corpus", "CORPUS",
+                  "--report", "MISSING/r.json"], "MISSING/r.json", "No such file",
+                 id="eval --report"),
+    pytest.param(["baseline", "--corpus", "CORPUS", "--report", "MISSING/r.json"],
+                 "MISSING/r.json", "No such file", id="baseline --report"),
+    pytest.param(["fault-sweep", "--model", "MODEL", "--corpus", "CORPUS", "--trials", "1",
+                  "--out", "MISSING/s.csv"], "MISSING/s.csv", "No such file",
+                 id="fault-sweep --out"),
+    pytest.param(["fault-sweep", "--model", "MODEL", "--corpus", "CORPUS", "--trials", "1",
+                  "--out", "s.csv", "--json", "MISSING/s.json"], "MISSING/s.json",
+                 "No such file", id="fault-sweep --json"),
+    pytest.param(["noise-curve", "--trials", "1", "--out", "MISSING/c.csv"], "MISSING/c.csv",
+                 "No such file", id="noise-curve --out"),
+])
+def test_bad_model_or_output_path_exits_3(workspace, bad_models, tmp_path, args, names, says):
+    root, corpus, model = workspace
+    paths = {**bad_models, "MODEL": model, "CORPUS": corpus}
+    missing = str(tmp_path / "missing")
+
+    def resolve(arg):
+        if arg in paths:
+            return str(paths[arg])
+        return arg.replace("MISSING", missing)
+
+    proc = _run_cli([resolve(a) for a in args], tmp_path)
+    _assert_one_error_line(proc, 3)
+    (line,) = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert resolve(names) in line and says in line
 
 
 @pytest.mark.parametrize("args", [

@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from hdclab import ConfigurationError, Corpus, ingest, write_corpus
+from hdclab import ConfigurationError, Corpus, DataError, ingest, write_corpus
+from hdclab import corpus as corpus_module
 
 
 def _make_layout(root, train=None, test=None):
@@ -88,3 +92,21 @@ def test_train_items_label_order(tmp_path):
     _make_layout(tmp_path, train={"zz": ["last text"], "aa": ["first text"]})
     corpus = ingest(tmp_path)
     assert [lb for lb, _ in corpus.train_items()] == ["aa", "zz"]
+
+
+def test_corpus_over_the_byte_bound_is_refused_unread(tmp_path, monkeypatch):
+    _make_layout(tmp_path, train={"en": ["abcd", "efg"]}, test={"en": ["hij"]})  # 10 bytes
+    monkeypatch.setattr(corpus_module, "MAX_CORPUS_BYTES", 10)
+    assert ingest(tmp_path).train["en"] == ["abcd", "efg"]
+
+    monkeypatch.setattr(corpus_module, "MAX_CORPUS_BYTES", 9)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was opened before the size check")
+
+    monkeypatch.setattr("builtins.open", refuse)
+    for name in ("open", "read_text", "read_bytes"):
+        monkeypatch.setattr(Path, name, refuse)
+    message = f"corpus {tmp_path} holds 10 bytes of text, over 9"
+    with pytest.raises(DataError, match=re.escape(message)):
+        ingest(tmp_path)
