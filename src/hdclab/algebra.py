@@ -27,18 +27,22 @@ def n_words(dim: int) -> int:
     return (dim + WORD_BITS - 1) // WORD_BITS
 
 
+def _packed_rows(bits) -> np.ndarray:
+    """(..., words) uint64 of a (..., dim) 0/1 array; the bits past dim are 0."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out = np.zeros((*bits.shape[:-1], n_words(bits.shape[-1]) * 8), dtype=np.uint8)
+    out[..., : packed.shape[-1]] = packed
+    return out.view(np.uint64)
+
+
 def pack_bits(bits) -> np.ndarray:
-    """Pack a 0/1 uint8 array into canonical uint64 words (zero padding)."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    raw = np.packbits(bits, bitorder="little")
-    buf = np.zeros(n_words(bits.shape[0]) * 8, dtype=np.uint8)
-    buf[: raw.shape[0]] = raw
-    return buf.view(np.uint64)
+    """Pack a 0/1 uint8 array along its last axis into canonical uint64 words (zero padding)."""
+    return _packed_rows(np.ascontiguousarray(bits, dtype=np.uint8))
 
 
 def unpack_bits(words, dim: int) -> np.ndarray:
-    """Unpack canonical uint64 words back into a 0/1 uint8 array of length dim."""
-    return np.unpackbits(words.view(np.uint8), count=dim, bitorder="little")
+    """Unpack canonical uint64 words along the last axis into 0/1 uint8, dim a row."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=dim, bitorder="little")
 
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -118,8 +122,7 @@ class Hypervector:
 
     @classmethod
     def from_bits(cls, bits) -> "Hypervector":
-        bits = np.asarray(bits, dtype=np.uint8)
-        return cls(bits.shape[0], pack_bits(bits))
+        return cls(len(bits), pack_bits(bits))
 
     @classmethod
     def zero(cls, dim: int) -> "Hypervector":
@@ -245,14 +248,6 @@ class Accumulator:
         ties = None if rng is None else rng.words(n_words(self.dim))[None]
         words = majority_words(self._counts[None], [self._items], ties)
         return Hypervector(self.dim, words[0])
-
-
-def _packed_rows(bits) -> np.ndarray:
-    """(rows, words) uint64 of a (rows, dim) bool matrix; the bits past dim are 0."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    out = np.zeros((bits.shape[0], n_words(bits.shape[1]) * 8), dtype=np.uint8)
-    out[:, : packed.shape[1]] = packed
-    return out.view(np.uint64)
 
 
 def majority_words(counts, items, ties=None) -> np.ndarray:

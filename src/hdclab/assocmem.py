@@ -104,7 +104,7 @@ class AssociativeMemory:
 
     @classmethod
     def from_rows(cls, labels, rows: np.ndarray, dim: int) -> "AssociativeMemory":
-        """Build a memory from stored prototype rows in one step (the model loader).
+        """Build a memory from prototype rows in one step (training and the model loader).
 
         Stores a read-only copy of the rows with bits past ``dim`` cleared.
         """

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import sys
 from pathlib import Path
@@ -268,6 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Output directories first, so a failing run does no work (synth-corpus makes its tree).
+        if args.func is not cmd_synth_corpus:
+            for path in filter(None, (getattr(args, k, None) for k in ("out", "report", "json"))):
+                if not Path(path).parent.is_dir():
+                    raise FileNotFoundError(errno.ENOENT, "No such file or directory", path)
         return args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

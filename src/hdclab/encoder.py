@@ -8,8 +8,8 @@ machinery also encodes key/value records and decodes fields back out of them.
 
 Text reaches this encoder and the n-gram baseline through one front end,
 ``code_texts``: it normalizes each text of a group with ``normalize_text``
-and codes them all with one ``symbol_codes`` call, into the form every group
-takes from there to the counts, a ``(syms, ends)`` pair. The symbol set is
+and codes them all through one byte table, into the form every group takes
+from there to the counts, a ``(syms, ends)`` pair. The symbol set is
 fixed: the 27 characters ``DEFAULT_ALPHABET`` holds, which are all
 ``normalize_text`` emits.
 """
@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .algebra import Hypervector, RandomSource, bind, bundle, majority_words, n_words, permute
-from .errors import ConfigurationError, DataError, TextTooShortError
+from .algebra import (Hypervector, RandomSource, bind, bundle, majority_words, n_words,
+                      pack_bits, unpack_bits)
+from .errors import ConfigurationError, TextTooShortError
 from .itemmem import ItemMemory
 
 # The only symbol set: a-z and space, as in the 21-language trigram
@@ -65,33 +66,21 @@ def normalize_text(raw: str) -> str:
     return b" ".join(raw.encode("ascii", "replace").translate(_FOLD).split()).decode("ascii")
 
 
-# Code point -> DEFAULT_ALPHABET index, -1 elsewhere and in the last entry,
-# onto which every larger code point is clipped.
-_CODES = np.full(max(map(ord, DEFAULT_ALPHABET)) + 2, -1, dtype=np.int64)
-_CODES[[ord(ch) for ch in DEFAULT_ALPHABET]] = np.arange(len(DEFAULT_ALPHABET))
-_CODES.setflags(write=False)
-
-
-def symbol_codes(text: str) -> np.ndarray:
-    """int64 alphabet index of every character; DataError names the first one outside it."""
-    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    syms = _CODES[np.minimum(points, _CODES.shape[0] - 1)]
-    bad = np.flatnonzero(syms < 0)
-    if bad.size:
-        raise DataError(f"symbol {text[bad[0]]!r} is not in the alphabet")
-    return syms
+# Byte -> DEFAULT_ALPHABET index, and every other byte (find's -1) -> 0xFF: past
+# the encoder table's 27 rows, so a byte normalize_text never emits is no symbol.
+_SYMBOLS = bytes(DEFAULT_ALPHABET.find(chr(c)) % 256 for c in range(256))
 
 
 def code_texts(texts) -> tuple[np.ndarray, list]:
     """(syms, ends) of a group of texts.
 
-    ``syms`` is the uint8 alphabet index of every symbol of the normalized
-    texts, joined, and ``ends[i]`` is where text i ends in it, so text i is
-    ``syms[ends[i - 1]:ends[i]]`` (from 0 for the first). Each text is
-    normalized once, and all are coded by one ``symbol_codes`` call.
+    ``syms`` is the read-only uint8 alphabet index of every symbol of the
+    normalized texts, joined, and ``ends[i]`` is where text i ends in it, so
+    text i is ``syms[ends[i - 1]:ends[i]]`` (from 0 for the first). Each text
+    is normalized once, and all are coded by one ``bytes.translate``.
     """
     normalized = [normalize_text(text) for text in texts]
-    syms = symbol_codes("".join(normalized)).astype(np.uint8)
+    syms = np.frombuffer("".join(normalized).encode("ascii").translate(_SYMBOLS), dtype=np.uint8)
     return syms, list(itertools.accumulate(map(len, normalized)))
 
 
@@ -156,10 +145,11 @@ class _SeedTables:
     def __init__(self, dim: int, n: int, item_seed: int):
         self.item_memory = ItemMemory.build(list(DEFAULT_ALPHABET), dim, item_seed)
         table = np.empty((n, len(DEFAULT_ALPHABET), n_words(dim)), dtype=np.uint64)
-        for s, ch in enumerate(DEFAULT_ALPHABET):
-            base = self.item_memory.lookup(ch)
-            for j in range(n):
-                table[j, s] = kernels.kernel_order(permute(base, n - 1 - j).words)
+        # Row j rotates by n - 1 - j, one symbol unpacked at a time (CHANGES.md, "No detours").
+        for s, words in enumerate(self.item_memory.words_matrix()):
+            bits = unpack_bits(words, dim)
+            rotations = pack_bits([np.roll(bits, n - 1 - j) for j in range(n)])
+            table[:, s] = kernels.kernel_order(rotations)
         table.setflags(write=False)
         self.table = table
 
@@ -176,7 +166,7 @@ class TextEncoder:
     words in the kernels' table order (``kernels.kernel_order``), and shares
     that table and the item memory with every other live encoder of the
     same key (at the defaults 101,736 B of table and 33,912 B of item
-    memory). ``encode``, ``encode_each`` and the test-set path all end in
+    memory). ``encode``, training and the test-set path all end in
     ``encode_symbols``, whose groups are ``(syms, ends)`` pairs as
     ``code_texts`` gives them.
 
@@ -225,17 +215,7 @@ class TextEncoder:
         component i (even k only) takes bit i of the texts' tie vector (see
         ``TextEncoder``), or 1 with ``deterministic_ties``.
         """
-        return self.encode_each([texts])[0]
-
-    def encode_each(self, groups) -> list[Hypervector]:
-        """``[encode(*texts) for texts in groups]``, bit for bit, through ``encode_symbols``.
-
-        Each group of texts is read by one ``symbol_indices`` call. A group
-        with no text raises ValueError, and a too-short text
-        TextTooShortError whose ``group`` is its group's index.
-        """
-        words = self.encode_symbols([self.symbol_indices(*texts) for texts in groups])
-        return [Hypervector(self.config.dim, row) for row in words]
+        return Hypervector(self.config.dim, self.encode_symbols([self.symbol_indices(*texts)])[0])
 
     def encode_symbols(self, groups) -> np.ndarray:
         """Read-only (groups, words) uint64 matrix: row g encodes the group ``groups[g]``.

@@ -148,14 +148,10 @@ class FaultMask:
 
     def __init__(self, dim: int, stuck0_words: np.ndarray, stuck1_words: np.ndarray):
         self.dim = dim
-        s0 = np.ascontiguousarray(stuck0_words, dtype=np.uint64)
-        s1 = np.ascontiguousarray(stuck1_words, dtype=np.uint64)
-        if s0.shape != (n_words(dim),) or s1.shape != (n_words(dim),):
-            raise ValueError("mask word arrays do not match the dimension")
+        # Held as a Hypervector holds words: writeable input is copied, not frozen.
+        s0, s1 = Hypervector(dim, stuck0_words).words, Hypervector(dim, stuck1_words).words
         if np.any(s0 & s1):
             raise ValueError("a component cannot be stuck at 0 and 1 at once")
-        s0.setflags(write=False)
-        s1.setflags(write=False)
         self.stuck0_words = s0
         self.stuck1_words = s1
 

@@ -47,8 +47,8 @@ def train_pipeline(corpus, config: EncoderConfig | None = None) -> TrainedModel:
 
     Labels are taken in ``corpus.labels`` (sorted) order, which fixes
     prototype row order; one with no training text is a ConfigurationError.
-    Every label is encoded in one ``encode_each`` call, so labels whose
-    texts hold many windows share contractions (see ``encode_symbols``).
+    Each label's texts are one group, all encoded in one ``encode_symbols``
+    call (so labels of many windows share contractions) into the memory's rows.
     """
     if config is None:
         config = EncoderConfig()
@@ -60,12 +60,10 @@ def train_pipeline(corpus, config: EncoderConfig | None = None) -> TrainedModel:
             raise ConfigurationError(f"label {label!r} has no training text")
     encoder = TextEncoder(config)
     try:
-        prototypes = encoder.encode_each([corpus.train[label] for label in labels])
+        rows = encoder.encode_symbols([encoder.symbol_indices(*corpus.train[lb]) for lb in labels])
     except TextTooShortError as exc:
         raise TextTooShortError(f"training sample for {labels[exc.group]!r}: {exc}") from None
-    memory = AssociativeMemory(config.dim)
-    for label, prototype in zip(labels, prototypes):
-        memory.add(label, prototype)
+    memory = AssociativeMemory.from_rows(labels, rows, config.dim)
     return TrainedModel(encoder=encoder, memory=memory)
 
 

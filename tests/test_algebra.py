@@ -34,6 +34,25 @@ class TestPacking:
             bits = rng.generator.integers(0, 2, size=dim).astype(np.uint8)
             assert np.array_equal(unpack_bits(pack_bits(bits), dim), bits)
 
+    @pytest.mark.parametrize("dim", [1, 63, 64, 65, 10000])
+    def test_arrays_pack_along_the_last_axis_row_by_row(self, dim):
+        bits = RandomSource(dim).generator.integers(0, 2, size=(2, 3, dim)).astype(np.uint8)
+        words = pack_bits(bits)
+        assert words.dtype == np.uint64 and words.shape == (2, 3, n_words(dim))
+        for r, row in enumerate(bits.reshape(-1, dim)):
+            want = pack_bits(row)
+            # Bit i of a row is bit i % 64 of word i // 64; the padding is zero.
+            assert want.tolist() == [sum(int(b) << i for i, b in enumerate(row[w:w + 64]))
+                                     for w in range(0, dim, 64)]
+            assert np.array_equal(words.reshape(-1, n_words(dim))[r], want)
+        back = unpack_bits(words, dim)
+        assert back.dtype == np.uint8 and np.array_equal(back, bits)
+        padded = n_words(dim) * 64
+        for r, row in enumerate(words.reshape(-1, n_words(dim))):
+            assert np.array_equal(unpack_bits(words, padded).reshape(-1, padded)[r],
+                                  unpack_bits(row, padded))
+            assert not unpack_bits(row, padded)[dim:].any()
+
     def test_canonical_padding(self):
         hv = hv_from_string("1" * 65)
         assert hv.words.shape == (2,)

@@ -9,7 +9,7 @@ from hdclab import (
     kernels, synth_corpus,
 )
 from hdclab.baseline import BaselineClassifier, baseline_evaluate, baseline_train
-from hdclab.encoder import normalize_text, symbol_codes
+from hdclab.encoder import DEFAULT_ALPHABET, normalize_text
 
 
 def _clf(n):
@@ -23,6 +23,11 @@ def test_single_trigram_profile():
     assert clf.vocabulary.tolist() == [0]  # code of "aaa" is 0
     assert clf.units.dtype == np.float64
     assert clf.units.tolist() == [[1.0]]
+
+
+def _codes(text):
+    """int64 DEFAULT_ALPHABET position of each character of a normalized text."""
+    return np.array([DEFAULT_ALPHABET.index(ch) for ch in text], dtype=np.int64)
 
 
 def _dict_histogram(syms, nsym, n):
@@ -60,7 +65,7 @@ def test_bucket_indexing():
                 if nsym == 27:
                     text = _kept_text(length, gen)
                     assert normalize_text(text) == text
-                    syms = symbol_codes(text)
+                    syms = _codes(text)
                 else:
                     syms = gen.integers(0, nsym, size=length)
                 want = _dict_histogram(syms, nsym, n)
@@ -84,7 +89,7 @@ def test_count_vector_window_count():
 def test_count_vector_counts_each_text_on_its_own():
     codes, counts = _clf(3).count_vector("abcabc", "abcabc")
     assert counts.sum() == 8  # 4 windows each; "abcabcabcabc" would have 10
-    once = _dict_histogram(symbol_codes("abcabc"), 27, 3)  # abc 2, bca 1, cab 1
+    once = _dict_histogram(_codes("abcabc"), 27, 3)  # abc 2, bca 1, cab 1
     assert dict(zip(codes.tolist(), counts.tolist())) == {c: 2 * k for c, k in once.items()}
 
 
@@ -121,8 +126,8 @@ def test_profile_accumulates_across_files():
     clf = baseline_train(corpus)
     assert clf.labels == ["aa", "bb"]
     # two files of 4 windows each: abc 4, bca 2, cab 2, and no window across them
-    once = _dict_histogram(symbol_codes("abcabc"), 27, 3)
-    xyz = _dict_histogram(symbol_codes("xyz"), 27, 3)
+    once = _dict_histogram(_codes("abcabc"), 27, 3)
+    xyz = _dict_histogram(_codes("xyz"), 27, 3)
     assert clf.vocabulary.tolist() == sorted([*once, *xyz])
     profile = np.array([2 * once.get(c, 0) for c in clf.vocabulary.tolist()], dtype=np.float64)
     np.testing.assert_allclose(clf.units[0], profile / np.linalg.norm(profile), rtol=0, atol=1e-15)
@@ -133,7 +138,7 @@ def _dense_cosines(texts_by_label, query, n):
     def unit(texts):
         vec = np.zeros(27**n)
         for text in texts:
-            for code, count in _dict_histogram(symbol_codes(normalize_text(text)), 27, n).items():
+            for code, count in _dict_histogram(_codes(normalize_text(text)), 27, n).items():
                 vec[code] += count
         return vec / np.linalg.norm(vec)
 

@@ -258,6 +258,45 @@ def test_bad_model_or_output_path_exits_3(workspace, bad_models, tmp_path, args,
     assert resolve(names) in line and says in line
 
 
+# Outputs in a missing directory beside a model and a corpus that do not
+# exist either: the output is checked first, so its path is the one named.
+@pytest.mark.parametrize("args, names", [
+    pytest.param(["train", "--corpus", "NO_CORPUS", "--out", "MISSING/m.hdc"],
+                 "MISSING/m.hdc", id="train --out"),
+    pytest.param(["eval", "--model", "NO_MODEL", "--corpus", "NO_CORPUS",
+                  "--report", "MISSING/r.json"], "MISSING/r.json", id="eval --report"),
+    pytest.param(["baseline", "--corpus", "NO_CORPUS", "--report", "MISSING/r.json"],
+                 "MISSING/r.json", id="baseline --report"),
+    pytest.param(["fault-sweep", "--model", "NO_MODEL", "--corpus", "NO_CORPUS",
+                  "--out", "MISSING/s.csv"], "MISSING/s.csv", id="fault-sweep --out"),
+    pytest.param(["fault-sweep", "--model", "NO_MODEL", "--corpus", "NO_CORPUS",
+                  "--out", "s.csv", "--json", "MISSING/s.json"], "MISSING/s.json",
+                 id="fault-sweep --json"),
+    pytest.param(["noise-curve", "--symbols", "100000000", "--out", "MISSING/c.csv"],
+                 "MISSING/c.csv", id="noise-curve --out"),
+])
+def test_outputs_are_checked_before_any_input(tmp_path, args, names):
+    missing = str(tmp_path / "missing")
+    paths = {"NO_MODEL": str(tmp_path / "none.hdc"), "NO_CORPUS": str(tmp_path / "none")}
+
+    def resolve(arg):
+        return paths.get(arg, arg.replace("MISSING", missing))
+
+    proc = _run_cli([resolve(a) for a in args], tmp_path)
+    _assert_one_error_line(proc, 3)
+    (line,) = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert resolve(names) in line and "No such file" in line
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fault_sweep_writes_no_csv_when_its_json_cannot_be_written(workspace, tmp_path):
+    root, corpus, model = workspace
+    proc = _run_cli(["fault-sweep", "--model", str(model), "--corpus", str(corpus),
+                     "--trials", "1", "--out", "s.csv", "--json", "missing/s.json"], tmp_path)
+    _assert_one_error_line(proc, 3)
+    assert "missing/s.json" in proc.stderr and not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["noise-curve", "--trials", "0", "--out", "out"],
     ["noise-curve", "--dim", "0", "--out", "out"],

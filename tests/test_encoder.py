@@ -20,13 +20,25 @@ from hdclab import (
     normalize_text,
     kernels,
     permute,
+    unpack_bits,
 )
+from hdclab import baseline as baseline_module
 from hdclab import encoder as encoder_module
+from hdclab import pipeline as pipeline_module
 from hdclab.baseline import BaselineClassifier
 from hdclab.corpus import Corpus, ingest
-from hdclab.encoder import symbol_codes
-from hdclab.pipeline import encode_test_sentences
+from hdclab.pipeline import encode_test_sentences, train_pipeline
 from _oracles import ref_encode_text, ref_encode_texts, ref_ngram, ref_normalize
+
+
+def _alphabet_indices(text):
+    """The DEFAULT_ALPHABET position of each character of a normalized text."""
+    return [DEFAULT_ALPHABET.index(ch) for ch in text]
+
+
+def _rows(e, groups):
+    """encode_symbols over groups of texts, each coded by one symbol_indices call."""
+    return e.encode_symbols([e.symbol_indices(*texts) for texts in groups])
 
 
 class TestNormalize:
@@ -209,7 +221,7 @@ class TestEncodeText:
         assert list(e.encode(*texts).to_bits()) == ref_encode_texts(texts, 3, seed_bits)
 
     @pytest.mark.parametrize("deterministic", [False, True], ids=["random-ties", "ties-to-1"])
-    def test_encode_each_matches_encode(self, deterministic):
+    def test_encode_symbols_matches_encode(self, deterministic):
         e = TextEncoder(EncoderConfig(dim=1000, item_seed=4, deterministic_ties=deterministic))
         gen = RandomSource(5).generator
         long = ["".join(DEFAULT_ALPHABET[i] for i in gen.integers(0, 26, size=6000))
@@ -217,25 +229,25 @@ class TestEncodeText:
         assert kernels._contracts(27, 3, len(long[0]) - 2)
         # Even window counts (ties) and odd ones; long and short texts in one group.
         groups = [["the cat sat"], [long[0], "on the mat"], long[1:], ["abab"], ["ab ab", "bab"]]
-        got = e.encode_each(groups)
-        assert len(got) == len(groups)
-        for hv, texts in zip(got, groups):
-            assert hv == e.encode(*texts)
-        assert e.encode_each([groups[1]]) == [e.encode(*groups[1])]
-        assert e.encode_each([]) == []
+        got = _rows(e, groups)
+        assert got.shape == (len(groups), 16) and not got.flags.writeable
+        for row, texts in zip(got, groups):
+            assert np.array_equal(row, e.encode(*texts).words)
+        assert np.array_equal(_rows(e, [groups[1]]), [e.encode(*groups[1]).words])
+        assert _rows(e, []).shape == (0, 16)
 
-    def test_encode_each_names_the_failing_group(self, enc, monkeypatch):
+    def test_encode_symbols_names_the_failing_group(self, enc, monkeypatch):
         with pytest.raises(TextTooShortError) as exc:
-            enc.encode_each([["long enough"], ["also long enough", "ab"]])
+            _rows(enc, [["long enough"], ["also long enough", "ab"]])
         assert exc.value.group == 1
         # A short text in the last chunk fails before any counting.
         monkeypatch.setattr(kernels, "accumulate_ngrams", lambda *args: pytest.fail("counted"))
         last = encoder_module.ENCODE_GROUPS
         with pytest.raises(TextTooShortError) as exc:
-            enc.encode_each([["long enough"]] * last + [["ab"]])
+            _rows(enc, [["long enough"]] * last + [["ab"]])
         assert exc.value.group == last
         with pytest.raises(ValueError, match="at least one text"):
-            enc.encode_each([["long enough"], []])
+            _rows(enc, [["long enough"], []])
 
     def test_encode_needs_texts_each_one_window_long(self, enc):
         with pytest.raises(ValueError, match="at least one text"):
@@ -351,9 +363,9 @@ class TestCodeTexts:
 
     def test_joins_each_texts_codes(self):
         syms, ends = encoder_module.code_texts(self.TEXTS)
-        codes = [symbol_codes(normalize_text(t)) for t in self.TEXTS]
-        assert syms.tolist() == np.concatenate(codes).tolist()
-        assert ends == np.cumsum([c.shape[0] for c in codes]).tolist()
+        codes = [_alphabet_indices(ref_normalize(t)) for t in self.TEXTS]
+        assert syms.tolist() == sum(codes, [])
+        assert ends == np.cumsum([len(c) for c in codes]).tolist()
         syms, ends = encoder_module.code_texts([])
         assert syms.dtype == np.uint8 and syms.shape == (0,) and ends == []
 
@@ -364,28 +376,32 @@ class TestCodeTexts:
             got = list(kernels.streams(group))
             assert [g.dtype for g in got] == [np.dtype(np.uint8)] * len(self.TEXTS)
             assert [g.tolist() for g in got] == [
-                symbol_codes(normalize_text(t)).tolist() for t in self.TEXTS]
+                _alphabet_indices(ref_normalize(t)) for t in self.TEXTS]
 
     def test_empty_text_is_an_empty_stream_encode_rejects(self, enc):
         syms, ends = encoder_module.code_texts(["abc", "!!!", "abc"])
         assert ends == [3, 3, 6]
         with pytest.raises(TextTooShortError, match="got 0") as exc:
-            enc.encode_each([["long enough"], ["abc", "!!!", "abc"]])
+            _rows(enc, [["long enough"], ["abc", "!!!", "abc"]])
         assert exc.value.group == 1
 
     def test_one_coding_call_per_group(self, monkeypatch):
         calls = []
-        codes = encoder_module.symbol_codes
+        code = encoder_module.code_texts
 
-        def spy(text):
-            calls.append(text)
-            return codes(text)
+        def spy(texts):
+            calls.append(list(texts))
+            return code(texts)
 
-        monkeypatch.setattr(encoder_module, "symbol_codes", spy)
-        e = TextEncoder(EncoderConfig(dim=200, item_seed=3))
-        groups = [["the cat sat"], ["on the", "mat", "Again!"], ["x y z"] * 40]
-        e.encode_each(groups)
-        assert calls == ["the cat sat", "on thematagain", "x y z" * 40]
+        for module in (encoder_module, pipeline_module, baseline_module):
+            monkeypatch.setattr(module, "code_texts", spy)
+        config = EncoderConfig(dim=200, item_seed=3)
+        TextEncoder(config).encode("on the", "mat", "Again!")
+        assert calls == [["on the", "mat", "Again!"]]
+        calls.clear()
+        train = {"aa": ["the cat sat"], "bb": ["on the", "mat", "Again!"], "cc": ["x y z"] * 40}
+        train_pipeline(Corpus(train=train), config)
+        assert calls == [train["aa"], train["bb"], train["cc"]]  # one per label
         calls.clear()
         corpus = Corpus(test={"aa": ["abc abc", "ab", "cab cab"], "bb": ["bca bca"]})
         groups, _, skipped = encode_test_sentences(["aa", "bb"], corpus, 3)
@@ -395,7 +411,7 @@ class TestCodeTexts:
         assert len(calls) == 2  # one per label
         calls.clear()
         clf.count_vector("abc", "cab cab", "bca")
-        assert calls == ["abccab cabbca"]
+        assert calls == [["abc", "cab cab", "bca"]]
 
 
 def _shake_tie_bits(tie_seed, texts, dim):
@@ -422,11 +438,11 @@ class TestTieVector:
         groups = [["abab"], ["the cat sat on"], ["ab ab", "bab"], ["Zebra!"],
                   [long, "on the mat"], [long[:1001]]]
         took_zero = False
-        for texts, hv in zip(groups, e.encode_each(groups)):
+        for texts, row in zip(groups, _rows(e, groups)):
             ties = _shake_tie_bits(e.config.tie_seed, texts, dim)
             normed = [normalize_text(t) for t in texts]
             want = ref_encode_texts(normed, 3, seed_bits, tie_value=ties)
-            assert hv.to_bits().tolist() == want
+            assert unpack_bits(row, dim).tolist() == want
             took_zero |= want != ref_encode_texts(normed, 3, seed_bits, tie_value=1)
         assert took_zero  # some tie took a 0 from its vector
 
@@ -435,18 +451,18 @@ class TestTieVector:
         e = TextEncoder(config)
         texts = [f"sentence {'ab' * (i % 7)} number {i}" for i in range(70)]
         groups = [[t] for t in texts]
-        forward = e.encode_each(groups)
-        assert e.encode_each(groups[::-1])[::-1] == forward
+        forward = _rows(e, groups)
+        assert np.array_equal(_rows(e, groups[::-1])[::-1], forward)
         # One text at both ends of a call, in two chunks.
-        again = e.encode_each([groups[5]] + groups[: encoder_module.ENCODE_GROUPS + 1]
-                              + [groups[5]])
-        assert again[0] == again[6] == again[-1] == forward[5] == e.encode(texts[5])
+        again = _rows(e, [groups[5]] + groups[: encoder_module.ENCODE_GROUPS + 1] + [groups[5]])
+        for row in (again[0], again[6], again[-1], e.encode(texts[5]).words):
+            assert np.array_equal(row, forward[5])
         # A fresh encoder, and a text that normalizes to the same symbols.
-        assert TextEncoder(config).encode(texts[3]) == forward[3]
-        assert e.encode(texts[3].upper().replace(" ", " , ")) == forward[3]
+        assert np.array_equal(TextEncoder(config).encode(texts[3]).words, forward[3])
+        assert np.array_equal(e.encode(texts[3].upper().replace(" ", " , ")).words, forward[3])
         # The ties are random: without them some text encodes otherwise.
         ties_to_1 = TextEncoder(EncoderConfig(dim=1000, item_seed=4, deterministic_ties=True))
-        assert ties_to_1.encode_each(groups) != forward
+        assert not np.array_equal(_rows(ties_to_1, groups), forward)
 
 
     def test_only_groups_of_even_window_count_are_hashed(self):
@@ -472,11 +488,11 @@ class TestTieVector:
         e._tie_key = SpyKey(e._tie_key)
         # Window counts 2, 1, 4, 5 and 3.
         groups = [["abab"], ["abc"], ["ab ab", "bab"], ["the cat"], ["abcd", "abc"]]
-        got = e.encode_each(groups)
+        got = _rows(e, groups)
         assert hashed == [e.symbol_indices(*groups[g])[0].tobytes() for g in (0, 2)]
-        for texts, hv in zip(groups, got):
+        for texts, row in zip(groups, got):
             ties = _shake_tie_bits(e.config.tie_seed, texts, 1000)
-            assert hv.to_bits().tolist() == ref_encode_texts(
+            assert unpack_bits(row, 1000).tolist() == ref_encode_texts(
                 [normalize_text(t) for t in texts], 3,
                 {ch: list(e.item_memory.lookup(ch).to_bits()) for ch in DEFAULT_ALPHABET},
                 tie_value=ties)
@@ -493,6 +509,16 @@ class TestSeedTables:
             c = TextEncoder(other)
             assert c._table is not a._table and c.item_memory is not a.item_memory
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dim", [1, 63, 64, 65, 1000])
+    def test_table_rows_are_the_rotated_item_vectors(self, dim, n):
+        seeds = encoder_module._SeedTables(dim, n, 31)
+        assert seeds.table.shape == (n, 27, -(-dim // 64)) and not seeds.table.flags.writeable
+        for j in range(n):
+            for s, ch in enumerate(DEFAULT_ALPHABET):
+                want = kernels.kernel_order(permute(seeds.item_memory.lookup(ch), n - 1 - j).words)
+                assert np.array_equal(seeds.table[j, s], want)
+
     def test_tables_go_with_the_last_encoder(self):
         key = (300, 3, 23)
         a = TextEncoder(EncoderConfig(dim=300, item_seed=23))
@@ -508,39 +534,48 @@ class TestSeedTables:
 
 
 class TestSymbolCodes:
-    def test_alphabet_positions(self):
-        syms = symbol_codes("cab z")
-        assert syms.dtype == np.int64 and syms.tolist() == [2, 0, 1, 26, 25]
-        text = normalize_text("The quick brown fox jumps over the lazy dog. " * 50)
-        want = [DEFAULT_ALPHABET.index(ch) for ch in text]
-        assert symbol_codes(text).tolist() == want
+    """The alphabet index of each symbol, as ``code_texts`` codes it."""
 
-    @pytest.mark.parametrize("text, bad", [
-        ("ab!c", "!"),  # below the table's end, not in the alphabet
-        ("ab\u20acc!", "\u20ac"),  # above the table: clipped onto its -1 entry
-        ("ab\ud800c", "\ud800"),  # lone surrogate
-    ], ids=["in-range", "above-table", "lone-surrogate"])
-    def test_outside_alphabet_is_data_error(self, text, bad):
-        with pytest.raises(DataError) as exc:
-            symbol_codes(text)
-        assert str(exc.value) == f"symbol {bad!r} is not in the alphabet"
+    def test_alphabet_positions(self):
+        syms, ends = encoder_module.code_texts(["cab z"])
+        assert syms.dtype == np.uint8 and syms.tolist() == [2, 0, 1, 26, 25] and ends == [5]
+        text = "The quick brown fox jumps over the lazy dog. " * 50
+        assert encoder_module.code_texts([text])[0].tolist() == _alphabet_indices(
+            ref_normalize(text))
+
+    def test_bytes_outside_the_alphabet_are_past_the_table(self):
+        table = encoder_module._SYMBOLS
+        assert len(table) == 256
+        for c in range(256):
+            want = DEFAULT_ALPHABET.index(chr(c)) if chr(c) in DEFAULT_ALPHABET else 0xFF
+            assert table[c] == want
+        assert 0xFF >= TextEncoder(EncoderConfig(dim=64))._table.shape[1]
 
     def test_empty_text(self):
-        syms = symbol_codes("")
-        assert syms.dtype == np.int64 and syms.shape == (0,)
+        for texts in ([""], ["", "!?"]):
+            syms, ends = encoder_module.code_texts(texts)
+            assert syms.dtype == np.uint8 and syms.shape == (0,) and ends == [0] * len(texts)
 
     def test_normalized_text_always_has_codes(self):
-        # Any text, once normalized, holds only DEFAULT_ALPHABET symbols, so the
-        # fixed alphabet can never reject what the encoder and baseline read.
+        # Any text, once normalized, holds only DEFAULT_ALPHABET symbols, so
+        # code_texts never gives the encoder and baseline the 0xFF of another byte.
         gen = RandomSource(2016).generator
         spans = [(0, 0x80), (0x80, 0x3000), (0xD800, 0xE000), (0, 0x110000)]
+        texts = []
         for t in range(2000):
             low, high = spans[t % len(spans)]  # ASCII, non-ASCII letters, surrogates, any
             points = gen.integers(low, high, size=int(gen.integers(0, 40)))
-            text = normalize_text("".join(map(chr, points)))
-            assert set(text) <= set(DEFAULT_ALPHABET)
-            syms = symbol_codes(text)
-            assert "".join(DEFAULT_ALPHABET[s] for s in syms) == text
+            texts.append("".join(map(chr, points)))
+            assert set(normalize_text(texts[-1])) <= set(DEFAULT_ALPHABET)
+            want = _alphabet_indices(ref_normalize(texts[-1]))
+            assert encoder_module.code_texts(texts[-1:])[0].tolist() == want
+        # The same texts, coded in groups of several.
+        for lo in range(0, len(texts), 7):
+            group = texts[lo : lo + 1 + lo % 5]
+            syms, ends = encoder_module.code_texts(group)
+            wants = [_alphabet_indices(ref_normalize(t)) for t in group]
+            assert syms.tolist() == sum(wants, [])
+            assert ends == np.cumsum([len(w) for w in wants]).tolist()
 
 
 @pytest.fixture(scope="module")

@@ -73,6 +73,18 @@ class TestFaultMask:
         once = mask.apply(hv)
         assert mask.apply(once) == once
 
+    def test_caller_arrays_stay_writeable_and_apart(self):
+        s0, s1 = pack_bits([0, 0, 0, 1]), pack_bits([0, 1, 0, 0])
+        mask = FaultMask(4, s0, s1)
+        assert s0.flags.writeable and s1.flags.writeable
+        assert not mask.stuck0_words.flags.writeable and not mask.stuck1_words.flags.writeable
+        s0[0], s1[0] = 1, 4  # the caller's own arrays, free to change
+        assert mask.stuck0_words.tolist() == [8] and mask.stuck1_words.tolist() == [2]
+        assert hv_to_string(mask.apply(hv_from_string("1010"))) == "1110"
+        # A read-only array is already safe to keep as it is.
+        s0.setflags(write=False)
+        assert FaultMask(4, s0, np.zeros(1, dtype=np.uint64)).stuck0_words is s0
+
     def test_conflicting_masks_rejected(self):
         ones = np.array([np.uint64(1)])
         with pytest.raises(ValueError):
