@@ -15,6 +15,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import corpus as corpus_io
 from . import faultlab
 from .algebra import RandomSource, n_words
 from .baseline import baseline_evaluate, baseline_train
@@ -89,7 +90,11 @@ def cmd_classify(args) -> int:
     if args.text is not None:
         text = args.text
     else:
-        text = regular_file(args.file).read_text(encoding="utf-8", errors="replace")
+        path, bound = regular_file(args.file), corpus_io.MAX_CORPUS_BYTES
+        size = path.stat().st_size  # before it is opened, as ingest checks its files
+        if size > bound:
+            raise DataError(f"{path} holds {size} bytes of text, over {bound}")
+        text = path.read_text(encoding="utf-8", errors="replace")
     result = model.classify_text(text)  # too short after normalization: DataError
     doc = {
         "label": result.label,
@@ -269,11 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Output directories first, so a failing run does no work (synth-corpus makes its tree).
-        if args.func is not cmd_synth_corpus:
-            for path in filter(None, (getattr(args, k, None) for k in ("out", "report", "json"))):
-                if not Path(path).parent.is_dir():
-                    raise FileNotFoundError(errno.ENOENT, "No such file or directory", path)
+        # Outputs first, so a failing run does no work (synth-corpus makes its tree).
+        for flag in ("out", "report", "json"):
+            path = getattr(args, flag, None)
+            if path == "":
+                raise ConfigurationError(f"--{flag} is an empty path")
+            if path and args.func is not cmd_synth_corpus and not Path(path).parent.is_dir():
+                raise FileNotFoundError(errno.ENOENT, "No such file or directory", path)
         return args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

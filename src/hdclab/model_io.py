@@ -1,24 +1,22 @@
 """Model persistence.
 
-Binary container (all integers little-endian):
-
-    magic "HDCM" | u32 version | u32 dim | u32 n
-    u32 alphabet byte length | alphabet UTF-8
-    u64 item seed | u64 tie seed | u8 deterministic-ties flag
-    u32 symbol count   | symbol vectors, packed u64 words per symbol
-    u32 class count    | per class: u32 label byte length + label UTF-8
-    class vectors, packed u64 words per class
+Format v1 is a binary file of little-endian fields, and the list that
+``_fields`` returns is the only description of its layout. ``save_model``
+joins that list. ``load_model`` reads what it needs to rebuild the model
+(the header, the alphabet, the item seed and ties flag, the labels and the
+class rows), builds it, and then compares the file with ``_fields`` of that
+model, so a file loads only if every byte is the one ``save_model`` writes
+for the model it describes. Everything else is derived: the alphabet is
+always ``DEFAULT_ALPHABET``, the tie seed the item seed plus one (mod
+2**64), and the symbol vectors those the item seed draws. Loading and
+re-saving therefore reproduces the file byte for byte.
 
 A sidecar JSON at <path>.json mirrors the metadata for human inspection,
 with the random tie rule the prototypes were trained under as
 ``tie_scheme`` (``encoder.TIE_SCHEME``). The binary file does not record
-it; loading reads neither it nor the sidecar.
-The alphabet is always ``DEFAULT_ALPHABET``, the tie seed the item seed
-plus one (mod 2**64) and the symbol vectors those the item seed draws.
-Loading refuses any other, a flag other than 0 or 1 and any bit set past
-dim, so loading and re-saving reproduces the file byte for byte. A loaded
-model shares its item memory and rotated table with every live encoder of
-the same (dim, n, item seed).
+it; loading reads neither it nor the sidecar. A loaded model shares its item
+memory and rotated table with every live encoder of the same (dim, n, item
+seed).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import _tail_mask, n_words
+from .algebra import n_words
 from .assocmem import AssociativeMemory
 from .corpus import regular_file
 from .encoder import DEFAULT_ALPHABET, TIE_SCHEME, EncoderConfig, TextEncoder
@@ -40,30 +38,38 @@ MAGIC = b"HDCM"
 VERSION = 1
 
 
-def _pack_words(rows: np.ndarray) -> bytes:
-    return np.ascontiguousarray(rows, dtype="<u8").tobytes()
+def _text(value: str) -> bytes:
+    raw = value.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
+
+
+def _fields(model: TrainedModel) -> list:
+    """Format v1 of ``model`` as (message, bytes) pairs, in file order.
+
+    ``message`` is what ``load_model`` reports when a file's bytes there are
+    not these. The header and the labels hold only what it reads and checks
+    itself, so their bytes always match.
+    """
+    cfg = model.config
+    return [
+        ("header", MAGIC + struct.pack("<III", VERSION, cfg.dim, cfg.n)
+         + _text(DEFAULT_ALPHABET) + struct.pack("<Q", cfg.item_seed)),
+        ("tie seed is not the item seed plus one", struct.pack("<Q", cfg.tie_seed)),
+        ("deterministic-ties flag is not 0 or 1", struct.pack("<B", cfg.deterministic_ties)),
+        ("symbol count does not match alphabet", struct.pack("<I", len(DEFAULT_ALPHABET))),
+        (f"symbol vectors are not those of item seed {cfg.item_seed}",
+         model.encoder.item_memory.words_matrix().astype("<u8").tobytes()),
+        ("labels", struct.pack("<I", len(model.labels))
+         + b"".join(_text(str(label)) for label in model.labels)),
+        (f"a vector has bits set past dim {cfg.dim}", model.memory.rows().astype("<u8").tobytes()),
+    ]
 
 
 def save_model(model: TrainedModel, path) -> None:
     path = Path(path)
-    cfg = model.config
-    alpha = DEFAULT_ALPHABET.encode("utf-8")
-    parts = [
-        MAGIC,
-        struct.pack("<III", VERSION, cfg.dim, cfg.n),
-        struct.pack("<I", len(alpha)), alpha,
-        struct.pack("<QQB", cfg.item_seed, cfg.tie_seed, int(cfg.deterministic_ties)),
-        struct.pack("<I", len(DEFAULT_ALPHABET)),
-        _pack_words(model.encoder.item_memory.words_matrix()),
-        struct.pack("<I", len(model.labels)),
-    ]
-    for label in model.labels:
-        lb = str(label).encode("utf-8")
-        parts.append(struct.pack("<I", len(lb)))
-        parts.append(lb)
-    parts.append(_pack_words(model.memory.rows()))
-    path.write_bytes(b"".join(parts))
+    path.write_bytes(b"".join(field for _, field in _fields(model)))
 
+    cfg = model.config
     sidecar = {
         "format": MAGIC.decode("ascii"),
         "version": VERSION,
@@ -107,10 +113,6 @@ class _Reader:
                 f"{self.path}: text field ending at byte {self.off} is not valid UTF-8"
             ) from None
 
-    def words(self, rows: int, cols: int) -> np.ndarray:
-        raw = self.take(rows * cols * 8)
-        return np.frombuffer(raw, dtype="<u8").reshape(rows, cols).astype(np.uint64)
-
 
 def load_model(path) -> TrainedModel:
     path = regular_file(path)
@@ -123,19 +125,11 @@ def load_model(path) -> TrainedModel:
     alphabet = r.text()
     if alphabet != DEFAULT_ALPHABET:
         raise DataError(f"{path}: alphabet {alphabet!r} is not {DEFAULT_ALPHABET!r}")
-    item_seed, tie_seed, det = struct.unpack("<QQB", r.take(17))
-    if tie_seed != (item_seed + 1) % 2**64:
-        raise DataError(f"{path}: tie seed {tie_seed} is not the item seed plus one")
-    if det > 1:
-        raise DataError(f"{path}: deterministic-ties flag {det} is not 0 or 1")
-    num_symbols = r.u32()
-    if num_symbols != len(alphabet):
-        raise DataError(f"{path}: symbol count does not match alphabet")
+    item_seed, _, det = struct.unpack("<QQB", r.take(17))  # the tie seed is derived
     nw = n_words(dim)
-    sym_rows = r.words(num_symbols, nw)
-    num_classes = r.u32()
-    labels = [r.text() for _ in range(num_classes)]
-    class_rows = r.words(num_classes, nw)
+    r.take(4 + len(alphabet) * nw * 8)  # the symbol count and vectors
+    labels = [r.text() for _ in range(r.u32())]
+    class_rows = np.frombuffer(r.take(len(labels) * nw * 8), dtype="<u8").reshape(len(labels), nw)
     if r.off != len(r.buf):
         raise DataError(f"{path}: trailing bytes after model payload")
 
@@ -143,12 +137,13 @@ def load_model(path) -> TrainedModel:
     # reject: dim or n of 0, a duplicate label, no classes, too big a table.
     try:
         config = EncoderConfig(dim=dim, n=n, item_seed=item_seed, deterministic_ties=bool(det))
-        if any((rows[:, -1] & ~_tail_mask(dim)).any() for rows in (sym_rows, class_rows)):
-            raise DataError(f"{path}: a vector has bits set past dim {dim}")
-        encoder = TextEncoder(config)
-        assoc = AssociativeMemory.from_rows(labels, class_rows, dim)
+        model = TrainedModel(encoder=TextEncoder(config),
+                             memory=AssociativeMemory.from_rows(labels, class_rows, dim))
     except (ValueError, ConfigurationError) as exc:
         raise DataError(f"{path}: invalid model: {exc}") from None
-    if not np.array_equal(sym_rows, encoder.item_memory.words_matrix()):
-        raise DataError(f"{path}: symbol vectors are not those of item seed {item_seed}")
-    return TrainedModel(encoder=encoder, memory=assoc)
+    off = 0
+    for message, field in _fields(model):
+        if r.buf[off:off + len(field)] != field:
+            raise DataError(f"{path}: {message}")
+        off += len(field)
+    return model

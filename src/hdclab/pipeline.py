@@ -22,6 +22,11 @@ from .encoder import EncoderConfig, TextEncoder, code_texts
 from .errors import ConfigurationError, DataError, TextTooShortError
 from .faultlab import distance_matrix, pairwise_from_dmat
 
+# Most test sentences one run scores, 25 times the paper's 20,000-plus:
+# evaluating holds about 2.7 kB a sentence at D = 10000 (the query row and
+# its group; tracemalloc on 3-char sentences), so about 1.4 GB at the bound.
+MAX_TEST_SENTENCES = 2**19
+
 
 @dataclass
 class TrainedModel:
@@ -74,12 +79,16 @@ def encode_test_sentences(labels, corpus, n: int):
     of each sentence of at least n symbols, a view of the call's buffer, the
     int64 index into labels of each one's true label, and the count of
     sentences too short for one n-gram. A test label missing from labels
-    raises ConfigurationError; a test set with no usable sentence, DataError.
+    raises ConfigurationError; a test set of no usable sentence or of more
+    than ``MAX_TEST_SENTENCES``, DataError, the latter before any coding.
     """
     label_index = {label: i for i, label in enumerate(labels)}
     for label in corpus.test:
         if label not in label_index:
             raise ConfigurationError(f"test label {label!r} not in the model")
+    count = sum(map(len, corpus.test.values()))
+    if count > MAX_TEST_SENTENCES:
+        raise DataError(f"test set holds {count} sentences, over {MAX_TEST_SENTENCES}")
     items = list(corpus.test_items())
     syms, ends = code_texts([sentence for _, sentence in items])
     groups, true_idx, lo = [], [], 0

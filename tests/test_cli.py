@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hdclab
+from hdclab import corpus as corpus_module
 from hdclab import synth
 from hdclab.cli import main
 from hdclab.synth import MAX_CORPUS_CHARS, MAX_LANGUAGES
@@ -52,6 +53,21 @@ def test_classify_file(workspace, capsys):
     f = corpus / "train" / "lang02" / "sample00.txt"
     assert main(["classify", "--model", str(model), "--file", str(f)]) == 0
     assert json.loads(capsys.readouterr().out)["label"] == "lang02"
+
+
+def test_classify_file_over_the_byte_bound_exits_3_unread(workspace, monkeypatch, capsys):
+    root, corpus, model = workspace
+    f = corpus / "train" / "lang02" / "sample00.txt"
+    size = f.stat().st_size
+    monkeypatch.setattr(corpus_module, "MAX_CORPUS_BYTES", size)
+    assert main(["classify", "--model", str(model), "--file", str(f)]) == 0
+    capsys.readouterr()
+
+    monkeypatch.setattr(corpus_module, "MAX_CORPUS_BYTES", size - 1)
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: pytest.fail(f"{self} was opened"))
+    assert main(["classify", "--model", str(model), "--file", str(f)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {f} holds {size} bytes of text, over {size - 1}"]
 
 
 def test_classify_too_short_is_data_error(workspace, capsys):
@@ -286,6 +302,29 @@ def test_outputs_are_checked_before_any_input(tmp_path, args, names):
     _assert_one_error_line(proc, 3)
     (line,) = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert resolve(names) in line and "No such file" in line
+    assert list(tmp_path.iterdir()) == []
+
+
+# Each output given as "", beside a model and a corpus that do not exist.
+@pytest.mark.parametrize("args, flag", [
+    pytest.param(["train", "--corpus", "NO_CORPUS", "--out", ""], "--out", id="train --out"),
+    pytest.param(["eval", "--model", "NO_MODEL", "--corpus", "NO_CORPUS", "--report", ""],
+                 "--report", id="eval --report"),
+    pytest.param(["baseline", "--corpus", "NO_CORPUS", "--report", ""], "--report",
+                 id="baseline --report"),
+    pytest.param(["fault-sweep", "--model", "NO_MODEL", "--corpus", "NO_CORPUS", "--out", ""],
+                 "--out", id="fault-sweep --out"),
+    pytest.param(["fault-sweep", "--model", "NO_MODEL", "--corpus", "NO_CORPUS",
+                  "--out", "s.csv", "--json", ""], "--json", id="fault-sweep --json"),
+    pytest.param(["noise-curve", "--trials", "1", "--out", ""], "--out", id="noise-curve --out"),
+    pytest.param(["synth-corpus", "--languages", "2", "--train-chars", "3",
+                  "--test-sentences", "1", "--out", ""], "--out", id="synth-corpus --out"),
+])
+def test_empty_output_path_exits_2_before_any_work(tmp_path, monkeypatch, capsys, args, flag):
+    paths = {"NO_MODEL": str(tmp_path / "none.hdc"), "NO_CORPUS": str(tmp_path / "none")}
+    monkeypatch.chdir(tmp_path)
+    assert main([paths.get(a, a) for a in args]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {flag} is an empty path"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -226,10 +226,48 @@ def test_corrupt_files_load_or_raise_data_error(small_model_bytes, tmp_path):
     gen = np.random.default_rng(2018)
     for pos, delta in zip(gen.integers(0, len(raw), 400), gen.integers(1, 256, 400)):
         cases.append(_edit(raw, pos, bytes([(raw[pos] + delta) % 256])))
-    p = tmp_path / "fuzz.hdc"
+    p, resaved = tmp_path / "fuzz.hdc", tmp_path / "resaved.hdc"
     for case in cases:
         p.write_bytes(case)
         try:
-            load_model(p)
+            loaded = load_model(p)
         except DataError as exc:
             assert str(p) in str(exc)
+        else:
+            save_model(loaded, resaved)
+            assert resaved.read_bytes() == case
+
+
+def test_every_flipped_byte_is_refused_or_re_saves_as_itself(tmp_path):
+    """Each byte XOR 0x01, 0x80 and 0xFF at D = 100, where a row is 2 words and
+    bits 100-127 of the second (from byte 12 bit 4 on) are padding. A case
+    raises DataError naming the path or loads a model that re-saves to it.
+    Inside the class rows it loads exactly when no padding bit is flipped;
+    outside them only values the file describes can change: n 3 -> 2, the
+    ties flag 0 -> 1, and a label byte by 0x01."""
+    corpus = Corpus()
+    corpus.add_train("de", "der die das und der die das immer wieder")
+    corpus.add_train("en", "the and the of the to the in a for the")
+    p, resaved = tmp_path / "flip.hdc", tmp_path / "resaved.hdc"
+    save_model(train_pipeline(corpus, EncoderConfig(dim=100, item_seed=7)), p)
+    raw = p.read_bytes()
+    rows_start = len(raw) - 2 * 16
+    assert raw[rows_start - 8:rows_start] == b"de" + struct.pack("<I", 2) + b"en"
+    masks = (0x01, 0x80, 0xFF)
+    loaded = set()
+    for offset in range(len(raw)):
+        for mask in masks:
+            case = _edit(raw, offset, bytes([raw[offset] ^ mask]))
+            p.write_bytes(case)
+            try:
+                model = load_model(p)
+            except DataError as exc:
+                assert str(p) in str(exc)
+                continue
+            save_model(model, resaved)
+            assert resaved.read_bytes() == case
+            loaded.add((offset, mask))
+    rows = {(offset, mask) for offset in range(rows_start, len(raw)) for mask in masks
+            if (offset - rows_start) % 16 < 12 or (offset - rows_start) % 16 == 12 and mask == 1}
+    outside = {(12, 0x01), (63, 0x01)} | {(rows_start - k, 0x01) for k in (8, 7, 2, 1)}
+    assert loaded == rows | outside

@@ -21,7 +21,9 @@ from hdclab import (
     train_pipeline,
 )
 from hdclab import encoder as encoder_module
+from hdclab import pipeline as pipeline_module
 from hdclab.algebra import majority_words
+from hdclab.baseline import baseline_evaluate, baseline_train
 from hdclab.pipeline import encode_test_set, score_report
 
 
@@ -157,6 +159,28 @@ def test_encode_test_set_counts_skipped():
     assert true_idx.tolist() == [0, 1]
     assert true_idx.dtype == np.int64
     assert skipped == 1
+
+
+def test_test_set_over_the_sentence_bound_is_refused_uncoded(monkeypatch):
+    corpus = tiny_corpus()
+    corpus.test["aa"].append("bca bca")
+    model = train_pipeline(corpus, EncoderConfig(dim=1000))
+    clf = baseline_train(corpus)
+    monkeypatch.setattr(pipeline_module, "MAX_TEST_SENTENCES", 3)
+    assert evaluate(model, corpus)["total"] == 3
+
+    monkeypatch.setattr(pipeline_module, "MAX_TEST_SENTENCES", 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a test sentence was coded before the count check")
+
+    monkeypatch.setattr(pipeline_module, "code_texts", refuse)
+    monkeypatch.setattr(TextEncoder, "encode_symbols", refuse)
+    for front_end in (evaluate, encode_test_set):
+        with pytest.raises(DataError, match="^test set holds 3 sentences, over 2$"):
+            front_end(model, corpus)
+    with pytest.raises(DataError, match="^test set holds 3 sentences, over 2$"):
+        baseline_evaluate(clf, corpus)
 
 
 def test_no_usable_test_sentences_is_data_error():
