@@ -8,6 +8,7 @@ integer items (``list(hv.to_bits())``) cannot wrap.
 
 import re
 import string
+import struct
 from bisect import bisect_right
 
 
@@ -144,3 +145,40 @@ def ref_markov_walk(cum_start, cum_trans, uniforms):
         s = min(bisect_right(cum_trans[s], float(u)), last)
         out.append(s)
     return out
+
+
+def ref_model_v1(dim, n, item_seed, deterministic_ties, alphabet, symbol_rows, labels,
+                 class_rows):
+    """Model file format v1, written field by field with ``struct``.
+
+    The magic "HDCM", version 1, dim and n as u32; the alphabet as a u32
+    byte length plus UTF-8; the item seed and the tie seed (the item seed
+    plus one, mod 2**64) as u64; the ties flag as u8; the symbol count as
+    u32 and one row of u64 words per symbol; the label count as u32 and
+    each label as a u32 byte length plus UTF-8; one row of u64 words per
+    label. Rows are lists of ints; every field is little-endian.
+    """
+    def text(value):
+        raw = value.encode("utf-8")
+        return struct.pack("<I", len(raw)) + raw
+
+    def words(rows):
+        return b"".join(struct.pack("<Q", int(w)) for row in rows for w in row)
+
+    return b"".join([
+        b"HDCM", struct.pack("<III", 1, dim, n), text(alphabet),
+        struct.pack("<QQB", item_seed, (item_seed + 1) % 2**64, bool(deterministic_ties)),
+        struct.pack("<I", len(symbol_rows)), words(symbol_rows),
+        struct.pack("<I", len(labels)), b"".join(text(label) for label in labels),
+        words(class_rows),
+    ])
+
+
+def ref_model_v1_of(model):
+    """``ref_model_v1`` of a trained model: its config, its encoder's symbol
+    vectors in alphabet order, and its labels and prototype rows."""
+    cfg = model.config
+    return ref_model_v1(cfg.dim, cfg.n, cfg.item_seed, cfg.deterministic_ties,
+                        "".join(model.encoder.item_memory.symbols),
+                        model.encoder.item_memory.words_matrix().tolist(),
+                        [str(label) for label in model.labels], model.memory.rows().tolist())

@@ -2,9 +2,11 @@ import csv
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,8 @@ from hdclab import corpus as corpus_module
 from hdclab import synth
 from hdclab.cli import main
 from hdclab.synth import MAX_CORPUS_CHARS, MAX_LANGUAGES
+
+from _oracles import ref_model_v1_of
 
 
 @pytest.fixture(scope="module")
@@ -216,12 +220,12 @@ def _assert_one_error_line(proc, code):
 
 @pytest.fixture(scope="module")
 def bad_models(workspace):
-    """Model paths that do not load: not a model, an alphabet that is not
-    UTF-8, and no file at all."""
+    """Model paths that do not load: not a model, a v1 file whose alphabet is
+    not UTF-8, and no file at all."""
     root, corpus, model = workspace
     garbage, bad_utf8 = root / "garbage.hdc", root / "bad-utf8.hdc"
     garbage.write_bytes(b"not a model")
-    raw = bytearray(model.read_bytes())
+    raw = bytearray(ref_model_v1_of(hdclab.load_model(model)))
     raw[20] = 0xFF  # first byte of the alphabet
     bad_utf8.write_bytes(bytes(raw))
     return {"GARBAGE": garbage, "BAD_UTF8": bad_utf8, "NO_MODEL": root / "none.hdc"}
@@ -408,9 +412,10 @@ def test_synth_corpus_at_the_language_bound(tmp_path):
 
 @pytest.fixture(scope="module")
 def other_alphabet_model(workspace):
-    """The workspace's model with "ab" of its stored alphabet swapped to "ba"."""
+    """The workspace's model in format v1, with "ab" of its stored alphabet
+    swapped to "ba"."""
     root, corpus, model = workspace
-    raw = model.read_bytes()
+    raw = ref_model_v1_of(hdclab.load_model(model))
     assert raw[20:22] == b"ab"
     path = root / "other-alphabet.hdc"
     path.write_bytes(raw[:20] + b"ba" + raw[22:])
@@ -431,6 +436,28 @@ def test_model_with_other_alphabet_exits_3(workspace, other_alphabet_model, tmp_
     proc = _run_cli(args, tmp_path)
     _assert_one_error_line(proc, 3)
     assert f"error: {other_alphabet_model}: alphabet 'bacdefghijklmnopqrstuvwxyz '" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["classify", "eval", "fault-sweep"])
+def test_model_under_another_tie_scheme_exits_3(workspace, tmp_path, command):
+    """A v2 file whose tie-scheme byte (at 25) is 1, re-sealed with a fresh CRC."""
+    root, corpus, model = workspace
+    body = bytearray(model.read_bytes()[:-4])
+    assert body[25] == 2
+    body[25] = 1
+    path = root / f"scheme-1-{command}.hdc"
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    args = [command, "--model", str(path)]
+    if command == "classify":
+        args += ["--text", "hello"]
+    else:
+        args += ["--corpus", str(corpus)]
+    if command == "fault-sweep":
+        args += ["--trials", "1", "--out", str(tmp_path / "sweep.csv")]
+    proc = _run_cli(args, tmp_path)
+    _assert_one_error_line(proc, 3)
+    assert f"error: {path}: the prototypes were trained under tie scheme 1, not 2" in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 
